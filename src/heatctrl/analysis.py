@@ -16,8 +16,8 @@ from .adjoint import solve_adjoint_P, solve_adjoint_Palpha
 from .assembly import compute_constants
 from .control import (apply_W, contraction_constant, h_inner, hq_norm,
                       solve_cg, solve_distributed_only)
-from .state import (ControlPair, ProblemData, Stepper, solve_state,
-                    solve_state_P, solve_state_Palpha)
+from .state import (ControlPair, ProblemData, Stepper, solve_state_P,
+                    solve_state_Palpha)
 
 
 class SolverNotConverged(RuntimeError):
@@ -131,8 +131,6 @@ def optimal_control_sweep(data: ProblemData, alphas, ops, tol) -> SweepReport:
     ref = solve_cg(data, ops, "P", tol)
     if not ref.converged:
         raise SolverNotConverged("P", ref)
-    u_ref = solve_state_P(data, ref.control, ops)
-    p_ref = solve_adjoint_P(data, u_ref, ops)
     records = []
     for a in alphas:
         data_a = data.with_alpha(a)
@@ -140,13 +138,11 @@ def optimal_control_sweep(data: ProblemData, alphas, ops, tol) -> SweepReport:
         rep = solve_cg(data_a, ops, "Palpha", tol, stepper=stepper)
         if not rep.converged:
             raise SolverNotConverged(f"Palpha at alpha={a}", rep)
-        ua = solve_state_Palpha(data_a, rep.control, ops, stepper)
-        pa = solve_adjoint_Palpha(data_a, ua, ops, stepper)
         records.append(SweepRecord(
             alpha=a,
-            state_gap=state_gap_norm(ua, u_ref, ops, grid),
-            adjoint_gap=adjoint_gap_norm(pa, p_ref, ops, grid),
-            boundary_residual=boundary_residual_norm(ua, data.b, a, ops, grid),
+            state_gap=state_gap_norm(rep.state, ref.state, ops, grid),
+            adjoint_gap=adjoint_gap_norm(rep.adjoint, ref.adjoint, ops, grid),
+            boundary_residual=boundary_residual_norm(rep.state, data.b, a, ops, grid),
             control_gap=hq_norm(rep.control - ref.control, ops, grid),
             cost_alpha=rep.cost,
         ))
@@ -229,12 +225,10 @@ def section5_checks(data: ProblemData, ops, tol, n_pairs=50, seed=20240) -> list
         full = solve_cg(data, ops, variant, tol, stepper=stepper)
         dist = solve_distributed_only(data, full.control.q, ops, variant, tol,
                                       stepper=stepper)
-        u_full = solve_state(data, full.control, ops, variant, stepper)
-        u_dist = solve_state(data, dist.control, ops, variant, stepper)
 
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
-        du = u_full.slices[1:] - u_dist.slices[1:]
+        du = full.state.slices[1:] - dist.state.slices[1:]
         rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / (lam * data.M1)
         # With the flux frozen at the simultaneous optimum the two optima
         # coincide exactly, so both sides are solver noise; the gradient

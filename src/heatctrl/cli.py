@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 configuration error, 2 solver or check failure.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,6 +90,15 @@ def parse_config_text(text, origin="<config>") -> dict:
 FIELD_CATALOG = ("zero", "constant", "linear", "bump", "csv")
 
 
+def _spec_args(args, count):
+    numbers = [float(a) for a in args.split(",")]
+    if len(numbers) != count:
+        raise ValueError(f"expected {count} numbers, got {len(numbers)}")
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValueError("arguments must be finite")
+    return numbers
+
+
 def _field_values(spec, points, origin):
     """Evaluate a catalog field spec at an array of (x, y) points."""
     spec = str(spec).strip()
@@ -97,16 +107,17 @@ def _field_values(spec, points, origin):
     x, y = points[:, 0], points[:, 1]
     try:
         if name == "zero":
-            return np.zeros(len(points))
-        if name == "constant":
-            return float(args) * np.ones(len(points))
-        if name == "linear":
-            c0, cx, cy = (float(a) for a in args.split(","))
-            return c0 + cx * x + cy * y
-        if name == "bump":
-            cx, cy, width, amp = (float(a) for a in args.split(","))
-            return amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
-        if name == "csv":
+            values = np.zeros(len(points))
+        elif name == "constant":
+            (value,) = _spec_args(args, 1)
+            values = value * np.ones(len(points))
+        elif name == "linear":
+            c0, cx, cy = _spec_args(args, 3)
+            values = c0 + cx * x + cy * y
+        elif name == "bump":
+            cx, cy, width, amp = _spec_args(args, 4)
+            values = amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+        elif name == "csv":
             path = Path(args.strip())
             if not path.exists():
                 raise ConfigError(f"{origin}: field file not found: {path}")
@@ -116,14 +127,18 @@ def _field_values(spec, points, origin):
                     f"{origin}: {path} must hold {len(points)} values, "
                     f"got shape {values.shape}"
                 )
-            return np.asarray(values, dtype=float)
+            values = np.asarray(values, dtype=float)
+        else:
+            raise ConfigError(
+                f"{origin}: unknown field {name!r}, expected one of {FIELD_CATALOG}"
+            )
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad field spec {spec!r}: {exc}") from None
-    raise ConfigError(
-        f"{origin}: unknown field {name!r}, expected one of {FIELD_CATALOG}"
-    )
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{origin}: field {spec!r} has non-finite values")
+    return values
 
 
 # -- run configuration -----------------------------------------------------------
@@ -159,6 +174,16 @@ def _require(section, key, sections, origin):
     return sections[section][key]
 
 
+def _finite(value, label, origin) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{origin}: {label} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{origin}: {label} must be finite, got {value!r}")
+    return number
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -179,23 +204,23 @@ def load_config(path) -> RunConfig:
         if side not in SIDES:
             raise ConfigError(f"{origin}: unknown gamma1 side {side!r}")
 
-    T = float(_require("time", "T", sections, origin))
+    T = _finite(_require("time", "T", sections, origin), "[time] T", origin)
     n_steps = int(_require("time", "n_steps", sections, origin))
 
     prob = sections.get("problem", {})
-    M1 = float(_require("problem", "M1", sections, origin))
-    M2 = float(_require("problem", "M2", sections, origin))
+    M1 = _finite(_require("problem", "M1", sections, origin), "[problem] M1", origin)
+    M2 = _finite(_require("problem", "M2", sections, origin), "[problem] M2", origin)
     if M1 <= 0 or M2 <= 0:
         raise ConfigError(f"{origin}: M1 and M2 must be positive")
     alpha = prob.get("alpha")
-    alpha = None if alpha is None else float(alpha)
+    alpha = None if alpha is None else _finite(alpha, "[problem] alpha", origin)
     alphas_val = prob.get("alphas", [])
-    alphas = [float(a) for a in (
+    alphas = [_finite(a, "[problem] alphas", origin) for a in (
         alphas_val if isinstance(alphas_val, list) else str(alphas_val).split(",")
     )] if alphas_val else []
 
     solver = sections.get("solver", {})
-    tol = float(solver.get("tol", 1e-8))
+    tol = _finite(solver.get("tol", 1e-8), "[solver] tol", origin)
     if tol <= 0:
         raise ConfigError(f"{origin}: solver tol must be positive, got {tol}")
     max_iter = int(solver.get("max_iter", 500))
@@ -237,14 +262,13 @@ def build_problem(config: RunConfig):
     """Construct (ops, data) from a parsed configuration."""
     try:
         mesh = build_rect_mesh(config.nx, config.ny, config.gamma1)
+        grid = TimeGrid(config.T, config.n_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ops = assemble(mesh)
-    grid = TimeGrid(config.T, config.n_steps)
-    origin = "problem section"
-    b = _field_values(config.b_spec, mesh.nodes[ops.dirichlet_nodes], origin)
-    v_b = _field_values(config.v_b_spec, mesh.nodes, origin)
-    z_node = _field_values(config.z_d_spec, mesh.nodes, origin)
+    b = _field_values(config.b_spec, mesh.nodes[ops.dirichlet_nodes], "[problem] b")
+    v_b = _field_values(config.v_b_spec, mesh.nodes, "[problem] v_b")
+    z_node = _field_values(config.z_d_spec, mesh.nodes, "[problem] z_d")
     z_d = np.tile(z_node, (grid.n_steps, 1))
     data = ProblemData(b=b, v_b=v_b, z_d=z_d, M1=config.M1, M2=config.M2,
                        grid=grid, alpha=config.alpha)
@@ -261,9 +285,16 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _json_text(payload) -> str:
+    """Sorted, indented, standards-valid JSON; a nan or inf is an error."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise SolverError(f"report holds a non-finite number: {exc}") from None
+
+
 def write_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def write_csv(path, header, rows):
@@ -274,21 +305,21 @@ def write_csv(path, header, rows):
             writer.writerow([c if isinstance(c, (int, str)) else _fmt(c) for c in row])
 
 
-def trajectory_rows(traj):
-    rows = []
-    for step in range(traj.slices.shape[0]):
-        for node in range(traj.slices.shape[1]):
-            rows.append((step, node, traj.slices[step, node]))
-    return rows
+def write_csv_series(path, values, step0=0, node_ids=None):
+    """Write a (steps, columns) array as `step,node,value` CSV, one step at a time.
 
-
-def control_rows(series, node_ids=None):
-    rows = []
-    for step in range(series.shape[0]):
-        for j in range(series.shape[1]):
-            node = j if node_ids is None else int(node_ids[j])
-            rows.append((step + 1, node, series[step, j]))
-    return rows
+    Step numbers start at step0; node is the column index, or node_ids[column]
+    when given.  The bytes equal write_csv on the same rows: CRLF line ends
+    and values as %.17g.
+    """
+    nodes = range(values.shape[1]) if node_ids is None else node_ids
+    # joined with the step number as separator, these pieces make the
+    # %-template of one step's rows
+    pieces = [""] + [f",{int(node)},%.17g\r\n" for node in nodes]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("step,node,value\r\n")
+        for step, row in enumerate(values, start=step0):
+            fh.write(str(step).join(pieces) % tuple(row.tolist()))
 
 
 def summarize_solve(payload) -> str:
@@ -325,8 +356,6 @@ def summarize_sweep(payload) -> str:
 def run_solve(config: RunConfig, quiet=False) -> int:
     ops, data = build_problem(config)
     constants = compute_constants(ops)
-    if config.variant == "Palpha" and (data.alpha is None or data.alpha <= 0):
-        raise ConfigError("variant 'Palpha' needs problem.alpha > 0")
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
@@ -356,16 +385,11 @@ def run_solve(config: RunConfig, quiet=False) -> int:
         for name, rep in reports.items():
             write_csv(out / f"history_{name}.csv",
                       ("iteration", "residual_norm"), rep.history)
-            u = solve_state(data, rep.control, ops, config.variant, stepper)
-            p = solve_adjoint(data, u, ops, config.variant, stepper)
-            write_csv(out / f"state_{name}.csv", ("step", "node", "value"),
-                      trajectory_rows(u))
-            write_csv(out / f"adjoint_{name}.csv", ("step", "node", "value"),
-                      trajectory_rows(p))
-            write_csv(out / f"control_g_{name}.csv", ("step", "node", "value"),
-                      control_rows(rep.control.g))
-            write_csv(out / f"control_q_{name}.csv", ("step", "node", "value"),
-                      control_rows(rep.control.q, ops.gamma2_nodes))
+            write_csv_series(out / f"state_{name}.csv", rep.state.slices)
+            write_csv_series(out / f"adjoint_{name}.csv", rep.adjoint.slices)
+            write_csv_series(out / f"control_g_{name}.csv", rep.control.g, step0=1)
+            write_csv_series(out / f"control_q_{name}.csv", rep.control.q, step0=1,
+                             node_ids=ops.gamma2_nodes)
     if not quiet:
         print(summarize_solve(payload))
     return 0 if all(r["converged"] for r in runs.values()) else 2
@@ -540,7 +564,7 @@ def run_constants(config: RunConfig, quiet=False) -> int:
         if "json" in config.formats:
             write_json(config.out_dir / "constants.json", payload)
     if not quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     return 0
 
 

@@ -32,10 +32,13 @@ class OptimalityReport:
     step norm for fixed_point).  The converged flag refers to the residual
     the solver controls: the gradient norm for cg, the step norm for
     fixed_point (where grad_norm <= max(M1, M2) * step norm at a fixed
-    point of the map).
+    point of the map).  state and adjoint are the trajectories u and p at
+    the returned control, the ones grad_norm and cost were evaluated from.
     """
 
     control: ControlPair
+    state: Trajectory
+    adjoint: Trajectory
     cost: float
     grad_norm: float
     grad_norm0: float
@@ -178,6 +181,8 @@ def _finalize(data, x, ops, variant, stepper, solver, tol, grad_norm0,
     grad_norm = hq_norm(grad, ops, data.grid)
     return OptimalityReport(
         control=x,
+        state=u,
+        adjoint=p,
         cost=cost_J(data, x, ops, variant, stepper, u=u),
         grad_norm=grad_norm,
         grad_norm0=grad_norm0,
@@ -343,10 +348,13 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, ops, variant,
 
     ctrl = ControlPair(g, q_fixed.copy())
     u = solve_state(data, ctrl, ops, variant, stepper)
-    final_grad = grad_g(g)
+    p = solve_adjoint(data, u, ops, variant, stepper)
+    final_grad = data.M1 * g + p.slices[:-1]
     grad_norm = math.sqrt(max(h_inner(final_grad, final_grad, ops, grid), 0.0))
     return OptimalityReport(
         control=ctrl,
+        state=u,
+        adjoint=p,
         cost=cost_J(data, ctrl, ops, variant, stepper, u=u),
         grad_norm=grad_norm,
         grad_norm0=grad_norm0,

@@ -152,10 +152,6 @@ class Stepper:
         return out
 
 
-def make_stepper(ops, grid, variant="P", alpha=None) -> Stepper:
-    return Stepper(ops, grid, variant, alpha)
-
-
 def _check_ctrl(ctrl, ops, grid):
     n_steps = grid.n_steps
     if ctrl.g.shape != (n_steps, ops.n_nodes):

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from heatctrl import (ProblemData, TimeGrid, assemble, build_rect_mesh,
+                      solve_adjoint, solve_cg, solve_distributed_only,
+                      solve_fixed_point, solve_state)
+from heatctrl import cli
 from heatctrl.cli import (ConfigError, load_config, main, parse_config_text,
-                          summarize_solve, summarize_sweep)
+                          summarize_solve, summarize_sweep, write_csv,
+                          write_csv_series, write_json)
+from heatctrl.linalg import SolverError
 
 BASE_CONFIG = """
 [mesh]
@@ -279,3 +285,113 @@ def test_json_reports_reparse_exactly(tmp_path):
     raw = (tmp_path / "out" / "solve_report.json").read_text()
     payload = json.loads(raw)
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == raw
+
+
+def _reference_series_csv(path, values, step0=0, node_ids=None):
+    """The writer write_csv_series replaced: one tuple per cell through csv.writer."""
+    rows = []
+    for step in range(values.shape[0]):
+        for j in range(values.shape[1]):
+            node = j if node_ids is None else int(node_ids[j])
+            rows.append((step + step0, node, values[step, j]))
+    write_csv(path, ("step", "node", "value"), rows)
+
+
+AWKWARD = np.array([
+    [-0.0, 5e-324, 1e308, 0.1],
+    [1.0, -2.0, 3e15, 1.0 / 3.0],
+    [-1e-300, 2.0**53 + 2.0, 123456789.0, -0.30000000000000004],
+])
+
+
+@pytest.mark.parametrize("values, step0, node_ids", [
+    (AWKWARD, 0, None),
+    (AWKWARD, 1, None),
+    (AWKWARD, 1, np.array([3, 7, 40, 41])),
+    (np.random.default_rng(3).standard_normal((5, 17)) * 1e-3, 0, None),
+    (np.zeros((2, 0)), 1, np.array([], dtype=int)),
+])
+def test_write_csv_series_matches_row_writer(tmp_path, values, step0, node_ids):
+    _reference_series_csv(tmp_path / "ref.csv", values, step0, node_ids)
+    write_csv_series(tmp_path / "new.csv", values, step0, node_ids)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+@pytest.mark.parametrize("optimizer", ["cg", "fixed_point", "distributed_only"])
+def test_report_trajectories_equal_a_fresh_solve(variant, optimizer):
+    ops = assemble(build_rect_mesh(4, 4, "left"))
+    grid = TimeGrid(1.0, 4)
+    x, y = ops.mesh.nodes[:, 0], ops.mesh.nodes[:, 1]
+    target = np.exp(-((x - 0.6) ** 2 + (y - 0.5) ** 2) / 0.08)
+    data = ProblemData(b=np.zeros(len(ops.dirichlet_nodes)),
+                       v_b=np.zeros(ops.n_nodes),
+                       z_d=np.tile(target, (grid.n_steps, 1)),
+                       M1=60.0, M2=60.0, grid=grid, alpha=10.0)
+    if optimizer == "cg":
+        rep = solve_cg(data, ops, variant, 1e-10)
+    elif optimizer == "fixed_point":
+        rep = solve_fixed_point(data, ops, variant, 1e-10)
+    else:
+        q = np.full((grid.n_steps, len(ops.gamma2_nodes)), 0.25)
+        rep = solve_distributed_only(data, q, ops, variant, 1e-10)
+    u = solve_state(data, rep.control, ops, variant)
+    p = solve_adjoint(data, u, ops, variant)
+    assert np.array_equal(rep.state.slices, u.slices)
+    assert np.array_equal(rep.adjoint.slices, p.slices)
+
+
+def test_solve_writes_reports_without_resolving(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve must reuse the optimizer's trajectories")
+
+    monkeypatch.setattr(cli, "solve_state", refuse)
+    monkeypatch.setattr(cli, "solve_adjoint", refuse)
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
+    text = path.read_text().replace("M1 = 1.0", "M1 = 60.0").replace("M2 = 1.0", "M2 = 60.0")
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "--quiet"]) == 0
+    out = tmp_path / "out"
+    for name in ("cg", "fixed_point"):
+        for kind in ("state", "adjoint", "control_g", "control_q"):
+            assert (out / f"{kind}_{name}.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("M1 = 1.0", "M1 = nan", "[problem] M1"),
+    ("M2 = 1.0", "M2 = inf", "[problem] M2"),
+    ("T = 1.0", "T = inf", "[time] T"),
+    ("T = 1.0", "T = 0", "final time"),
+    ("tol = 1e-10", "tol = nan", "[solver] tol"),
+    ("alpha = 10.0", "alpha = -inf", "[problem] alpha"),
+    ("alphas = [10.0, 100.0, 1000.0]", "alphas = [10.0, nan]", "[problem] alphas"),
+    ("M1 = 1.0", "M1 = heavy", "[problem] M1"),
+    ("z_d = zero", "z_d = constant:inf", "[problem] z_d"),
+    ("b = zero", "b = linear:0,nan,0", "[problem] b"),
+    ("v_b = zero", "v_b = bump:0.5,0.5,0.1,inf", "[problem] v_b"),
+    ("z_d = zero", "z_d = linear:1e308,1e308,0", "[problem] z_d"),
+])
+def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
+    path = write_config(tmp_path)
+    text = path.read_text().replace("nx = 2", "nx = 4").replace("ny = 2", "ny = 4")
+    if key == "[time] T":
+        text = text.replace("z_d = zero", "z_d = constant:inf")
+    assert old in text
+    path.write_text(text.replace(old, new))
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_csv_field_rejected(tmp_path, capsys):
+    field_file = tmp_path / "field.csv"
+    field_file.write_text("value\n" + "\n".join(["0.5"] * 8 + ["nan"]) + "\n")
+    path = write_config(tmp_path, z_d=f"csv:{field_file}")
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert "[problem] z_d" in capsys.readouterr().err
+
+
+def test_json_report_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(SolverError, match="non-finite"):
+        write_json(tmp_path / "report.json", {"cost": float("nan")})
+    assert not (tmp_path / "report.json").exists()
