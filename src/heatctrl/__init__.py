@@ -7,7 +7,7 @@ condition on the remaining boundary portion, plus the machinery to study
 the Robin-to-pinned limit and the fixed-point characterization of optima.
 """
 
-from .adjoint import solve_adjoint, solve_adjoint_P, solve_adjoint_Palpha
+from .adjoint import solve_adjoint
 from .analysis import (SweepRecord, SweepReport, fixed_control_sweep,
                        optimal_control_sweep, section5_checks, sweep_flags)
 from .assembly import (AssemblyError, ConstantsReport, DiscreteOperators,
@@ -16,10 +16,9 @@ from .control import (OptimalityReport, apply_C, apply_W, contraction_constant,
                       convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
                       hq_norm, measured_step_ratio, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
-from .linalg import EigenError, SolverError, SpdFactor, gen_eig_extreme, spd_solve
+from .linalg import EigenError, SolverError, SpdFactor, gen_eig_extreme
 from .mesh import Mesh, TimeGrid, build_rect_mesh, dof_partition
-from .state import (ControlPair, ProblemData, Stepper, Trajectory,
-                    solve_state, solve_state_P, solve_state_Palpha)
+from .state import ControlPair, ProblemData, Stepper, Trajectory, solve_state
 
 __all__ = [
     "AssemblyError",
@@ -57,14 +56,9 @@ __all__ = [
     "q_inner",
     "section5_checks",
     "solve_adjoint",
-    "solve_adjoint_P",
-    "solve_adjoint_Palpha",
     "solve_cg",
     "solve_distributed_only",
     "solve_fixed_point",
     "solve_state",
-    "solve_state_P",
-    "solve_state_Palpha",
-    "spd_solve",
     "sweep_flags",
 ]

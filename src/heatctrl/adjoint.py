@@ -12,7 +12,7 @@ holds to machine precision for both variants.
 
 import numpy as np
 
-from .state import ProblemData, Stepper, Trajectory, check_stepper
+from .state import ProblemData, Stepper, Trajectory, stepper_for
 
 
 def _check_state(data, u, ops):
@@ -23,63 +23,30 @@ def _check_state(data, u, ops):
         )
 
 
-def _backward_pinned(stepper, sources):
-    """Backward sweep on free nodes; sources[k] is a full nodal load."""
+def _backward(stepper, residual):
+    """The backward time loop on the stepper's solved nodes.
+
+    residual[k] is the nodal residual of step k+1; it enters as the load
+    M residual[k].  Rows off the solved nodes and the last slice stay zero.
+    """
     ops, grid = stepper.ops, stepper.grid
-    F = ops.free_nodes
+    S = stepper.nodes
     tau = grid.tau
     p = np.zeros((grid.n_steps + 1, ops.n_nodes))
-    pf = np.zeros(len(F))
+    x = p[-1, S]
     for k in range(grid.n_steps - 1, -1, -1):
-        rhs = (stepper.M_ff @ pf) / tau + sources[k][F]
-        pf = stepper.factor.solve(rhs)
-        p[k, F] = pf
+        rhs = (stepper.mass @ x) / tau + (ops.M @ residual[k])[S]
+        x = stepper.factor.solve(rhs)
+        p[k, S] = x
     return p
 
 
-def _backward_robin(stepper, sources):
-    ops, grid = stepper.ops, stepper.grid
-    tau = grid.tau
-    p = np.zeros((grid.n_steps + 1, ops.n_nodes))
-    for k in range(grid.n_steps - 1, -1, -1):
-        rhs = (ops.M @ p[k + 1]) / tau + sources[k]
-        p[k] = stepper.factor.solve(rhs)
-    return p
-
-
-def _tracking_sources(data, u, ops):
-    # residual of step k+1: M (u^{k+1} - z_d^{k+1})
-    return [ops.M @ (u.slices[k + 1] - data.z_d[k]) for k in range(data.grid.n_steps)]
-
-
-def solve_adjoint_P(data: ProblemData, u: Trajectory, ops,
-                    stepper: Stepper | None = None) -> Trajectory:
-    """Adjoint of the pinned system, driven by the tracking residual of u."""
+def solve_adjoint(data: ProblemData, u: Trajectory, ops, variant,
+                  stepper: Stepper | None = None) -> Trajectory:
+    """Adjoint of the pinned or Robin system, driven by the tracking residual of u."""
     _check_state(data, u, ops)
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, "P")
-    check_stepper(stepper, "P")
-    p = _backward_pinned(stepper, _tracking_sources(data, u, ops))
-    return Trajectory(p, role="adjoint")
-
-
-def solve_adjoint_Palpha(data: ProblemData, u_alpha: Trajectory, ops,
-                         stepper: Stepper | None = None) -> Trajectory:
-    """Adjoint of the Robin system at data.alpha."""
-    _check_state(data, u_alpha, ops)
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, "Palpha", data.alpha)
-    check_stepper(stepper, "Palpha", data.alpha)
-    p = _backward_robin(stepper, _tracking_sources(data, u_alpha, ops))
-    return Trajectory(p, role="adjoint")
-
-
-def solve_adjoint(data, u, ops, variant, stepper=None) -> Trajectory:
-    if variant == "P":
-        return solve_adjoint_P(data, u, ops, stepper)
-    if variant == "Palpha":
-        return solve_adjoint_Palpha(data, u, ops, stepper)
-    raise ValueError(f"unknown variant {variant!r}")
+    stepper = stepper_for(data, ops, variant, stepper)
+    return Trajectory(_backward(stepper, u.slices[1:] - data.z_d), role="adjoint")
 
 
 def solve_adjoint_homogeneous(du: Trajectory, stepper: Stepper) -> Trajectory:
@@ -88,10 +55,4 @@ def solve_adjoint_homogeneous(du: Trajectory, stepper: Stepper) -> Trajectory:
     Used by the reduced optimizers: the Hessian action on a control
     direction is assembled from this sweep applied to the homogeneous state.
     """
-    ops, grid = stepper.ops, stepper.grid
-    sources = [ops.M @ du.slices[k + 1] for k in range(grid.n_steps)]
-    if stepper.variant == "P":
-        p = _backward_pinned(stepper, sources)
-    else:
-        p = _backward_robin(stepper, sources)
-    return Trajectory(p, role="adjoint")
+    return Trajectory(_backward(stepper, du.slices[1:]), role="adjoint")

@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import solve_adjoint_P, solve_adjoint_Palpha
+from .adjoint import solve_adjoint
 from .assembly import compute_constants
 from .control import (apply_W, contraction_constant, h_inner, hq_norm,
                       solve_cg, solve_distributed_only)
-from .state import (ControlPair, ProblemData, Stepper, solve_state_P,
-                    solve_state_Palpha)
+from .state import ControlPair, ProblemData, Stepper, solve_state
 
 
 class SolverNotConverged(RuntimeError):
@@ -71,7 +70,8 @@ class SweepReport:
         }
 
 
-def _check_alphas(alphas):
+def check_alphas(alphas):
+    """The sweep coefficients as floats; they must exceed 1 and increase strictly."""
     alphas = [float(a) for a in alphas]
     if any(a <= 1.0 for a in alphas):
         raise ValueError(f"sweep coefficients must all exceed 1, got {alphas}")
@@ -105,16 +105,17 @@ def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
 
 def fixed_control_sweep(data: ProblemData, ctrl: ControlPair, alphas, ops) -> SweepReport:
     """State/adjoint gaps against the pinned system for one fixed control."""
-    alphas = _check_alphas(alphas)
+    alphas = check_alphas(alphas)
     grid = data.grid
-    u_ref = solve_state_P(data, ctrl, ops)
-    p_ref = solve_adjoint_P(data, u_ref, ops)
+    stepper = Stepper(ops, grid, "P")
+    u_ref = solve_state(data, ctrl, ops, "P", stepper)
+    p_ref = solve_adjoint(data, u_ref, ops, "P", stepper)
     records = []
     for a in alphas:
         data_a = data.with_alpha(a)
         stepper = Stepper(ops, grid, "Palpha", a)
-        ua = solve_state_Palpha(data_a, ctrl, ops, stepper)
-        pa = solve_adjoint_Palpha(data_a, ua, ops, stepper)
+        ua = solve_state(data_a, ctrl, ops, "Palpha", stepper)
+        pa = solve_adjoint(data_a, ua, ops, "Palpha", stepper)
         records.append(SweepRecord(
             alpha=a,
             state_gap=state_gap_norm(ua, u_ref, ops, grid),
@@ -126,16 +127,14 @@ def fixed_control_sweep(data: ProblemData, ctrl: ControlPair, alphas, ops) -> Sw
 
 def optimal_control_sweep(data: ProblemData, alphas, ops, tol) -> SweepReport:
     """Gaps between the per-alpha optima and the pinned problem's optimum."""
-    alphas = _check_alphas(alphas)
+    alphas = check_alphas(alphas)
     grid = data.grid
     ref = solve_cg(data, ops, "P", tol)
     if not ref.converged:
         raise SolverNotConverged("P", ref)
     records = []
     for a in alphas:
-        data_a = data.with_alpha(a)
-        stepper = Stepper(ops, grid, "Palpha", a)
-        rep = solve_cg(data_a, ops, "Palpha", tol, stepper=stepper)
+        rep = solve_cg(data.with_alpha(a), ops, "Palpha", tol)
         if not rep.converged:
             raise SolverNotConverged(f"Palpha at alpha={a}", rep)
         records.append(SweepRecord(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (SolverNotConverged, fixed_control_sweep,
+from .analysis import (SolverNotConverged, check_alphas, fixed_control_sweep,
                        optimal_control_sweep, section5_checks, sweep_flags)
 from .assembly import assemble, compute_constants
 from .control import (ControlPair, contraction_constant, convexity_gap,
@@ -184,6 +184,13 @@ def _finite(value, label, origin) -> float:
     return number
 
 
+def _integer(value, label, origin) -> int:
+    number = _finite(value, label, origin)
+    if number != int(number) or number < 1:
+        raise ConfigError(f"{origin}: {label} must be a positive integer, got {value!r}")
+    return int(number)
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -192,8 +199,8 @@ def load_config(path) -> RunConfig:
     origin = str(path)
 
     mesh_sec = sections.get("mesh", {})
-    nx = int(_require("mesh", "nx", sections, origin))
-    ny = int(_require("mesh", "ny", sections, origin))
+    nx = _integer(_require("mesh", "nx", sections, origin), "[mesh] nx", origin)
+    ny = _integer(_require("mesh", "ny", sections, origin), "[mesh] ny", origin)
     gamma1_val = mesh_sec.get("gamma1", "left")
     gamma1 = tuple(
         s.strip() for s in (
@@ -205,7 +212,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{origin}: unknown gamma1 side {side!r}")
 
     T = _finite(_require("time", "T", sections, origin), "[time] T", origin)
-    n_steps = int(_require("time", "n_steps", sections, origin))
+    n_steps = _integer(_require("time", "n_steps", sections, origin),
+                       "[time] n_steps", origin)
 
     prob = sections.get("problem", {})
     M1 = _finite(_require("problem", "M1", sections, origin), "[problem] M1", origin)
@@ -223,7 +231,7 @@ def load_config(path) -> RunConfig:
     tol = _finite(solver.get("tol", 1e-8), "[solver] tol", origin)
     if tol <= 0:
         raise ConfigError(f"{origin}: solver tol must be positive, got {tol}")
-    max_iter = int(solver.get("max_iter", 500))
+    max_iter = _integer(solver.get("max_iter", 500), "[solver] max_iter", origin)
     optimizer = str(solver.get("optimizer", "cg"))
     if optimizer not in OPTIMIZERS:
         raise ConfigError(
@@ -399,17 +407,17 @@ def run_sweep(config: RunConfig, quiet=False) -> int:
     ops, data = build_problem(config)
     if not config.alphas:
         raise ConfigError("sweep needs problem.alphas (a list of coefficients > 1)")
-    if any(a <= 1.0 for a in config.alphas):
-        raise ConfigError(
-            f"sweep coefficients must all exceed 1, got {config.alphas}"
-        )
+    try:
+        alphas = check_alphas(config.alphas)
+    except ValueError as exc:
+        raise ConfigError(f"[problem] alphas: {exc}") from None
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     zero = ControlPair.zeros_like(ops, data.grid)
-    fixed = fixed_control_sweep(data, zero, config.alphas, ops)
+    fixed = fixed_control_sweep(data, zero, alphas, ops)
     fixed_flags = sweep_flags(fixed)
     try:
-        report = optimal_control_sweep(data, config.alphas, ops, config.tol)
+        report = optimal_control_sweep(data, alphas, ops, config.tol)
     except SolverNotConverged as exc:
         if not quiet:
             print(f"sweep aborted: {exc}")
@@ -451,8 +459,9 @@ def run_checks(config: RunConfig, quiet=False) -> int:
         raise ConfigError("checks need problem.alpha > 1")
     grid = data.grid
     rng = np.random.default_rng(7)
-    stepper_p = Stepper(ops, grid, "P")
-    stepper_a = Stepper(ops, grid, "Palpha", data.alpha)
+    steppers = {"P": Stepper(ops, grid, "P"),
+                "Palpha": Stepper(ops, grid, "Palpha", data.alpha)}
+    stepper = steppers[config.variant]
     checks = []
 
     def add(name, measured, bound, passed):
@@ -470,14 +479,14 @@ def run_checks(config: RunConfig, quiet=False) -> int:
         )
 
     # adjoint identity, both variants
-    for variant, stepper in (("P", stepper_p), ("Palpha", stepper_a)):
+    for variant, variant_stepper in steppers.items():
         base = random_ctrl()
-        u = solve_state(data, base, ops, variant, stepper)
-        p = solve_adjoint(data, u, ops, variant, stepper)
+        u = solve_state(data, base, ops, variant, variant_stepper)
+        p = solve_adjoint(data, u, ops, variant, variant_stepper)
         worst = 0.0
         for _ in range(5):
             d = random_ctrl()
-            cu = solve_state_homogeneous(d, stepper)
+            cu = solve_state_homogeneous(d, variant_stepper)
             lhs = h_inner(cu.slices[1:], u.slices[1:] - data.z_d, ops, grid)
             rhs = h_inner(d.g, p.slices[:-1], ops, grid) \
                 - q_inner(d.q, ops.trace2(p.slices[:-1]), ops, grid)
@@ -493,11 +502,9 @@ def run_checks(config: RunConfig, quiet=False) -> int:
         if scale == 0:
             continue
         d = (1.0 / scale) * d
-        grad = gradient_J(data, ctrl, ops, config.variant, stepper_p
-                          if config.variant == "P" else stepper_a)
+        grad = gradient_J(data, ctrl, ops, config.variant, stepper)
         directional = hq_inner(grad, d, ops, grid)
         h = 1e-5
-        stepper = stepper_p if config.variant == "P" else stepper_a
         jp = cost_J(data, ctrl + h * d, ops, config.variant, stepper)
         jm = cost_J(data, ctrl - h * d, ops, config.variant, stepper)
         fd = (jp - jm) / (2.0 * h)
@@ -506,7 +513,6 @@ def run_checks(config: RunConfig, quiet=False) -> int:
 
     # convexity identity
     worst = 0.0
-    stepper = stepper_p if config.variant == "P" else stepper_a
     for _ in range(3):
         c1, c2 = random_ctrl(), random_ctrl()
         u1 = solve_state(data, c1, ops, config.variant, stepper)
@@ -530,7 +536,6 @@ def run_checks(config: RunConfig, quiet=False) -> int:
         # contraction, so it only fails this check when C0 < 1
         c0 = contraction_constant(compute_constants(ops), data.M1, data.M2,
                                   config.variant, data.alpha)
-        stepper = stepper_p if config.variant == "P" else stepper_a
         fp = solve_fixed_point(data, ops, config.variant, config.tol,
                                max_iter=config.max_iter, stepper=stepper)
         if fp.converged:

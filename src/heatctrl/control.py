@@ -16,8 +16,8 @@ import numpy as np
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import ConstantsReport, DiscreteOperators
 from .linalg import SolverError
-from .state import (ControlPair, ProblemData, Stepper, Trajectory,
-                    check_stepper, solve_state, solve_state_homogeneous)
+from .state import (ControlPair, ProblemData, Stepper, Trajectory, solve_state,
+                    solve_state_homogeneous, stepper_for)
 
 CG_MAX_ITER = 500
 
@@ -85,10 +85,7 @@ def hq_norm(c: ControlPair, ops, grid) -> float:
 def apply_C(data: ProblemData, ctrl: ControlPair, ops, variant,
             stepper: Stepper | None = None) -> Trajectory:
     """Linear part of the control-to-state map: u(ctrl) - u(zero controls)."""
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
-    check_stepper(stepper, variant, data.alpha if variant == "Palpha" else None)
-    return solve_state_homogeneous(ctrl, stepper)
+    return solve_state_homogeneous(ctrl, stepper_for(data, ops, variant, stepper))
 
 
 def cost_J(data: ProblemData, ctrl: ControlPair, ops, variant,
@@ -126,8 +123,7 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t, ops,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = stepper_for(data, ops, variant, stepper)
     j2 = cost_J(data, c2, ops, variant, stepper)
     j1 = cost_J(data, c1, ops, variant, stepper)
     blend = (1.0 - t) * c2 + t * c1
@@ -194,6 +190,35 @@ def _finalize(data, x, ops, variant, stepper, solver, tol, grad_norm0,
     )
 
 
+def _cg(x, r, apply_H, inner, threshold, max_iter, history):
+    """Conjugate gradients from x, where r is the negative gradient at x.
+
+    Works on ControlPair and ndarray iterates alike.  Stops once the
+    residual norm sqrt(inner(r, r)) is at most threshold or after max_iter
+    iterations, appends (iteration, residual norm) to history and returns
+    the iterate and the iteration count.
+    """
+    rr = inner(r, r)
+    d = None
+    iterations = 0
+    while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
+        d = r if d is None else r + (rr / rr_old) * d
+        z = apply_H(d)
+        dz = inner(d, z)
+        if not dz > 0:
+            raise SolverError(
+                f"reduced Hessian curvature is not finite and positive "
+                f"(d'Ad = {dz:.3e})", residual=dz
+            )
+        step = rr / dz
+        x = x + step * d
+        r = r - step * z
+        rr, rr_old = inner(r, r), rr
+        iterations += 1
+        history.append((iterations, math.sqrt(max(rr, 0.0))))
+    return x, iterations
+
+
 def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
              stepper=None) -> OptimalityReport:
     """Conjugate gradients on the reduced quadratic, from zero controls.
@@ -203,42 +228,19 @@ def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = stepper_for(data, ops, variant, stepper)
     grid = data.grid
-    x = ControlPair.zeros_like(ops, grid)
-    r = -1.0 * gradient_J(data, x, ops, variant, stepper)
-    rr = hq_inner(r, r, ops, grid)
-    grad_norm0 = math.sqrt(max(rr, 0.0))
+    r = -1.0 * gradient_J(data, ControlPair.zeros_like(ops, grid), ops, variant,
+                          stepper)
+    grad_norm0 = hq_norm(r, ops, grid)
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
-    converged_rule = lambda gn: gn <= threshold
-
-    if grad_norm0 <= threshold:
-        return _finalize(data, x, ops, variant, stepper, "cg", tol, grad_norm0,
-                         0, history, converged_rule)
-
-    d = r.copy()
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        z = _hessian_apply(d, data, ops, stepper)
-        dz = hq_inner(d, z, ops, grid)
-        if dz <= 0:
-            raise SolverError(
-                f"reduced Hessian lost positivity (d'Ad = {dz:.3e})", residual=dz
-            )
-        step = rr / dz
-        x = x + step * d
-        r = r - step * z
-        rr_new = hq_inner(r, r, ops, grid)
-        iterations = it
-        history.append((it, math.sqrt(max(rr_new, 0.0))))
-        if math.sqrt(max(rr_new, 0.0)) <= threshold:
-            break
-        d = r + (rr_new / rr) * d
-        rr = rr_new
+    x, iterations = _cg(ControlPair.zeros_like(ops, grid), r,
+                        lambda d: _hessian_apply(d, data, ops, stepper),
+                        lambda a, b: hq_inner(a, b, ops, grid),
+                        threshold, max_iter, history)
     return _finalize(data, x, ops, variant, stepper, "cg", tol, grad_norm0,
-                     iterations, history, converged_rule)
+                     iterations, history, lambda gn: gn <= threshold)
 
 
 def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,
@@ -252,8 +254,7 @@ def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = stepper_for(data, ops, variant, stepper)
     grid = data.grid
     x = ControlPair.zeros_like(ops, grid)
     grad_norm0 = hq_norm(gradient_J(data, x, ops, variant, stepper), ops, grid)
@@ -297,8 +298,7 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, ops, variant,
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = stepper_for(data, ops, variant, stepper)
     grid = data.grid
     n_steps = grid.n_steps
     q_fixed = np.asarray(q_fixed, dtype=float)
@@ -307,49 +307,26 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, ops, variant,
             f"q_fixed must have shape ({n_steps}, {len(ops.gamma2_nodes)}), "
             f"got {q_fixed.shape}"
         )
+    zero_q = np.zeros_like(q_fixed)
 
-    def grad_g(g):
-        ctrl = ControlPair(g, q_fixed)
+    def solve_at(g):
+        """Control, state, adjoint and g-gradient at (g, q_fixed)."""
+        ctrl = ControlPair(g, q_fixed.copy())
         u = solve_state(data, ctrl, ops, variant, stepper)
         p = solve_adjoint(data, u, ops, variant, stepper)
-        return data.M1 * g + p.slices[:-1]
+        return ctrl, u, p, data.M1 * g + p.slices[:-1]
 
-    def hess_g(d):
-        du = solve_state_homogeneous(ControlPair(d, np.zeros_like(q_fixed)), stepper)
-        pi = solve_adjoint_homogeneous(du, stepper)
-        return data.M1 * d + pi.slices[:-1]
-
-    g = np.zeros((n_steps, ops.n_nodes))
-    r = -grad_g(g)
-    rr = h_inner(r, r, ops, grid)
-    grad_norm0 = math.sqrt(max(rr, 0.0))
+    shape = (n_steps, ops.n_nodes)
+    r = -solve_at(np.zeros(shape))[-1]
+    grad_norm0 = math.sqrt(max(h_inner(r, r, ops, grid), 0.0))
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
-    iterations = 0
-    if grad_norm0 > threshold:
-        d = r.copy()
-        for it in range(1, max_iter + 1):
-            z = hess_g(d)
-            dz = h_inner(d, z, ops, grid)
-            if dz <= 0:
-                raise SolverError(
-                    f"reduced Hessian lost positivity (d'Ad = {dz:.3e})", residual=dz
-                )
-            step = rr / dz
-            g = g + step * d
-            r = r - step * z
-            rr_new = h_inner(r, r, ops, grid)
-            iterations = it
-            history.append((it, math.sqrt(max(rr_new, 0.0))))
-            if math.sqrt(max(rr_new, 0.0)) <= threshold:
-                break
-            d = r + (rr_new / rr) * d
-            rr = rr_new
+    g, iterations = _cg(
+        np.zeros(shape), r,
+        lambda d: _hessian_apply(ControlPair(d, zero_q), data, ops, stepper).g,
+        lambda a, b: h_inner(a, b, ops, grid), threshold, max_iter, history)
 
-    ctrl = ControlPair(g, q_fixed.copy())
-    u = solve_state(data, ctrl, ops, variant, stepper)
-    p = solve_adjoint(data, u, ops, variant, stepper)
-    final_grad = data.M1 * g + p.slices[:-1]
+    ctrl, u, p, final_grad = solve_at(g)
     grad_norm = math.sqrt(max(h_inner(final_grad, final_grad, ops, grid), 0.0))
     return OptimalityReport(
         control=ctrl,

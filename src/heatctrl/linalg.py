@@ -28,72 +28,26 @@ class EigenError(RuntimeError):
 
 
 class SpdFactor:
-    """Reusable solver for a sparse SPD matrix.
+    """Reusable direct solver for a sparse SPD matrix.
 
-    method="direct" performs a sparse LU factorization once and reuses it;
-    method="cg" runs Jacobi-preconditioned conjugate gradients per solve.
-    Both are deterministic across runs.
+    The sparse LU factorization is computed once at construction and reused
+    by every solve; solves are deterministic across runs.
     """
 
-    def __init__(self, A, method="direct", tol=1e-12, max_iter=None):
+    def __init__(self, A):
         A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
-        self.A = A
-        self.n = A.shape[0]
-        self.method = method
-        self.tol = tol
-        self.max_iter = max_iter if max_iter is not None else 20 * self.n
-        if method == "direct":
-            try:
-                self._lu = spla.splu(sp.csc_matrix(A))
-            except RuntimeError as exc:
-                raise SolverError(f"factorization failed: {exc}") from exc
-        elif method == "cg":
-            diag = A.diagonal()
-            if np.any(diag <= 0):
-                raise SolverError("matrix has non-positive diagonal entries")
-            self._inv_diag = 1.0 / diag
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        try:
+            self._lu = spla.splu(sp.csc_matrix(A))
+        except RuntimeError as exc:
+            raise SolverError(f"factorization failed: {exc}") from exc
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm == 0.0:
+        if np.linalg.norm(rhs) == 0.0:
             return np.zeros_like(rhs)
-        if self.method == "direct":
-            return self._lu.solve(rhs)
-        return self._cg(rhs, rhs_norm)
-
-    def _cg(self, rhs, rhs_norm):
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        z = self._inv_diag * r
-        d = z.copy()
-        rz = r @ z
-        for _ in range(self.max_iter):
-            Ad = self.A @ d
-            alpha = rz / (d @ Ad)
-            x += alpha * d
-            r -= alpha * Ad
-            if np.linalg.norm(r) <= self.tol * rhs_norm:
-                return x
-            z = self._inv_diag * r
-            rz_new = r @ z
-            d = z + (rz_new / rz) * d
-            rz = rz_new
-        residual = np.linalg.norm(rhs - self.A @ x) / rhs_norm
-        raise SolverError(
-            f"conjugate gradient stalled after {self.max_iter} iterations "
-            f"(relative residual {residual:.3e})",
-            residual=residual,
-        )
-
-
-def spd_solve(A, rhs, method="direct"):
-    """Solve A x = rhs for symmetric positive definite A."""
-    return SpdFactor(A, method=method).solve(rhs)
+        return self._lu.solve(rhs)
 
 
 def gen_eig_extreme(A, B, which, tol=1e-10, max_iter=100_000):

@@ -47,6 +47,10 @@ class ProblemData:
 
     def validate(self, ops: DiscreteOperators):
         n = ops.n_nodes
+        for name in ("b", "v_b", "z_d", "M1", "M2", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if self.M1 <= 0 or self.M2 <= 0:
             raise ValueError(f"cost weights must be positive, got {self.M1}, {self.M2}")
         if self.v_b.shape != (n,):
@@ -117,9 +121,10 @@ class Trajectory:
 class Stepper:
     """Shared implicit-Euler machinery for one (variant, alpha) pair.
 
-    Holds the factorized step matrix plus the restricted mass/stiffness
-    blocks; the same factorization serves the forward and the backward
-    sweeps because every matrix involved is symmetric.
+    Holds the solved nodes (the free nodes for "P", all nodes for "Palpha"),
+    the factorized step matrix and the mass block on those nodes; the same
+    factorization serves the forward and the backward sweeps because every
+    matrix involved is symmetric.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, variant="P", alpha=None):
@@ -131,17 +136,29 @@ class Stepper:
         self.alpha = alpha
         tau = grid.tau
         if variant == "P":
-            F, D = ops.free_nodes, ops.dirichlet_nodes
+            F = self.nodes = ops.free_nodes
             A = ops.M / tau + ops.K
-            self.A_ff = sp.csr_matrix(A[np.ix_(F, F)])
-            self.M_ff = sp.csr_matrix(ops.M[np.ix_(F, F)])
-            self.K_fd = sp.csr_matrix(ops.K[np.ix_(F, D)])
-            self.factor = SpdFactor(self.A_ff)
+            self.mass = sp.csr_matrix(ops.M[np.ix_(F, F)])
+            self.K_fd = sp.csr_matrix(ops.K[np.ix_(F, ops.dirichlet_nodes)])
+            self.factor = SpdFactor(sp.csr_matrix(A[np.ix_(F, F)]))
         else:
             if alpha is None or alpha <= 0:
                 raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
+            self.nodes = slice(None)
+            self.mass = ops.M
             A = ops.M / tau + ops.K + alpha * ops.B1
             self.factor = SpdFactor(sp.csr_matrix(A))
+
+    def boundary_load(self, b):
+        """Constant load of the boundary data b on the solved nodes.
+
+        -K_fd b for the pinned variant, alpha B1 b for the Robin variant.
+        """
+        if self.variant == "P":
+            return -(self.K_fd @ b)
+        b_ext = np.zeros(self.ops.n_nodes)
+        b_ext[self.ops.dirichlet_nodes] = b
+        return self.alpha * (self.ops.B1 @ b_ext)
 
     def load(self, g_slice, q_slice):
         """Right-hand-side contribution of one control sample (all nodes)."""
@@ -165,76 +182,55 @@ def _check_ctrl(ctrl, ops, grid):
         )
 
 
-def check_stepper(stepper, variant, alpha=None):
-    """Reject a stepper built for a different variant or Robin coefficient."""
+def stepper_for(data: ProblemData, ops, variant, stepper=None) -> Stepper:
+    """A new stepper for (variant, data.alpha), or the given one once checked.
+
+    Rejects a stepper built for a different variant or Robin coefficient.
+    """
+    if stepper is None:
+        return Stepper(ops, data.grid, variant, data.alpha)
     if stepper.variant != variant:
         raise ValueError(
             f"stepper was built for variant {stepper.variant!r}, need {variant!r}"
         )
-    if variant == "Palpha" and alpha is not None and stepper.alpha != alpha:
+    if variant == "Palpha" and data.alpha is not None and stepper.alpha != data.alpha:
         raise ValueError(
-            f"stepper was built for alpha={stepper.alpha}, need alpha={alpha}"
+            f"stepper was built for alpha={stepper.alpha}, need alpha={data.alpha}"
         )
+    return stepper
 
 
-def _forward_pinned(stepper, ctrl, v_b, b):
+def _forward(stepper, ctrl, start, source, pinned):
+    """The implicit-Euler time loop on the stepper's solved nodes.
+
+    start is the nodal field at t_0, source an optional constant load on the
+    solved nodes, and pinned the value of the Dirichlet rows of every later
+    slice (the Robin variant solves those rows too).
+    """
     ops, grid = stepper.ops, stepper.grid
-    F, D = ops.free_nodes, ops.dirichlet_nodes
+    S = stepper.nodes
     tau = grid.tau
-    bc_term = stepper.K_fd @ b
     u = np.empty((grid.n_steps + 1, ops.n_nodes))
-    u[0] = v_b
-    uf = v_b[F].copy()
+    u[0] = start
+    u[1:, ops.dirichlet_nodes] = pinned
+    x = u[0, S]
     for k in range(grid.n_steps):
-        rhs = (stepper.M_ff @ uf) / tau + stepper.load(ctrl.g[k], ctrl.q[k])[F] - bc_term
-        uf = stepper.factor.solve(rhs)
-        u[k + 1, F] = uf
-        u[k + 1, D] = b
+        rhs = (stepper.mass @ x) / tau + stepper.load(ctrl.g[k], ctrl.q[k])[S]
+        if source is not None:
+            rhs += source
+        x = stepper.factor.solve(rhs)
+        u[k + 1, S] = x
     return u
 
 
-def _forward_robin(stepper, ctrl, v_b, b):
-    ops, grid = stepper.ops, stepper.grid
-    tau = grid.tau
-    b_ext = np.zeros(ops.n_nodes)
-    b_ext[ops.dirichlet_nodes] = b
-    robin_term = stepper.alpha * (ops.B1 @ b_ext)
-    u = np.empty((grid.n_steps + 1, ops.n_nodes))
-    u[0] = v_b
-    for k in range(grid.n_steps):
-        rhs = (ops.M @ u[k]) / tau + stepper.load(ctrl.g[k], ctrl.q[k]) + robin_term
-        u[k + 1] = stepper.factor.solve(rhs)
-    return u
-
-
-def solve_state_P(data: ProblemData, ctrl: ControlPair, ops: DiscreteOperators,
-                  stepper: Stepper | None = None) -> Trajectory:
-    """Forward solve of the pinned-boundary system."""
+def solve_state(data: ProblemData, ctrl: ControlPair, ops: DiscreteOperators,
+                variant, stepper: Stepper | None = None) -> Trajectory:
+    """Forward solve of the pinned ("P") or Robin ("Palpha", at data.alpha) system."""
     data.validate(ops)
     _check_ctrl(ctrl, ops, data.grid)
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, "P")
-    check_stepper(stepper, "P")
-    return Trajectory(_forward_pinned(stepper, ctrl, data.v_b, data.b), role="state")
-
-
-def solve_state_Palpha(data: ProblemData, ctrl: ControlPair, ops: DiscreteOperators,
-                       stepper: Stepper | None = None) -> Trajectory:
-    """Forward solve of the Robin-boundary system at data.alpha."""
-    data.validate(ops)
-    _check_ctrl(ctrl, ops, data.grid)
-    if stepper is None:
-        stepper = Stepper(ops, data.grid, "Palpha", data.alpha)
-    check_stepper(stepper, "Palpha", data.alpha)
-    return Trajectory(_forward_robin(stepper, ctrl, data.v_b, data.b), role="state")
-
-
-def solve_state(data, ctrl, ops, variant, stepper=None) -> Trajectory:
-    if variant == "P":
-        return solve_state_P(data, ctrl, ops, stepper)
-    if variant == "Palpha":
-        return solve_state_Palpha(data, ctrl, ops, stepper)
-    raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    stepper = stepper_for(data, ops, variant, stepper)
+    u = _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
+    return Trajectory(u, role="state")
 
 
 def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> Trajectory:
@@ -245,17 +241,5 @@ def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> Trajectory:
     """
     ops, grid = stepper.ops, stepper.grid
     _check_ctrl(ctrl, ops, grid)
-    tau = grid.tau
-    du = np.zeros((grid.n_steps + 1, ops.n_nodes))
-    if stepper.variant == "P":
-        F = ops.free_nodes
-        df = np.zeros(len(F))
-        for k in range(grid.n_steps):
-            rhs = (stepper.M_ff @ df) / tau + stepper.load(ctrl.g[k], ctrl.q[k])[F]
-            df = stepper.factor.solve(rhs)
-            du[k + 1, F] = df
-    else:
-        for k in range(grid.n_steps):
-            rhs = (ops.M @ du[k]) / tau + stepper.load(ctrl.g[k], ctrl.q[k])
-            du[k + 1] = stepper.factor.solve(rhs)
+    du = _forward(stepper, ctrl, np.zeros(ops.n_nodes), None, 0.0)
     return Trajectory(du, role="difference")

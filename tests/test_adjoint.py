@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from heatctrl import (ControlPair, Stepper, h_inner, q_inner, solve_adjoint,
-                      solve_adjoint_P, solve_adjoint_Palpha, solve_state,
-                      solve_state_P)
+                      solve_state)
 from heatctrl.state import Trajectory, solve_state_homogeneous
 
 from oracles import SpaceTimeSystem, make_instance, random_control
@@ -13,22 +12,22 @@ def test_state_equal_to_target_gives_zero_adjoint():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=1)
     rng = np.random.default_rng(2)
     ctrl = random_control(ops, data.grid, rng)
-    u = solve_state_P(data, ctrl, ops)
+    u = solve_state(data, ctrl, ops, "P")
     matched = data.__class__(b=data.b, v_b=data.v_b, z_d=u.slices[1:].copy(),
                              M1=data.M1, M2=data.M2, grid=data.grid,
                              alpha=data.alpha)
-    p = solve_adjoint_P(matched, u, ops)
+    p = solve_adjoint(matched, u, ops, "P")
     assert np.max(np.abs(p.slices)) == 0.0
 
 
 def test_zero_controls_with_matching_target():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=3)
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u00 = solve_state_P(data, ctrl, ops)
+    u00 = solve_state(data, ctrl, ops, "P")
     matched = data.__class__(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
                              M1=data.M1, M2=data.M2, grid=data.grid,
                              alpha=data.alpha)
-    p = solve_adjoint_P(matched, u00, ops)
+    p = solve_adjoint(matched, u00, ops, "P")
     assert np.max(np.abs(p.slices)) == 0.0
 
 
@@ -57,7 +56,7 @@ def test_single_impulse_unrolls_to_one_backward_solve():
     z_d[k0] -= SpdFactor(ops.M).solve(impulse)
     crafted = data.__class__(b=data.b, v_b=data.v_b, z_d=z_d, M1=data.M1,
                              M2=data.M2, grid=data.grid, alpha=data.alpha)
-    p = solve_adjoint_Palpha(crafted, u, ops, stepper)
+    p = solve_adjoint(crafted, u, ops, "Palpha", stepper)
     assert np.max(np.abs(p.slices[k0 + 1:])) <= 1e-12
     expected = stepper.factor.solve(impulse)
     assert np.max(np.abs(p.slices[k0] - expected)) <= 1e-10
@@ -109,4 +108,4 @@ def test_wrong_trajectory_length_rejected():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=13)
     short = Trajectory(np.zeros((2, ops.n_nodes)), role="state")
     with pytest.raises(ValueError, match="shape"):
-        solve_adjoint_P(data, short, ops)
+        solve_adjoint(data, short, ops, "P")

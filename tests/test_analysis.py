@@ -5,6 +5,8 @@ from heatctrl import (ControlPair, ProblemData, TimeGrid, assemble,
                       build_rect_mesh, fixed_control_sweep,
                       optimal_control_sweep, section5_checks, sweep_flags)
 
+import heatctrl.state
+
 from oracles import make_instance, random_control
 
 ALPHAS = [10.0, 100.0, 1000.0, 10000.0]
@@ -43,6 +45,20 @@ def test_fixed_control_gaps_decay():
     assert all(b < a for a, b in zip(adj, adj[1:]))
     res = report.gaps("boundary_residual")
     assert max(res) <= 10.0 * res[0]
+
+
+def test_fixed_control_sweep_factorizes_each_operator_once(monkeypatch):
+    built = []
+    factor = heatctrl.state.SpdFactor
+    monkeypatch.setattr(heatctrl.state, "SpdFactor",
+                        lambda A: built.append(A) or factor(A))
+    ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=39)
+    ctrl = ControlPair.zeros_like(ops, data.grid)
+    alphas = [10.0, 100.0, 1000.0]
+    fixed_control_sweep(data, ctrl, alphas, ops)
+    # one pinned factorization shared by the reference state and adjoint,
+    # then one Robin factorization per coefficient
+    assert len(built) == 1 + len(alphas)
 
 
 def test_sweep_alphas_validated():

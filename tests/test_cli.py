@@ -202,12 +202,17 @@ def test_check_trivial_target_reports_zero_distance(tmp_path):
     assert est["measured"] <= 1e-11 and est["bound"] <= 1e-11 and est["passed"]
 
 
-def test_sweep_rejects_alpha_at_most_one(tmp_path):
+def test_sweep_rejects_alpha_at_most_one(tmp_path, capsys):
     path = write_config(tmp_path)
-    text = path.read_text().replace("alphas = [10.0, 100.0, 1000.0]",
-                                    "alphas = [0.5, 10.0]")
-    path.write_text(text)
-    assert main(["sweep", "--config", str(path), "--quiet"]) == 1
+    base = path.read_text()
+    for alphas, message in (("[0.5, 10.0]", "must all exceed 1"),
+                            ("[100.0, 10.0]", "must be strictly increasing")):
+        path.write_text(base.replace("alphas = [10.0, 100.0, 1000.0]",
+                                     f"alphas = {alphas}"))
+        assert main(["sweep", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "[problem] alphas" in err and message in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_check_small_instance_passes(tmp_path, capsys):
@@ -370,6 +375,12 @@ def test_solve_writes_reports_without_resolving(tmp_path, monkeypatch):
     ("b = zero", "b = linear:0,nan,0", "[problem] b"),
     ("v_b = zero", "v_b = bump:0.5,0.5,0.1,inf", "[problem] v_b"),
     ("z_d = zero", "z_d = linear:1e308,1e308,0", "[problem] z_d"),
+    ("nx = 4", "nx = nan", "[mesh] nx"),
+    ("nx = 4", "nx = 2.5", "[mesh] nx"),
+    ("ny = 4", "ny = 0", "[mesh] ny"),
+    ("n_steps = 2", "n_steps = four", "[time] n_steps"),
+    ("max_iter = 500", "max_iter = -3", "[solver] max_iter"),
+    ("max_iter = 500", "max_iter = inf", "[solver] max_iter"),
 ])
 def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)

@@ -9,6 +9,11 @@ from heatctrl import (ControlPair, ProblemData, Stepper, apply_C, apply_W,
                       measured_step_ratio, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point, solve_state)
 
+import heatctrl.adjoint
+import heatctrl.state
+from heatctrl.control import _cg
+from heatctrl.linalg import SolverError
+
 from oracles import SpaceTimeSystem, make_instance, random_control
 
 
@@ -188,6 +193,38 @@ def test_cg_trivial_optimum_zero_iterations():
     assert rep.converged and rep.iterations == 0
     assert rep.cost == 0.0
     assert hq_norm(rep.control, ops, data.grid) == 0.0
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, monkeypatch):
+    counts = {"forward": 0, "backward": 0, "factorization": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(heatctrl.state, "_forward",
+                        counted("forward", heatctrl.state._forward))
+    monkeypatch.setattr(heatctrl.adjoint, "_backward",
+                        counted("backward", heatctrl.adjoint._backward))
+    monkeypatch.setattr(heatctrl.state, "SpdFactor",
+                        counted("factorization", heatctrl.state.SpdFactor))
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21, alpha=10.0)
+    rep = solve_cg(data, ops, variant, 1e-10)
+    k = rep.iterations
+    assert rep.converged and k > 0
+    # gradient at zero, one state/adjoint pair per iteration, final report
+    assert counts == {"forward": k + 2, "backward": k + 2, "factorization": 1}
+
+
+def test_cg_refuses_non_finite_curvature():
+    history = []
+    with pytest.raises(SolverError, match="curvature"):
+        _cg(np.zeros(3), np.ones(3), lambda d: np.full(3, np.nan),
+            lambda a, b: float(a @ b), 1e-10, 10, history)
+    assert history == []
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])

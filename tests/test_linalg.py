@@ -2,26 +2,25 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heatctrl import (SolverError, EigenError, SpdFactor, assemble,
-                      build_rect_mesh, gen_eig_extreme, spd_solve)
+from heatctrl import (EigenError, SpdFactor, assemble, build_rect_mesh,
+                      gen_eig_extreme)
 
 from oracles import dense_assemble
 
 
 def test_identity_solve():
     A = sp.identity(3, format="csr")
-    assert np.allclose(spd_solve(A, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    assert np.allclose(SpdFactor(A).solve(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_diagonal_solve():
     A = sp.diags([2.0, 4.0]).tocsr()
-    assert np.allclose(spd_solve(A, np.array([2.0, 4.0])), [1.0, 1.0])
+    assert np.allclose(SpdFactor(A).solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_zero_rhs_gives_zero():
     A = sp.diags([2.0, 4.0, 1.0]).tocsr()
-    for method in ("direct", "cg"):
-        assert np.array_equal(spd_solve(A, np.zeros(3), method=method), np.zeros(3))
+    assert np.array_equal(SpdFactor(A).solve(np.zeros(3)), np.zeros(3))
 
 
 def test_solve_matches_dense_lu():
@@ -31,29 +30,18 @@ def test_solve_matches_dense_lu():
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(5)
     expected = np.linalg.solve(A.toarray(), rhs)
-    for method in ("direct", "cg"):
-        assert np.allclose(spd_solve(A, rhs, method=method), expected, atol=1e-11)
+    assert np.allclose(SpdFactor(A).solve(rhs), expected, atol=1e-11)
 
 
-@pytest.mark.parametrize("method", ["direct", "cg"])
-def test_residual_bound_holds(method):
+def test_residual_bound_holds():
     ops = assemble(build_rect_mesh(4, 4, "left"))
     A = sp.csr_matrix(ops.K + ops.M)
     rng = np.random.default_rng(7)
-    factor = SpdFactor(A, method=method)
+    factor = SpdFactor(A)
     for _ in range(5):
         rhs = rng.standard_normal(A.shape[0])
         x = factor.solve(rhs)
         assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
-def test_cg_iteration_cap_raises_with_residual():
-    ops = assemble(build_rect_mesh(4, 4, "left"))
-    A = sp.csr_matrix(ops.K + ops.M)
-    factor = SpdFactor(A, method="cg", max_iter=1)
-    with pytest.raises(SolverError) as err:
-        factor.solve(np.ones(A.shape[0]))
-    assert err.value.residual is not None and err.value.residual > 0
 
 
 def test_eig_trivial_smallest():
@@ -109,18 +97,17 @@ def test_bad_inputs_rejected():
     A = sp.identity(2, format="csr")
     with pytest.raises(ValueError):
         gen_eig_extreme(A, A, "median")
-    with pytest.raises(ValueError):
-        SpdFactor(A, method="magic")
+    with pytest.raises(ValueError, match="square"):
+        SpdFactor(sp.csr_matrix((2, 3)))
 
 
 def test_solves_and_eigenvalues_are_deterministic():
     ops = assemble(build_rect_mesh(3, 3, "left"))
     A = sp.csr_matrix(ops.K + ops.M)
     rhs = np.arange(1.0, A.shape[0] + 1)
-    for method in ("direct", "cg"):
-        x1 = spd_solve(A, rhs, method=method)
-        x2 = spd_solve(A, rhs, method=method)
-        assert np.array_equal(x1, x2)
+    x1 = SpdFactor(A).solve(rhs)
+    x2 = SpdFactor(A).solve(rhs)
+    assert np.array_equal(x1, x2)
     e1 = gen_eig_extreme(ops.B2, A, "largest")
     e2 = gen_eig_extreme(ops.B2, A, "largest")
     assert e1 == e2
