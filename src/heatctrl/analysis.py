@@ -14,8 +14,8 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .assembly import compute_constants
-from .control import (apply_W, contraction_constant, h_inner, hq_norm,
-                      solve_cg, solve_distributed_only)
+from .control import (CG_MAX_ITER, apply_W, contraction_constant, h_inner,
+                      hq_norm, solve_cg, solve_distributed_only)
 from .state import ControlPair, ProblemData, Stepper, solve_state
 
 
@@ -188,7 +188,9 @@ def sweep_flags(report: SweepReport, cost_tolerance=0.05) -> dict:
     return flags
 
 
-def section5_checks(data: ProblemData, ops, tol, n_pairs=50, seed=20240) -> list:
+def section5_checks(data: ProblemData, ops, tol, n_pairs=50, seed=20240,
+                    max_iter=CG_MAX_ITER, constants=None, steppers=None,
+                    solutions=None) -> list:
     """Inter-problem estimate checks with the discrete constants.
 
     Solves the simultaneous problem, then the distributed-only problem with
@@ -196,11 +198,16 @@ def section5_checks(data: ProblemData, ops, tol, n_pairs=50, seed=20240) -> list
     estimate, the cost-ordering remark, and the measured Lipschitz ratio of
     the fixed-point map against its computed bound.  Repeats the three checks
     for the Robin variant at data.alpha.
+
+    A caller that already has them may pass the discrete constants, the
+    steppers and the simultaneous `solve_cg` reports at tol and max_iter,
+    each as a dict keyed by variant; what is not passed is computed here.
     """
     if data.alpha is None or data.alpha <= 1.0:
         raise ValueError(f"section 5 checks need alpha > 1, got {data.alpha}")
     grid = data.grid
-    constants = compute_constants(ops)
+    if constants is None:
+        constants = compute_constants(ops)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -219,11 +226,11 @@ def section5_checks(data: ProblemData, ops, tol, n_pairs=50, seed=20240) -> list
         lam = constants.lambda0 if variant == "P" \
             else constants.lambda1 * min(1.0, alpha)
         suffix = "" if variant == "P" else "_alpha"
-        stepper = Stepper(ops, grid, variant, alpha)
-
-        full = solve_cg(data, ops, variant, tol, stepper=stepper)
+        stepper = steppers[variant] if steppers else Stepper(ops, grid, variant, alpha)
+        full = solutions[variant] if solutions else \
+            solve_cg(data, ops, variant, tol, max_iter=max_iter, stepper=stepper)
         dist = solve_distributed_only(data, full.control.q, ops, variant, tol,
-                                      stepper=stepper)
+                                      max_iter=max_iter, stepper=stepper)
 
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))

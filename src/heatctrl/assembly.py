@@ -83,52 +83,50 @@ class ConstantsReport:
         }
 
 
+def _sparse(elements, local, n):
+    """Sum the (n_elements, k, k) local matrices of the k-node elements.
+
+    Entries enter the COO triplets element by element, row-major within an
+    element, so duplicate entries are summed in that order.
+    """
+    k = elements.shape[1]
+    rows = np.repeat(elements, k, axis=1).ravel()
+    cols = np.tile(elements, (1, k)).ravel()
+    return sp.csr_matrix(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
+
+
 def _boundary_mass(mesh, tag, n):
-    rows, cols, vals = [], [], []
     edges = mesh.edges_with_tag(tag)
-    for a, b in edges:
-        d = mesh.nodes[b] - mesh.nodes[a]
-        length = float(np.hypot(d[0], d[1]))
-        local = (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        for i, gi in enumerate((a, b)):
-            for j, gj in enumerate((a, b)):
-                rows.append(gi)
-                cols.append(gj)
-                vals.append(local[i, j])
-    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    length = np.hypot(d[:, 0], d[:, 1])
+    local = (length / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return _sparse(edges, local, n)
 
 
 def assemble(mesh: Mesh) -> DiscreteOperators:
     """Assemble stiffness, mass and boundary-mass matrices for a mesh."""
     n = mesh.n_nodes
     areas = signed_areas(mesh)
-    for t, area in enumerate(areas):
-        if area <= 0:
-            raise AssemblyError(f"triangle {t} has non-positive area {area}")
+    bad = np.flatnonzero(areas <= 0)
+    if bad.size:
+        t = bad[0]
+        raise AssemblyError(f"triangle {t} has non-positive area {areas[t]}")
 
-    k_rows, k_cols, k_vals = [], [], []
-    m_rows, m_cols, m_vals = [], [], []
-    m_local_ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    for t, tri in enumerate(mesh.triangles):
-        x = mesh.nodes[tri, 0]
-        y = mesh.nodes[tri, 1]
-        area = areas[t]
-        # P1 gradient coefficients: grad(phi_i) = (b_i, c_i) / (2 area)
-        b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / (2.0 * area)
-        c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / (2.0 * area)
-        k_local = area * (np.outer(b, b) + np.outer(c, c))
-        m_local = area * m_local_ref
-        for i in range(3):
-            for j in range(3):
-                k_rows.append(tri[i])
-                k_cols.append(tri[j])
-                k_vals.append(k_local[i, j])
-                m_rows.append(tri[i])
-                m_cols.append(tri[j])
-                m_vals.append(m_local[i, j])
+    tri = mesh.triangles
+    x = mesh.nodes[tri, 0]
+    y = mesh.nodes[tri, 1]
+    twice_area = (2.0 * areas)[:, None]
+    # P1 gradient coefficients: grad(phi_i) = (b_i, c_i) / (2 area)
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
+                 axis=1) / twice_area
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
+                 axis=1) / twice_area
+    area = areas[:, None, None]
+    k_local = area * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    m_local = area * (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0)
 
-    K = sp.csr_matrix(sp.coo_matrix((k_vals, (k_rows, k_cols)), shape=(n, n)))
-    M = sp.csr_matrix(sp.coo_matrix((m_vals, (m_rows, m_cols)), shape=(n, n)))
+    K = _sparse(tri, k_local, n)
+    M = _sparse(tri, m_local, n)
     B1 = _boundary_mass(mesh, GAMMA1, n)
     B2 = _boundary_mass(mesh, GAMMA2, n)
 

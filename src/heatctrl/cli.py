@@ -177,7 +177,7 @@ def _require(section, key, sections, origin):
 def _finite(value, label, origin) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{origin}: {label} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{origin}: {label} must be finite, got {value!r}")
@@ -191,22 +191,31 @@ def _integer(value, label, origin) -> int:
     return int(number)
 
 
+def _items(value) -> list:
+    """A list value as is, anything else split at commas."""
+    return value if isinstance(value, list) else str(value).split(",")
+
+
+def _names(value) -> tuple:
+    """The nonblank items of a list or comma-separated value, as stripped text."""
+    return tuple(name for name in (str(s).strip() for s in _items(value)) if name)
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    sections = parse_config_text(path.read_text(), origin=str(path))
     origin = str(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{origin}: cannot read the config: {exc}") from None
+    sections = parse_config_text(text, origin=origin)
 
     mesh_sec = sections.get("mesh", {})
     nx = _integer(_require("mesh", "nx", sections, origin), "[mesh] nx", origin)
     ny = _integer(_require("mesh", "ny", sections, origin), "[mesh] ny", origin)
-    gamma1_val = mesh_sec.get("gamma1", "left")
-    gamma1 = tuple(
-        s.strip() for s in (
-            gamma1_val if isinstance(gamma1_val, list) else str(gamma1_val).split(",")
-        ) if str(s).strip()
-    )
+    gamma1 = _names(mesh_sec.get("gamma1", "left"))
     for side in gamma1:
         if side not in SIDES:
             raise ConfigError(f"{origin}: unknown gamma1 side {side!r}")
@@ -223,9 +232,8 @@ def load_config(path) -> RunConfig:
     alpha = prob.get("alpha")
     alpha = None if alpha is None else _finite(alpha, "[problem] alpha", origin)
     alphas_val = prob.get("alphas", [])
-    alphas = [_finite(a, "[problem] alphas", origin) for a in (
-        alphas_val if isinstance(alphas_val, list) else str(alphas_val).split(",")
-    )] if alphas_val else []
+    alphas = [_finite(a, "[problem] alphas", origin)
+              for a in _items(alphas_val)] if alphas_val else []
 
     solver = sections.get("solver", {})
     tol = _finite(solver.get("tol", 1e-8), "[solver] tol", origin)
@@ -244,13 +252,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{origin}: variant 'Palpha' needs problem.alpha > 0")
 
     out = sections.get("output", {})
-    out_dir = Path(out.get("directory", "out"))
-    formats_val = out.get("formats", "csv,json")
-    formats = tuple(
-        s.strip() for s in (
-            formats_val if isinstance(formats_val, list) else str(formats_val).split(",")
-        ) if str(s).strip()
-    )
+    out_dir = Path(str(out.get("directory", "out")))
+    formats = _names(out.get("formats", "csv,json"))
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"{origin}: unknown output format {fmt!r}")
@@ -528,20 +531,26 @@ def run_checks(config: RunConfig, quiet=False) -> int:
             worst = max(worst, abs(gap - expect) / max(abs(expect), 1e-300))
     add("convexity_identity", worst, 1e-10, worst <= 1e-10)
 
-    for entry in section5_checks(data, ops, config.tol, n_pairs=10):
+    constants = compute_constants(ops)
+    solutions = {
+        variant: solve_cg(data, ops, variant, config.tol,
+                          max_iter=config.max_iter, stepper=variant_stepper)
+        for variant, variant_stepper in steppers.items()
+    }
+    for entry in section5_checks(data, ops, config.tol, n_pairs=10,
+                                 max_iter=config.max_iter, constants=constants,
+                                 steppers=steppers, solutions=solutions):
         add(entry["name"], entry["lhs"], entry["threshold"], entry["passed"])
 
     if config.optimizer in ("fixed_point", "both"):
         # divergence is the documented outcome when the bound is not a
         # contraction, so it only fails this check when C0 < 1
-        c0 = contraction_constant(compute_constants(ops), data.M1, data.M2,
+        c0 = contraction_constant(constants, data.M1, data.M2,
                                   config.variant, data.alpha)
         fp = solve_fixed_point(data, ops, config.variant, config.tol,
                                max_iter=config.max_iter, stepper=stepper)
         if fp.converged:
-            cg_rep = solve_cg(data, ops, config.variant, config.tol,
-                              max_iter=config.max_iter, stepper=stepper)
-            gap = hq_norm(fp.control - cg_rep.control, ops, grid)
+            gap = hq_norm(fp.control - solutions[config.variant].control, ops, grid)
             add("fixed_point_vs_cg", gap, 10.0 * config.tol,
                 gap <= 10.0 * config.tol)
         else:

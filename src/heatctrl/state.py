@@ -122,9 +122,9 @@ class Stepper:
     """Shared implicit-Euler machinery for one (variant, alpha) pair.
 
     Holds the solved nodes (the free nodes for "P", all nodes for "Palpha"),
-    the factorized step matrix and the mass block on those nodes; the same
-    factorization serves the forward and the backward sweeps because every
-    matrix involved is symmetric.
+    the factorized step matrix, the mass block on those nodes and the gamma2
+    columns of B2 (the flux load); the same factorization serves the forward
+    and the backward sweeps because every matrix involved is symmetric.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, variant="P", alpha=None):
@@ -134,6 +134,7 @@ class Stepper:
         self.grid = grid
         self.variant = variant
         self.alpha = alpha
+        self.B2_gamma_cols = sp.csr_matrix(ops.B2[:, ops.gamma2_nodes])
         tau = grid.tau
         if variant == "P":
             F = self.nodes = ops.free_nodes
@@ -162,10 +163,9 @@ class Stepper:
 
     def load(self, g_slice, q_slice):
         """Right-hand-side contribution of one control sample (all nodes)."""
-        ops = self.ops
-        out = ops.M @ g_slice
+        out = self.ops.M @ g_slice
         if np.any(q_slice):
-            out -= ops.B2 @ ops.extend_gamma2(q_slice)
+            out -= self.B2_gamma_cols @ q_slice
         return out
 
 

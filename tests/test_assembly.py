@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
+import heatctrl
 from heatctrl import AssemblyError, assemble, build_rect_mesh, compute_constants
-from heatctrl.mesh import Mesh
+from heatctrl.mesh import GAMMA1, GAMMA2, Mesh, signed_areas
 
 from oracles import dense_assemble
 
@@ -50,6 +57,66 @@ def test_operator_invariants(ops44):
     assert np.all(sla.eigvalsh(ops44.B2.toarray()) > -1e-12)
 
 
+def loop_assemble(mesh):
+    """K, M, B1, B2 from the per-triangle and per-edge loops `assemble` replaced."""
+    n = mesh.n_nodes
+    areas = signed_areas(mesh)
+    for t, area in enumerate(areas):
+        if area <= 0:
+            raise AssemblyError(f"triangle {t} has non-positive area {area}")
+    k_rows, k_cols, k_vals = [], [], []
+    m_rows, m_cols, m_vals = [], [], []
+    m_local_ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    for t, tri in enumerate(mesh.triangles):
+        x = mesh.nodes[tri, 0]
+        y = mesh.nodes[tri, 1]
+        area = areas[t]
+        b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]]) / (2.0 * area)
+        c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]]) / (2.0 * area)
+        k_local = area * (np.outer(b, b) + np.outer(c, c))
+        m_local = area * m_local_ref
+        for i in range(3):
+            for j in range(3):
+                k_rows.append(tri[i])
+                k_cols.append(tri[j])
+                k_vals.append(k_local[i, j])
+                m_rows.append(tri[i])
+                m_cols.append(tri[j])
+                m_vals.append(m_local[i, j])
+
+    def boundary_mass(tag):
+        rows, cols, vals = [], [], []
+        for a, b in mesh.edges_with_tag(tag):
+            d = mesh.nodes[b] - mesh.nodes[a]
+            length = float(np.hypot(d[0], d[1]))
+            local = (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+            for i, gi in enumerate((a, b)):
+                for j, gj in enumerate((a, b)):
+                    rows.append(gi)
+                    cols.append(gj)
+                    vals.append(local[i, j])
+        return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+
+    K = sp.csr_matrix(sp.coo_matrix((k_vals, (k_rows, k_cols)), shape=(n, n)))
+    M = sp.csr_matrix(sp.coo_matrix((m_vals, (m_rows, m_cols)), shape=(n, n)))
+    return K, M, boundary_mass(GAMMA1), boundary_mass(GAMMA2)
+
+
+@pytest.mark.parametrize("nx, ny, gamma1", [
+    (3, 5, "left"), (4, 4, "left,bottom"), (16, 16, "left"),
+])
+def test_assembly_equals_the_element_loop_bitwise(nx, ny, gamma1):
+    mesh = build_rect_mesh(nx, ny, gamma1)
+    ops = assemble(mesh)
+    got = (ops.K, ops.M, ops.B1, ops.B2)
+    for new, old, dense in zip(got, loop_assemble(mesh), dense_assemble(mesh)):
+        assert new.dtype == old.dtype
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+        assert np.array_equal(new.data, old.data)
+        assert np.allclose(new.toarray(), dense, atol=1e-13)
+
+
 def test_degenerate_triangle_reported():
     mesh = build_rect_mesh(1, 1, "left")
     tris = mesh.triangles.copy()
@@ -59,6 +126,22 @@ def test_degenerate_triangle_reported():
                   boundary_tags=mesh.boundary_tags, nx=1, ny=1)
     with pytest.raises(AssemblyError, match="triangle 1"):
         assemble(broken)
+
+
+def test_first_bad_triangle_reported_as_the_loop_did():
+    mesh = build_rect_mesh(3, 2, "left")
+    tris = mesh.triangles.copy()
+    tris[3] = tris[3][::-1]  # clockwise: negative area
+    tris[7] = (0, 1, 1)  # zero area
+    broken = Mesh(nodes=mesh.nodes, triangles=tris,
+                  boundary_edges=mesh.boundary_edges,
+                  boundary_tags=mesh.boundary_tags, nx=3, ny=2)
+    with pytest.raises(AssemblyError) as expected:
+        loop_assemble(broken)
+    with pytest.raises(AssemblyError) as got:
+        assemble(broken)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("triangle 3 has non-positive area -")
 
 
 def test_trace2_roundtrip(ops44):
@@ -117,3 +200,25 @@ def test_descriptor_names_mesh(ops44):
     rep = compute_constants(ops44)
     assert "4x4" in rep.mesh_descriptor
     assert "left" in rep.mesh_descriptor
+
+
+CONSTANTS_SCRIPT = """
+from heatctrl import assemble, build_rect_mesh, compute_constants
+rep = compute_constants(assemble(build_rect_mesh(101, 101, "left")))
+print(rep.lambda0.hex(), rep.lambda1.hex(), rep.trace_norm.hex())
+"""
+
+
+def test_constants_do_not_depend_on_the_blas_thread_count():
+    # 10100 free nodes: long enough for OpenBLAS to split a dot product
+    # across threads, which changes its rounding
+    src = str(Path(heatctrl.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", CONSTANTS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        results.append(proc.stdout)
+    assert results[0] == results[1]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from heatctrl import (ProblemData, TimeGrid, assemble, build_rect_mesh,
                       solve_adjoint, solve_cg, solve_distributed_only,
@@ -406,3 +408,91 @@ def test_json_report_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(SolverError, match="non-finite"):
         write_json(tmp_path / "report.json", {"cost": float("nan")})
     assert not (tmp_path / "report.json").exists()
+
+
+def test_check_reuses_constants_and_simultaneous_solves(tmp_path, monkeypatch):
+    from heatctrl import analysis
+
+    calls = {"solve_cg": 0, "compute_constants": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, analysis):
+        counted(module, "solve_cg")
+        counted(module, "compute_constants")
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
+    assert main(["check", "--config", str(path), "--quiet"]) == 0
+    checks = json.loads((tmp_path / "out" / "checks.json").read_text())["checks"]
+    assert "fixed_point_vs_cg" in [c["name"] for c in checks]
+    assert calls == {"solve_cg": 2, "compute_constants": 1}
+
+
+FUZZ_BASE = {
+    "mesh": {"nx": "4", "ny": "4", "gamma1": "left"},
+    "time": {"T": "1.0", "n_steps": "2"},
+    "problem": {"M1": "1.0", "M2": "1.0", "alpha": "10.0",
+                "alphas": "[10.0, 100.0]", "b": "zero", "v_b": "zero",
+                "z_d": "zero"},
+    "solver": {"tol": "1e-10", "max_iter": "500", "optimizer": "cg",
+               "variant": "P"},
+    "output": {"directory": "out", "formats": "csv,json"},
+}
+FUZZ_KEYS = [key for entries in FUZZ_BASE.values() for key in entries]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["4", "2.5", "0", "-3", "nan", "inf", "1e400", "9" * 400,
+                     "true", "left", "left,bottom", "P", "Palpha", "both",
+                     "json", "zero", "[]", "[10.0, 100.0]", "[1]", "[1, left]",
+                     "[", "]", "'quoted'", '"', ""]),
+    st.text(max_size=12),
+)
+
+
+def fuzz_config(overrides=(), dropped=(), noise=()):
+    """The base config text with values replaced and keys or sections dropped."""
+    overrides = dict(overrides)
+    lines = []
+    for section, entries in FUZZ_BASE.items():
+        if section not in dropped:
+            lines.append(f"[{section}]")
+        lines += [f"{key} = {overrides.get(key, value)}"
+                  for key, value in entries.items() if key not in dropped]
+    return "\n".join(lines + list(noise))
+
+
+CONFIG_TEXTS = st.builds(
+    fuzz_config,
+    st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, max_size=3),
+    st.sets(st.sampled_from(FUZZ_KEYS + list(FUZZ_BASE)), max_size=2),
+    st.lists(st.text(max_size=30), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(CONFIG_TEXTS, st.text(), st.binary()))
+@example(fuzz_config({"nx": "9" * 400}))
+@example(fuzz_config({"gamma1": "[1, left]"}))
+@example(fuzz_config({"formats": "[1]"}))
+@example(fuzz_config({"directory": "5"}))
+@example(b"\x80")
+def test_any_config_text_parses_or_is_a_config_error(tmp_path, text):
+    path = tmp_path / "fuzz.cfg"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+        try:
+            assert isinstance(parse_config_text(text), dict)
+        except ConfigError:
+            pass
+    try:
+        assert isinstance(load_config(path), cli.RunConfig)
+    except ConfigError:
+        pass

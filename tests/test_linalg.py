@@ -21,6 +21,17 @@ def test_diagonal_solve():
 def test_zero_rhs_gives_zero():
     A = sp.diags([2.0, 4.0, 1.0]).tocsr()
     assert np.array_equal(SpdFactor(A).solve(np.zeros(3)), np.zeros(3))
+    x = SpdFactor(A).solve(-np.zeros(3))
+    assert np.array_equal(x, np.zeros(3)) and not np.signbit(x).any()
+
+
+def test_tiny_rhs_is_not_taken_for_zero():
+    # the squared norm of this right-hand side underflows to zero
+    ops = assemble(build_rect_mesh(4, 4, "left"))
+    rhs = np.full(ops.n_nodes, 1e-170)
+    x = SpdFactor(ops.M).solve(rhs)
+    expected = np.linalg.solve(ops.M.toarray(), np.ones(ops.n_nodes))
+    assert np.allclose(x * 1e170, expected, rtol=1e-10, atol=0)
 
 
 def test_solve_matches_dense_lu():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from heatctrl import (ControlPair, ProblemData, TimeGrid, assemble,
+from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
                       build_rect_mesh, solve_state)
 from heatctrl.analysis import boundary_residual_norm
 
@@ -160,6 +160,18 @@ def test_temporal_convergence_is_first_order():
         errs.append(np.sqrt(d @ (ops.M @ d)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(0.8 < r < 1.2 for r in rates), (errs, rates)
+
+
+@pytest.mark.parametrize("variant, alpha", [("P", None), ("Palpha", 10.0)])
+def test_load_equals_the_zero_extended_flux_product(variant, alpha):
+    ops = assemble(build_rect_mesh(5, 4, "left,bottom"))
+    stepper = Stepper(ops, TimeGrid(1.0, 2), variant, alpha)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal(ops.n_nodes)
+    q = rng.standard_normal(len(ops.gamma2_nodes))
+    expected = ops.M @ g - ops.B2 @ ops.extend_gamma2(q)
+    assert np.array_equal(stepper.load(g, q), expected)
+    assert np.array_equal(stepper.load(g, np.zeros_like(q)), ops.M @ g)
 
 
 def test_mismatched_data_rejected():
