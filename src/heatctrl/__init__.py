@@ -12,7 +12,7 @@ from .analysis import (SweepRecord, SweepReport, fixed_control_sweep,
                        optimal_control_sweep, section5_checks, sweep_flags)
 from .assembly import (AssemblyError, ConstantsReport, DiscreteOperators,
                        assemble, compute_constants)
-from .control import (OptimalityReport, apply_C, apply_W, contraction_constant,
+from .control import (OptimalityReport, apply_W, contraction_constant,
                       convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
                       hq_norm, measured_step_ratio, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
@@ -36,7 +36,6 @@ __all__ = [
     "SweepReport",
     "TimeGrid",
     "Trajectory",
-    "apply_C",
     "apply_W",
     "assemble",
     "build_rect_mesh",

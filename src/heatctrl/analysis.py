@@ -14,8 +14,9 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .assembly import compute_constants
-from .control import (CG_MAX_ITER, apply_W, contraction_constant, h_inner,
-                      hq_norm, solve_cg, solve_distributed_only)
+from .control import (CG_MAX_ITER, _coercivity, _series_inner, apply_W,
+                      contraction_constant, h_inner, hq_norm, solve_cg,
+                      solve_distributed_only)
 from .state import ControlPair, ProblemData, Stepper, solve_state
 
 
@@ -82,8 +83,7 @@ def check_alphas(alphas):
 
 def l2v_series_norm(series, ops, grid) -> float:
     """Discrete L2(0,T; H1) norm of an (n_steps, n_nodes) slice series."""
-    A = ops.K + ops.M
-    return math.sqrt(max(grid.tau * float(np.sum(series * (A @ series.T).T)), 0.0))
+    return math.sqrt(max(_series_inner(series, series, ops.K + ops.M, grid.tau), 0.0))
 
 
 def state_gap_norm(ua, u, ops, grid) -> float:
@@ -99,7 +99,7 @@ def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
     b_ext = np.zeros(ops.n_nodes)
     b_ext[ops.dirichlet_nodes] = b
     diff = ua.slices[1:] - b_ext
-    sq = grid.tau * float(np.sum(diff * (ops.B1 @ diff.T).T))
+    sq = _series_inner(diff, diff, ops.B1, grid.tau)
     return math.sqrt(max((alpha - 1.0) * sq, 0.0))
 
 
@@ -223,8 +223,7 @@ def section5_checks(data: ProblemData, ops, tol, n_pairs=50, seed=20240,
 
     for variant in ("P", "Palpha"):
         alpha = data.alpha if variant == "Palpha" else None
-        lam = constants.lambda0 if variant == "P" \
-            else constants.lambda1 * min(1.0, alpha)
+        lam = _coercivity(constants, variant, alpha)
         suffix = "" if variant == "P" else "_alpha"
         stepper = steppers[variant] if steppers else Stepper(ops, grid, variant, alpha)
         full = solutions[variant] if solutions else \

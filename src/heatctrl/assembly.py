@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import gen_eig_extreme
-from .mesh import GAMMA1, GAMMA2, Mesh, dof_partition, signed_areas
+from .mesh import (GAMMA1, GAMMA2, Mesh, dof_partition, edge_lengths,
+                   signed_areas)
 
 
 class AssemblyError(RuntimeError):
@@ -50,13 +51,6 @@ class DiscreteOperators:
     def trace2(self, values):
         """Restrict nodal fields (last axis) to the gamma2 nodes."""
         return np.asarray(values)[..., self.gamma2_nodes]
-
-    def extend_gamma2(self, q):
-        """Extend gamma2-node fields (last axis) by zero to all nodes."""
-        q = np.asarray(q)
-        full = np.zeros(q.shape[:-1] + (self.n_nodes,))
-        full[..., self.gamma2_nodes] = q
-        return full
 
 
 @dataclass(frozen=True)
@@ -96,11 +90,9 @@ def _sparse(elements, local, n):
 
 
 def _boundary_mass(mesh, tag, n):
-    edges = mesh.edges_with_tag(tag)
-    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    length = np.hypot(d[:, 0], d[:, 1])
-    local = (length / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
-    return _sparse(edges, local, n)
+    local = (edge_lengths(mesh, tag) / 6.0)[:, None, None] \
+        * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return _sparse(mesh.edges_with_tag(tag), local, n)
 
 
 def assemble(mesh: Mesh) -> DiscreteOperators:

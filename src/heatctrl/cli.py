@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +163,6 @@ class RunConfig:
     variant: str
     out_dir: Path
     formats: tuple
-    raw: dict = field(default_factory=dict)
 
 
 def _require(section, key, sections, origin):
@@ -178,7 +177,9 @@ def _finite(value, label, origin) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{origin}: {label} must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigError(f"{origin}: {label} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ConfigError(f"{origin}: {label} must be finite, got {value!r}")
     return number
@@ -265,7 +266,7 @@ def load_config(path) -> RunConfig:
         v_b_spec=str(prob.get("v_b", "zero")),
         z_d_spec=str(prob.get("z_d", "zero")),
         tol=tol, max_iter=max_iter, optimizer=optimizer, variant=variant,
-        out_dir=out_dir, formats=formats, raw=sections,
+        out_dir=out_dir, formats=formats,
     )
 
 
@@ -573,10 +574,9 @@ def run_constants(config: RunConfig, quiet=False) -> int:
     ops, _ = build_problem(config)
     constants = compute_constants(ops)
     payload = {"command": "constants", "constants": constants.to_dict()}
-    if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        if "json" in config.formats:
-            write_json(config.out_dir / "constants.json", payload)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    if "json" in config.formats:
+        write_json(config.out_dir / "constants.json", payload)
     if not quiet:
         print(_json_text(payload))
     return 0

@@ -3,8 +3,9 @@
 The reduced problem over (g, q) is a strictly convex quadratic; its gradient
 in the weighted control space is (M1 g + p, M2 q - p|gamma2) with p the
 matching adjoint.  `solve_cg` runs conjugate gradients in that inner product
-(one forward plus one backward sweep per iteration); `solve_fixed_point`
-iterates the map W(g, q) = (-p/M1, p|gamma2/M2), which contracts whenever
+(one forward plus one backward sweep per iteration), and
+`solve_distributed_only` runs the same iteration with the flux q held fixed;
+`solve_fixed_point` iterates the map W(g, q) = (-p/M1, p|gamma2/M2), which contracts whenever
 the constant from `contraction_constant` is below one.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import ConstantsReport, DiscreteOperators
 from .linalg import SolverError
-from .state import (ControlPair, ProblemData, Stepper, Trajectory, solve_state,
+from .state import (ControlPair, ProblemData, Trajectory, solve_state,
                     solve_state_homogeneous, stepper_for)
 
 CG_MAX_ITER = 500
@@ -62,14 +63,19 @@ class OptimalityReport:
 
 # -- weighted space-time inner products --------------------------------------
 
+def _series_inner(a, b, A, tau) -> float:
+    """tau * sum_k a_k' A b_k over the slices of two (n_steps, n) series."""
+    return tau * float(np.sum(a * (A @ b.T).T))
+
+
 def h_inner(a, b, ops: DiscreteOperators, grid) -> float:
     """Inner product of two (n_steps, n_nodes) series in L2(0,T; L2(Omega))."""
-    return grid.tau * float(np.sum(a * (ops.M @ b.T).T))
+    return _series_inner(a, b, ops.M, grid.tau)
 
 
 def q_inner(a, b, ops: DiscreteOperators, grid) -> float:
     """Inner product of two (n_steps, n_gamma2) series in L2(0,T; L2(gamma2))."""
-    return grid.tau * float(np.sum(a * (ops.B2_gamma @ b.T).T))
+    return _series_inner(a, b, ops.B2_gamma, grid.tau)
 
 
 def hq_inner(c1: ControlPair, c2: ControlPair, ops, grid) -> float:
@@ -81,12 +87,6 @@ def hq_norm(c: ControlPair, ops, grid) -> float:
 
 
 # -- cost, gradient, convexity ------------------------------------------------
-
-def apply_C(data: ProblemData, ctrl: ControlPair, ops, variant,
-            stepper: Stepper | None = None) -> Trajectory:
-    """Linear part of the control-to-state map: u(ctrl) - u(zero controls)."""
-    return solve_state_homogeneous(ctrl, stepper_for(data, ops, variant, stepper))
-
 
 def cost_J(data: ProblemData, ctrl: ControlPair, ops, variant,
            stepper=None, u: Trajectory | None = None) -> float:
@@ -141,39 +141,44 @@ def apply_W(data: ProblemData, ctrl: ControlPair, ops, variant,
     return ControlPair(-p_steps / data.M1, ops.trace2(p_steps) / data.M2)
 
 
+def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
+    """Coercivity constant of the state form: lambda0 for P, lambda1 min(1, alpha)."""
+    if variant == "P":
+        return constants.lambda0
+    if variant == "Palpha":
+        if alpha is None or alpha <= 0:
+            raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
+        return constants.lambda1 * min(1.0, alpha)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def contraction_constant(constants: ConstantsReport, M1, M2, variant="P",
                          alpha=None) -> float:
     """Lipschitz bound of the fixed-point map from the discrete constants."""
     gamma = constants.trace_norm
-    if variant == "P":
-        lam = constants.lambda0
-    elif variant == "Palpha":
-        if alpha is None or alpha <= 0:
-            raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
-        lam = constants.lambda1 * min(1.0, alpha)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    lam = _coercivity(constants, variant, alpha)
     return (2.0 / lam**2) * math.sqrt(1.0 / M1**2 + gamma**2 / M2**2) * (1.0 + gamma)
 
 
 # -- optimizers ----------------------------------------------------------------
 
-def _hessian_apply(d: ControlPair, data, ops, stepper) -> ControlPair:
-    """Action of the reduced Hessian: penalty part plus adjoint of C(d)."""
+def _held(c: ControlPair, hold_q) -> ControlPair:
+    """c, or c with its q part zeroed when the flux is held fixed."""
+    return ControlPair(c.g, np.zeros_like(c.q)) if hold_q else c
+
+
+def _hessian_apply(d: ControlPair, data, ops, variant, stepper) -> ControlPair:
+    """Action of the reduced Hessian: the gradient formula at the linear part C(d)."""
     du = solve_state_homogeneous(d, stepper)
     pi = solve_adjoint_homogeneous(du, stepper)
-    pi_steps = pi.slices[:-1]
-    return ControlPair(
-        data.M1 * d.g + pi_steps,
-        data.M2 * d.q - ops.trace2(pi_steps),
-    )
+    return gradient_J(data, d, ops, variant, stepper, u=du, p=pi)
 
 
 def _finalize(data, x, ops, variant, stepper, solver, tol, grad_norm0,
-              iterations, history, converged_rule):
+              iterations, history, converged_rule, hold_q=False):
     u = solve_state(data, x, ops, variant, stepper)
     p = solve_adjoint(data, u, ops, variant, stepper)
-    grad = gradient_J(data, x, ops, variant, stepper, u=u, p=p)
+    grad = _held(gradient_J(data, x, ops, variant, stepper, u=u, p=p), hold_q)
     grad_norm = hq_norm(grad, ops, data.grid)
     return OptimalityReport(
         control=x,
@@ -190,21 +195,21 @@ def _finalize(data, x, ops, variant, stepper, solver, tol, grad_norm0,
     )
 
 
-def _cg(x, r, apply_H, inner, threshold, max_iter, history):
-    """Conjugate gradients from x, where r is the negative gradient at x.
+def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
+    """Conjugate gradients in the weighted control space from x.
 
-    Works on ControlPair and ndarray iterates alike.  Stops once the
-    residual norm sqrt(inner(r, r)) is at most threshold or after max_iter
-    iterations, appends (iteration, residual norm) to history and returns
-    the iterate and the iteration count.
+    r is the negative gradient at x.  Stops once the residual norm is at
+    most threshold or after max_iter iterations, appends (iteration,
+    residual norm) to history and returns the iterate and the iteration
+    count.
     """
-    rr = inner(r, r)
+    rr = hq_inner(r, r, ops, grid)
     d = None
     iterations = 0
     while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
         d = r if d is None else r + (rr / rr_old) * d
         z = apply_H(d)
-        dz = inner(d, z)
+        dz = hq_inner(d, z, ops, grid)
         if not dz > 0:
             raise SolverError(
                 f"reduced Hessian curvature is not finite and positive "
@@ -213,10 +218,38 @@ def _cg(x, r, apply_H, inner, threshold, max_iter, history):
         step = rr / dz
         x = x + step * d
         r = r - step * z
-        rr, rr_old = inner(r, r), rr
+        rr, rr_old = hq_inner(r, r, ops, grid), rr
         iterations += 1
         history.append((iterations, math.sqrt(max(rr, 0.0))))
     return x, iterations
+
+
+def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q):
+    """Conjugate gradients on the reduced quadratic from the control (0, q_start).
+
+    With hold_q the q parts of the gradient and of every Hessian product
+    are zeroed, so q stays at q_start and the gradient norms cover g only.
+    Stops once that norm drops below tol * (1 + its value at the start).
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    stepper = stepper_for(data, ops, variant, stepper)
+    grid = data.grid
+
+    def start():
+        # made afresh for each use, so no zero field stays alive through CG
+        return ControlPair(np.zeros((grid.n_steps, ops.n_nodes)), q_start)
+
+    r = -1.0 * _held(gradient_J(data, start(), ops, variant, stepper), hold_q)
+    grad_norm0 = hq_norm(r, ops, grid)
+    threshold = tol * (1.0 + grad_norm0)
+    history = [(0, grad_norm0)]
+    x, iterations = _cg(
+        start(), r,
+        lambda d: _held(_hessian_apply(d, data, ops, variant, stepper), hold_q),
+        ops, grid, threshold, max_iter, history)
+    return _finalize(data, x, ops, variant, stepper, "cg", tol, grad_norm0,
+                     iterations, history, lambda gn: gn <= threshold, hold_q)
 
 
 def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
@@ -226,21 +259,9 @@ def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     Stops once the gradient norm drops below tol * (1 + gradient norm at
     zero); each iteration costs one forward and one backward sweep.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    stepper = stepper_for(data, ops, variant, stepper)
-    grid = data.grid
-    r = -1.0 * gradient_J(data, ControlPair.zeros_like(ops, grid), ops, variant,
-                          stepper)
-    grad_norm0 = hq_norm(r, ops, grid)
-    threshold = tol * (1.0 + grad_norm0)
-    history = [(0, grad_norm0)]
-    x, iterations = _cg(ControlPair.zeros_like(ops, grid), r,
-                        lambda d: _hessian_apply(d, data, ops, stepper),
-                        lambda a, b: hq_inner(a, b, ops, grid),
-                        threshold, max_iter, history)
-    return _finalize(data, x, ops, variant, stepper, "cg", tol, grad_norm0,
-                     iterations, history, lambda gn: gn <= threshold)
+    q_start = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
+    return _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start,
+                       hold_q=False)
 
 
 def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,
@@ -294,50 +315,14 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, ops, variant,
     """Minimize over the distributed control only, with the flux held fixed.
 
     The reported cost includes the constant (M2/2)|q_fixed|^2 term, so it is
-    directly comparable with the simultaneous problem's optimum.
+    directly comparable with the simultaneous problem's optimum; the
+    gradient norms cover the g part only.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    stepper = stepper_for(data, ops, variant, stepper)
-    grid = data.grid
-    n_steps = grid.n_steps
-    q_fixed = np.asarray(q_fixed, dtype=float)
-    if q_fixed.shape != (n_steps, len(ops.gamma2_nodes)):
+    n_steps, n_gamma2 = data.grid.n_steps, len(ops.gamma2_nodes)
+    q_fixed = np.array(q_fixed, dtype=float)  # a copy: the report never aliases it
+    if q_fixed.shape != (n_steps, n_gamma2):
         raise ValueError(
-            f"q_fixed must have shape ({n_steps}, {len(ops.gamma2_nodes)}), "
-            f"got {q_fixed.shape}"
+            f"q_fixed must have shape ({n_steps}, {n_gamma2}), got {q_fixed.shape}"
         )
-    zero_q = np.zeros_like(q_fixed)
-
-    def solve_at(g):
-        """Control, state, adjoint and g-gradient at (g, q_fixed)."""
-        ctrl = ControlPair(g, q_fixed.copy())
-        u = solve_state(data, ctrl, ops, variant, stepper)
-        p = solve_adjoint(data, u, ops, variant, stepper)
-        return ctrl, u, p, data.M1 * g + p.slices[:-1]
-
-    shape = (n_steps, ops.n_nodes)
-    r = -solve_at(np.zeros(shape))[-1]
-    grad_norm0 = math.sqrt(max(h_inner(r, r, ops, grid), 0.0))
-    threshold = tol * (1.0 + grad_norm0)
-    history = [(0, grad_norm0)]
-    g, iterations = _cg(
-        np.zeros(shape), r,
-        lambda d: _hessian_apply(ControlPair(d, zero_q), data, ops, stepper).g,
-        lambda a, b: h_inner(a, b, ops, grid), threshold, max_iter, history)
-
-    ctrl, u, p, final_grad = solve_at(g)
-    grad_norm = math.sqrt(max(h_inner(final_grad, final_grad, ops, grid), 0.0))
-    return OptimalityReport(
-        control=ctrl,
-        state=u,
-        adjoint=p,
-        cost=cost_J(data, ctrl, ops, variant, stepper, u=u),
-        grad_norm=grad_norm,
-        grad_norm0=grad_norm0,
-        iterations=iterations,
-        solver="cg",
-        converged=grad_norm <= threshold,
-        tol=tol,
-        history=history,
-    )
+    return _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_fixed,
+                       hold_q=True)

@@ -121,21 +121,16 @@ def build_rect_mesh(nx: int, ny: int, gamma1_spec="left") -> Mesh:
     if len(g1_sides) == len(SIDES):
         raise ValueError("gamma1 cannot cover the whole boundary (gamma2 would be empty)")
 
-    nodes = np.empty(((nx + 1) * (ny + 1), 2))
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            nodes[j * (nx + 1) + i] = (i / nx, j / ny)
+    # node j * (nx + 1) + i sits at (i / nx, j / ny)
+    x, y = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
+    nodes = np.column_stack([x.ravel(), y.ravel()])
 
-    triangles = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + nx + 2
-            d = a + nx + 1
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-    triangles = np.asarray(triangles, dtype=np.intp)
+    # a is the lower-left node of each cell; its two triangles share the
+    # diagonal from a to the upper-right node a + nx + 2
+    a = (np.arange(ny, dtype=np.intp)[:, None] * (nx + 1)
+         + np.arange(nx, dtype=np.intp)).ravel()
+    triangles = np.stack([a, a + 1, a + nx + 2, a, a + nx + 2, a + nx + 1],
+                         axis=1).reshape(-1, 3)
 
     def side_edges(side):
         if side == "left":

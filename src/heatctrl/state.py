@@ -83,9 +83,6 @@ class ControlPair:
     def zeros_like(cls, ops: DiscreteOperators, grid: TimeGrid):
         return cls.zeros(grid.n_steps, ops.n_nodes, len(ops.gamma2_nodes))
 
-    def copy(self):
-        return ControlPair(self.g.copy(), self.q.copy())
-
     def __add__(self, other):
         return ControlPair(self.g + other.g, self.q + other.q)
 
@@ -96,9 +93,6 @@ class ControlPair:
         return ControlPair(scalar * self.g, scalar * self.q)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,6 @@ class Trajectory:
 
     slices: np.ndarray
     role: str = "state"
-
-    @property
-    def n_steps(self) -> int:
-        return self.slices.shape[0] - 1
 
 
 class Stepper:

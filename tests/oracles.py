@@ -1,15 +1,23 @@
 """Independent dense reference implementations used to check the solvers.
 
-Everything here deliberately avoids the package's assembly formulas and
+The dense oracles deliberately avoid the package's assembly formulas and
 time-stepping loops: element matrices come from quadrature on explicitly
 solved shape functions, and the space-time systems are assembled as one
-dense block bidiagonal matrix and solved with numpy's LU.
+dense block bidiagonal matrix and solved with numpy's LU.  The reference
+helpers below them reuse the package's sweeps and pin down what the
+package's own compositions of those sweeps must compute.
 """
+
+import math
 
 import numpy as np
 
-from heatctrl import ControlPair, ProblemData, TimeGrid, assemble, build_rect_mesh
+from heatctrl import (ControlPair, OptimalityReport, ProblemData, Stepper,
+                      TimeGrid, assemble, build_rect_mesh, cost_J, h_inner,
+                      solve_adjoint, solve_state)
+from heatctrl.adjoint import solve_adjoint_homogeneous
 from heatctrl.mesh import GAMMA1, GAMMA2
+from heatctrl.state import solve_state_homogeneous
 
 
 # -- independent dense element assembly ----------------------------------------
@@ -215,6 +223,75 @@ class SpaceTimeSystem:
         rhs = -Cg.T @ (lin + W_state @ (Cq @ q_fixed.ravel()))
         g = np.linalg.solve(Cg.T @ W_state @ Cg + Rg, rhs)
         return g.reshape(N, n)
+
+
+# -- reference helpers on the package's own sweeps -------------------------------
+
+def apply_C(data, ctrl, ops, variant):
+    """Linear part of the control-to-state map: u(ctrl) - u(zero controls)."""
+    return solve_state_homogeneous(ctrl, Stepper(ops, data.grid, variant, data.alpha))
+
+
+def extend_gamma2(ops, q):
+    """Extend gamma2-node fields (last axis) by zero to all nodes."""
+    q = np.asarray(q)
+    full = np.zeros(q.shape[:-1] + (ops.n_nodes,))
+    full[..., ops.gamma2_nodes] = q
+    return full
+
+
+def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
+    """The distributed-only optimum by conjugate gradients on g alone.
+
+    A standalone g-space CG on plain arrays with the flux q_fixed frozen in
+    every state solve: the algorithm `solve_distributed_only` must reproduce
+    bit for bit when it runs the simultaneous CG with the q part held.
+    """
+    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    grid = data.grid
+    q_fixed = np.asarray(q_fixed, dtype=float)
+    zero_q = np.zeros_like(q_fixed)
+
+    def inner(a, b):
+        return h_inner(a, b, ops, grid)
+
+    def solve_at(g):
+        ctrl = ControlPair(g, q_fixed.copy())
+        u = solve_state(data, ctrl, ops, variant, stepper)
+        p = solve_adjoint(data, u, ops, variant, stepper)
+        return ctrl, u, p, data.M1 * g + p.slices[:-1]
+
+    def hessian(d):
+        du = solve_state_homogeneous(ControlPair(d, zero_q), stepper)
+        return data.M1 * d + solve_adjoint_homogeneous(du, stepper).slices[:-1]
+
+    shape = (grid.n_steps, ops.n_nodes)
+    r = -solve_at(np.zeros(shape))[-1]
+    grad_norm0 = math.sqrt(max(inner(r, r), 0.0))
+    threshold = tol * (1.0 + grad_norm0)
+    history = [(0, grad_norm0)]
+    g = np.zeros(shape)
+    rr = inner(r, r)
+    d = None
+    iterations = 0
+    while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
+        d = r if d is None else r + (rr / rr_old) * d
+        z = hessian(d)
+        step = rr / inner(d, z)
+        g = g + step * d
+        r = r - step * z
+        rr, rr_old = inner(r, r), rr
+        iterations += 1
+        history.append((iterations, math.sqrt(max(rr, 0.0))))
+
+    ctrl, u, p, final_grad = solve_at(g)
+    grad_norm = math.sqrt(max(inner(final_grad, final_grad), 0.0))
+    return OptimalityReport(
+        control=ctrl, state=u, adjoint=p,
+        cost=cost_J(data, ctrl, ops, variant, stepper, u=u),
+        grad_norm=grad_norm, grad_norm0=grad_norm0, iterations=iterations,
+        solver="cg", converged=grad_norm <= threshold, tol=tol, history=history,
+    )
 
 
 # -- shared instance builders ----------------------------------------------------

@@ -383,6 +383,9 @@ def test_solve_writes_reports_without_resolving(tmp_path, monkeypatch):
     ("n_steps = 2", "n_steps = four", "[time] n_steps"),
     ("max_iter = 500", "max_iter = -3", "[solver] max_iter"),
     ("max_iter = 500", "max_iter = inf", "[solver] max_iter"),
+    ("nx = 4", "nx = true", "[mesh] nx"),
+    ("T = 1.0", "T = true", "[time] T"),
+    ("M1 = 1.0", "M1 = true", "[problem] M1"),
 ])
 def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)

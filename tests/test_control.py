@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatctrl import (ControlPair, ProblemData, Stepper, apply_C, apply_W,
+from heatctrl import (ControlPair, ProblemData, Stepper, apply_W,
                       compute_constants, contraction_constant, convexity_gap,
                       cost_J, gradient_J, h_inner, hq_inner, hq_norm,
                       measured_step_ratio, q_inner, solve_cg,
@@ -14,7 +14,8 @@ import heatctrl.state
 from heatctrl.control import _cg
 from heatctrl.linalg import SolverError
 
-from oracles import SpaceTimeSystem, make_instance, random_control
+from oracles import (SpaceTimeSystem, apply_C, distributed_only_on_g,
+                     make_instance, random_control)
 
 
 def matched_target(data, ops, variant="P"):
@@ -195,8 +196,12 @@ def test_cg_trivial_optimum_zero_iterations():
     assert hq_norm(rep.control, ops, data.grid) == 0.0
 
 
-@pytest.mark.parametrize("variant", ["P", "Palpha"])
-def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, monkeypatch):
+@pytest.mark.parametrize("variant, solver", [
+    pytest.param("P", "simultaneous", id="P"),
+    pytest.param("Palpha", "simultaneous", id="Palpha"),
+    pytest.param("P", "distributed_only", id="distributed_only-P"),
+])
+def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatch):
     counts = {"forward": 0, "backward": 0, "factorization": 0}
 
     def counted(name, fn):
@@ -212,7 +217,12 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, monkeypatch):
     monkeypatch.setattr(heatctrl.state, "SpdFactor",
                         counted("factorization", heatctrl.state.SpdFactor))
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21, alpha=10.0)
-    rep = solve_cg(data, ops, variant, 1e-10)
+    if solver == "simultaneous":
+        rep = solve_cg(data, ops, variant, 1e-10)
+    else:
+        q_fixed = np.random.default_rng(22).standard_normal(
+            (data.grid.n_steps, len(ops.gamma2_nodes)))
+        rep = solve_distributed_only(data, q_fixed, ops, variant, 1e-10)
     k = rep.iterations
     assert rep.converged and k > 0
     # gradient at zero, one state/adjoint pair per iteration, final report
@@ -220,10 +230,13 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, monkeypatch):
 
 
 def test_cg_refuses_non_finite_curvature():
+    ops, data = make_instance(seed=37)
+    zero = ControlPair.zeros_like(ops, data.grid)
+    ones = ControlPair(np.ones_like(zero.g), np.ones_like(zero.q))
+    nan = ControlPair(np.full_like(zero.g, np.nan), np.full_like(zero.q, np.nan))
     history = []
     with pytest.raises(SolverError, match="curvature"):
-        _cg(np.zeros(3), np.ones(3), lambda d: np.full(3, np.nan),
-            lambda a, b: float(a @ b), 1e-10, 10, history)
+        _cg(zero, ones, lambda d: nan, ops, data.grid, 1e-10, 10, history)
     assert history == []
 
 
@@ -373,6 +386,35 @@ def test_simultaneous_cost_never_exceeds_frozen_flux_cost():
     full = solve_cg(data, ops, "P", 1e-11)
     dist = solve_distributed_only(data, full.control.q, ops, "P", 1e-11)
     assert full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+@pytest.mark.parametrize("flux", ["random", "simultaneous_optimum", "zero_data"])
+def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=39, alpha=10.0,
+                              zero_data=flux == "zero_data")
+    shape_q = (data.grid.n_steps, len(ops.gamma2_nodes))
+    if flux == "random":
+        q_fixed = np.random.default_rng(40).standard_normal(shape_q)
+    elif flux == "simultaneous_optimum":
+        q_fixed = solve_cg(data, ops, variant, 1e-11).control.q
+    else:
+        q_fixed = np.zeros(shape_q)
+    rep = solve_distributed_only(data, q_fixed, ops, variant, 1e-11)
+    ref = distributed_only_on_g(data, q_fixed, ops, variant, 1e-11)
+    assert (flux == "zero_data") == (ref.iterations == 0)
+    for got, expected in ((rep.control.g, ref.control.g), (rep.control.q, ref.control.q),
+                          (rep.state.slices, ref.state.slices),
+                          (rep.adjoint.slices, ref.adjoint.slices)):
+        assert same_bits(got, expected)
+    for name in ("cost", "grad_norm", "grad_norm0", "iterations", "history",
+                 "converged", "solver", "tol"):
+        assert getattr(rep, name) == getattr(ref, name), name
 
 
 def test_bad_q_fixed_shape_rejected():

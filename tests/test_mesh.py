@@ -2,7 +2,43 @@ import numpy as np
 import pytest
 
 from heatctrl import TimeGrid, build_rect_mesh, dof_partition
-from heatctrl.mesh import GAMMA1, GAMMA2, edge_lengths, signed_areas
+from heatctrl.mesh import GAMMA1, GAMMA2, SIDES, edge_lengths, signed_areas
+
+
+def loop_rect_mesh(nx, ny, g1_sides):
+    """nodes, triangles, boundary edges and tags filled cell by cell."""
+    nodes = np.empty(((nx + 1) * (ny + 1), 2))
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            nodes[j * (nx + 1) + i] = (i / nx, j / ny)
+
+    triangles = []
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            b = a + 1
+            c = a + nx + 2
+            d = a + nx + 1
+            triangles.append((a, b, c))
+            triangles.append((a, c, d))
+
+    def side_ids(side):
+        if side == "left":
+            return [j * (nx + 1) for j in range(ny + 1)]
+        if side == "right":
+            return [j * (nx + 1) + nx for j in range(ny + 1)]
+        if side == "bottom":
+            return list(range(nx + 1))
+        return [ny * (nx + 1) + i for i in range(nx + 1)]
+
+    edges, tags = [], []
+    for side in SIDES:
+        ids = side_ids(side)
+        for k in range(len(ids) - 1):
+            edges.append((ids[k], ids[k + 1]))
+            tags.append(GAMMA1 if side in g1_sides else GAMMA2)
+    return (nodes, np.asarray(triangles, dtype=np.intp),
+            np.asarray(edges, dtype=np.intp), np.asarray(tags))
 
 
 def test_smallest_grid_counts():
@@ -38,6 +74,19 @@ def test_geometry_invariants(nx, ny, gamma1):
     assert total == pytest.approx(4.0, rel=1e-12)
     # node coordinates are exact grid multiples
     assert np.array_equal(mesh.nodes[:, 0] * nx, np.round(mesh.nodes[:, 0] * nx))
+
+
+@pytest.mark.parametrize("nx,ny,gamma1", [
+    (1, 1, ("left",)), (3, 2, ("left",)), (5, 3, ("left", "right")),
+    (16, 16, ("left",)),
+])
+def test_mesh_equals_the_cell_loop_bitwise(nx, ny, gamma1):
+    mesh = build_rect_mesh(nx, ny, ",".join(gamma1))
+    nodes, triangles, edges, tags = loop_rect_mesh(nx, ny, gamma1)
+    for got, expected in ((mesh.nodes, nodes), (mesh.triangles, triangles),
+                          (mesh.boundary_edges, edges), (mesh.boundary_tags, tags)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_dof_partition_smallest():

@@ -7,7 +7,7 @@ from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
                       build_rect_mesh, solve_state)
 from heatctrl.analysis import boundary_residual_norm
 
-from oracles import SpaceTimeSystem, make_instance, random_control
+from oracles import SpaceTimeSystem, extend_gamma2, make_instance, random_control
 
 
 def zero_instance(nx=2, ny=2, n_steps=3, alpha=10.0):
@@ -169,7 +169,7 @@ def test_load_equals_the_zero_extended_flux_product(variant, alpha):
     rng = np.random.default_rng(3)
     g = rng.standard_normal(ops.n_nodes)
     q = rng.standard_normal(len(ops.gamma2_nodes))
-    expected = ops.M @ g - ops.B2 @ ops.extend_gamma2(q)
+    expected = ops.M @ g - ops.B2 @ extend_gamma2(ops, q)
     assert np.array_equal(stepper.load(g, q), expected)
     assert np.array_equal(stepper.load(g, np.zeros_like(q)), ops.M @ g)
 
