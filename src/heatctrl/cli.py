@@ -99,6 +99,9 @@ def _spec_args(args, count):
     return numbers
 
 
+# an overflow is not worth a numpy warning: the finiteness check turns it
+# into a config error
+@np.errstate(all="ignore")
 def _field_values(spec, points, origin):
     """Evaluate a catalog field spec at an array of (x, y) points."""
     spec = str(spec).strip()

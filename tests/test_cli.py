@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import heatctrl
 from heatctrl import (ProblemData, TimeGrid, assemble, build_rect_mesh,
                       solve_adjoint, solve_cg, solve_distributed_only,
                       solve_fixed_point, solve_state)
@@ -396,6 +401,24 @@ def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
     path.write_text(text.replace(old, new))
     assert main(["solve", "--config", str(path), "--quiet"]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_field_prints_only_the_config_error(tmp_path):
+    # a fresh interpreter with the default warning filters, so a numpy
+    # overflow warning would reach stderr as it does on the command line
+    path = write_config(tmp_path, z_d="linear:1e308,1e308,0")
+    src = str(Path(heatctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from heatctrl.cli import main; "
+         "sys.exit(main())", "solve", "--config", str(path), "--quiet"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ("configuration error: [problem] z_d: field "
+                           "'linear:1e308,1e308,0' has non-finite values\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heatctrl import (EigenError, SpdFactor, assemble, build_rect_mesh,
-                      gen_eig_extreme)
+from heatctrl import (EigenError, SpdFactor, Stepper, TimeGrid, assemble,
+                      build_rect_mesh, gen_eig_extreme)
 
 from oracles import dense_assemble
 
@@ -104,12 +104,34 @@ def test_rayleigh_quotients_bracketed_by_extremes():
         assert lo - 1e-8 <= quot <= hi + 1e-8
 
 
+@pytest.mark.parametrize("variant, alpha", [("P", None), ("Palpha", 10.0)])
+def test_step_matrix_solves_match_dense_solve(variant, alpha):
+    ops = assemble(build_rect_mesh(6, 5, "left,bottom"))
+    grid = TimeGrid(T=1.0, n_steps=4)
+    stepper = Stepper(ops, grid, variant, alpha)
+    A = ops.M / grid.tau + ops.K
+    if variant == "P":
+        A = A[np.ix_(ops.free_nodes, ops.free_nodes)]
+    else:
+        A = A + alpha * ops.B1
+    A = sp.csr_matrix(A).toarray()
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        rhs = rng.standard_normal(A.shape[0])
+        expected = np.linalg.solve(A, rhs)
+        got = stepper.factor.solve(rhs)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_bad_inputs_rejected():
     A = sp.identity(2, format="csr")
     with pytest.raises(ValueError):
         gen_eig_extreme(A, A, "median")
     with pytest.raises(ValueError, match="square"):
         SpdFactor(sp.csr_matrix((2, 3)))
+    # the transposed solve would return the solution of A^T x = b
+    with pytest.raises(ValueError, match="symmetric"):
+        SpdFactor(sp.csr_matrix([[2.0, 1.0], [0.0, 2.0]]))
 
 
 def test_solves_and_eigenvalues_are_deterministic():
