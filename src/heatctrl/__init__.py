@@ -8,8 +8,8 @@ the Robin-to-pinned limit and the fixed-point characterization of optima.
 """
 
 from .adjoint import solve_adjoint
-from .analysis import (SweepRecord, SweepReport, fixed_control_sweep,
-                       optimal_control_sweep, section5_checks, sweep_flags)
+from .analysis import (SweepRecord, SweepReport, check_suite,
+                       fixed_control_sweep, optimal_control_sweep, sweep_flags)
 from .assembly import (AssemblyError, ConstantsReport, DiscreteOperators,
                        assemble, compute_constants)
 from .control import (OptimalityReport, apply_W, contraction_constant,
@@ -39,6 +39,7 @@ __all__ = [
     "apply_W",
     "assemble",
     "build_rect_mesh",
+    "check_suite",
     "compute_constants",
     "contraction_constant",
     "convexity_gap",
@@ -53,7 +54,6 @@ __all__ = [
     "measured_step_ratio",
     "optimal_control_sweep",
     "q_inner",
-    "section5_checks",
     "solve_adjoint",
     "solve_cg",
     "solve_distributed_only",

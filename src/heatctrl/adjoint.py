@@ -46,7 +46,7 @@ def solve_adjoint(data: ProblemData, u: Trajectory, ops, variant,
     """Adjoint of the pinned or Robin system, driven by the tracking residual of u."""
     _check_state(data, u, ops)
     stepper = stepper_for(data, ops, variant, stepper)
-    return Trajectory(_backward(stepper, u.slices[1:] - data.z_d), role="adjoint")
+    return Trajectory(_backward(stepper, u.slices[1:] - data.z_d))
 
 
 def solve_adjoint_homogeneous(du: Trajectory, stepper: Stepper) -> Trajectory:
@@ -55,4 +55,4 @@ def solve_adjoint_homogeneous(du: Trajectory, stepper: Stepper) -> Trajectory:
     Used by the reduced optimizers: the Hessian action on a control
     direction is assembled from this sweep applied to the homogeneous state.
     """
-    return Trajectory(_backward(stepper, du.slices[1:]), role="adjoint")
+    return Trajectory(_backward(stepper, du.slices[1:]))

@@ -139,7 +139,7 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     )
 
 
-def compute_constants(ops: DiscreteOperators, tol=1e-10) -> ConstantsReport:
+def compute_constants(ops: DiscreteOperators) -> ConstantsReport:
     """Discrete coercivity/trace constants via generalized eigen-extremes.
 
     The discrete H1 norm is v^T (K + M) v throughout; lambda0 is computed on
@@ -154,9 +154,9 @@ def compute_constants(ops: DiscreteOperators, tol=1e-10) -> ConstantsReport:
     KM = sp.csr_matrix(ops.K + ops.M)
     K_ff = sp.csr_matrix(ops.K[np.ix_(F, F)])
     KM_ff = sp.csr_matrix(KM[np.ix_(F, F)])
-    lambda0 = gen_eig_extreme(K_ff, KM_ff, "smallest", tol=tol)
-    lambda1 = gen_eig_extreme(sp.csr_matrix(ops.K + ops.B1), KM, "smallest", tol=tol)
-    mu_max = gen_eig_extreme(ops.B2, KM, "largest", tol=tol)
+    lambda0 = gen_eig_extreme(K_ff, KM_ff, "smallest")
+    lambda1 = gen_eig_extreme(sp.csr_matrix(ops.K + ops.B1), KM, "smallest")
+    mu_max = gen_eig_extreme(ops.B2, KM, "largest")
     mesh = ops.mesh
     g1 = ",".join(sorted(set(
         _side_of_edge(mesh, e) for e in mesh.edges_with_tag(GAMMA1)

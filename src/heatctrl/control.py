@@ -132,11 +132,10 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t, ops,
 
 
 def apply_W(data: ProblemData, ctrl: ControlPair, ops, variant,
-            stepper=None, p: Trajectory | None = None) -> ControlPair:
+            stepper=None) -> ControlPair:
     """Fixed-point map (-p/M1, p|gamma2/M2) built from the adjoint at ctrl."""
-    if p is None:
-        u = solve_state(data, ctrl, ops, variant, stepper)
-        p = solve_adjoint(data, u, ops, variant, stepper)
+    u = solve_state(data, ctrl, ops, variant, stepper)
+    p = solve_adjoint(data, u, ops, variant, stepper)
     p_steps = p.slices[:-1]
     return ControlPair(-p_steps / data.M1, ops.trace2(p_steps) / data.M2)
 

@@ -76,12 +76,9 @@ class ControlPair:
     q: np.ndarray
 
     @classmethod
-    def zeros(cls, n_steps, n_nodes, n_gamma2):
-        return cls(np.zeros((n_steps, n_nodes)), np.zeros((n_steps, n_gamma2)))
-
-    @classmethod
     def zeros_like(cls, ops: DiscreteOperators, grid: TimeGrid):
-        return cls.zeros(grid.n_steps, ops.n_nodes, len(ops.gamma2_nodes))
+        return cls(np.zeros((grid.n_steps, ops.n_nodes)),
+                   np.zeros((grid.n_steps, len(ops.gamma2_nodes))))
 
     def __add__(self, other):
         return ControlPair(self.g + other.g, self.q + other.q)
@@ -97,7 +94,7 @@ class ControlPair:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed nodal fields; role is "state", "adjoint" or "difference".
+    """Time-indexed nodal fields: a state, an adjoint or a difference of states.
 
     For adjoints the stored slice k pairs with control step k (slice k holds
     the multiplier of the step ending at t_{k+1}) and the last slice is the
@@ -105,7 +102,6 @@ class Trajectory:
     """
 
     slices: np.ndarray
-    role: str = "state"
 
 
 class Stepper:
@@ -220,7 +216,7 @@ def solve_state(data: ProblemData, ctrl: ControlPair, ops: DiscreteOperators,
     _check_ctrl(ctrl, ops, data.grid)
     stepper = stepper_for(data, ops, variant, stepper)
     u = _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
-    return Trajectory(u, role="state")
+    return Trajectory(u)
 
 
 def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> Trajectory:
@@ -232,4 +228,4 @@ def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> Trajectory:
     ops, grid = stepper.ops, stepper.grid
     _check_ctrl(ctrl, ops, grid)
     du = _forward(stepper, ctrl, np.zeros(ops.n_nodes), None, 0.0)
-    return Trajectory(du, role="difference")
+    return Trajectory(du)

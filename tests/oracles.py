@@ -193,7 +193,7 @@ class SpaceTimeSystem:
         R = self.control_weight(data).copy()
         R[:N * n, :N * n] *= data.M1
         R[N * n:, N * n:] *= data.M2
-        u00 = self.state(data, ControlPair.zeros(N, n, m))
+        u00 = self.state(data, ControlPair.zeros_like(self.ops, self.grid))
         Md = self.ops.M.toarray()
         lin = np.concatenate([
             tau * (Md @ (u00[k + 1] - data.z_d[k]))[self.rows] for k in range(N)
@@ -216,7 +216,7 @@ class SpaceTimeSystem:
         W_state = np.kron(np.eye(N), tau * self.M_rr)
         Md = self.ops.M.toarray()
         Rg = data.M1 * np.kron(np.eye(N), tau * Md)
-        u00 = self.state(data, ControlPair.zeros(N, n, m))
+        u00 = self.state(data, ControlPair.zeros_like(self.ops, self.grid))
         lin = np.concatenate([
             tau * (Md @ (u00[k + 1] - data.z_d[k]))[self.rows] for k in range(N)
         ])

@@ -94,9 +94,9 @@ def test_residual_to_adjoint_map_is_linear():
     stepper = Stepper(ops, data.grid, "P")
     rng = np.random.default_rng(12)
     shape = (data.grid.n_steps + 1, ops.n_nodes)
-    d1 = Trajectory(rng.standard_normal(shape), role="difference")
-    d2 = Trajectory(rng.standard_normal(shape), role="difference")
-    both = Trajectory(d1.slices + d2.slices, role="difference")
+    d1 = Trajectory(rng.standard_normal(shape))
+    d2 = Trajectory(rng.standard_normal(shape))
+    both = Trajectory(d1.slices + d2.slices)
     from heatctrl.adjoint import solve_adjoint_homogeneous
     p1 = solve_adjoint_homogeneous(d1, stepper).slices
     p2 = solve_adjoint_homogeneous(d2, stepper).slices
@@ -106,6 +106,6 @@ def test_residual_to_adjoint_map_is_linear():
 
 def test_wrong_trajectory_length_rejected():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=13)
-    short = Trajectory(np.zeros((2, ops.n_nodes)), role="state")
+    short = Trajectory(np.zeros((2, ops.n_nodes)))
     with pytest.raises(ValueError, match="shape"):
         solve_adjoint(data, short, ops, "P")

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from heatctrl import (ControlPair, ProblemData, TimeGrid, assemble,
-                      build_rect_mesh, fixed_control_sweep,
-                      optimal_control_sweep, section5_checks, sweep_flags)
+                      build_rect_mesh, check_suite, fixed_control_sweep,
+                      optimal_control_sweep, sweep_flags)
 
 import heatctrl.state
+from heatctrl.analysis import check_alphas
 
 from oracles import make_instance, random_control
 
@@ -70,6 +71,17 @@ def test_sweep_alphas_validated():
         fixed_control_sweep(data, ctrl, [10.0, 10.0], ops)
 
 
+def test_empty_sweep_ladder_rejected():
+    ops, data = make_instance(seed=42)
+    ctrl = ControlPair.zeros_like(ops, data.grid)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        check_alphas([])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        fixed_control_sweep(data, ctrl, [], ops)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        optimal_control_sweep(data, [], ops, tol=1e-10)
+
+
 def test_optimal_sweep_trivial_instance():
     # zero data and zero target: every optimum is (0, 0) and all gaps vanish
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=43, zero_data=True)
@@ -91,9 +103,9 @@ def test_optimal_sweep_converges_to_pinned_problem():
     assert all(flags.values()), flags
 
 
-def test_section5_checks_all_pass_on_random_instance():
+def test_check_suite_all_pass_on_random_instance():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=45, M1=0.9, M2=1.7)
-    checks = section5_checks(data, ops, tol=1e-11, n_pairs=20)
+    checks = check_suite(data, ops, "P", tol=1e-11, n_pairs=20)
     names = {c["name"] for c in checks}
     assert "distributed_distance_estimate" in names
     assert "cost_ordering_alpha" in names
@@ -104,16 +116,16 @@ def test_section5_checks_all_pass_on_random_instance():
 
 def test_section5_trivial_instance_has_zero_sides():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=46, zero_data=True)
-    checks = section5_checks(data, ops, tol=1e-11, n_pairs=5)
+    checks = check_suite(data, ops, "P", tol=1e-11, n_pairs=5)
     est = next(c for c in checks if c["name"] == "distributed_distance_estimate")
-    assert est["lhs"] <= 1e-12 and est["rhs"] <= 1e-12
+    assert est["measured"] <= 1e-12 and est["bound"] <= 1e-12
     assert est["passed"]
 
 
 def test_section5_requires_alpha_above_one():
     ops, data = make_instance(seed=47, alpha=0.5)
     with pytest.raises(ValueError, match="alpha"):
-        section5_checks(data, ops, tol=1e-10)
+        check_suite(data, ops, "P", tol=1e-10)
 
 
 def test_sweep_report_round_trip_dict():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from heatctrl import cli
 from heatctrl.cli import (ConfigError, load_config, main, parse_config_text,
                           summarize_solve, summarize_sweep, write_csv,
                           write_csv_series, write_json)
-from heatctrl.linalg import SolverError
+from heatctrl.linalg import SolverError, SpdFactor
 
 BASE_CONFIG = """
 [mesh]
@@ -222,6 +224,65 @@ def test_sweep_rejects_alpha_at_most_one(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alphas", ["alphas = []", ""])
+def test_sweep_rejects_an_empty_ladder(tmp_path, capsys, alphas):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("alphas = [10.0, 100.0, 1000.0]", alphas))
+    assert main(["sweep", "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [problem] alphas:")
+    assert "at least one coefficient" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quiet_failed_sweep_reports_on_stderr(tmp_path, capsys):
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    text = path.read_text().replace("nx = 2", "nx = 3").replace("ny = 2", "ny = 3") \
+                           .replace("tol = 1e-10", "tol = 1e-300")
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "check", "constants"])
+def test_mesh_without_free_node_is_a_config_error(tmp_path, capsys, command):
+    # on one cell, three gamma1 sides hold every node
+    path = write_config(tmp_path)
+    text = path.read_text().replace("nx = 2", "nx = 1").replace("ny = 2", "ny = 1") \
+                           .replace("gamma1 = left", "gamma1 = left,right,bottom")
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: [mesh] gamma1")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, count", [("check", 5), ("solve", 4),
+                                            ("constants", 3)])
+def test_each_operator_is_factorized_once(tmp_path, monkeypatch, command, count):
+    digests = []
+    init = SpdFactor.__init__
+
+    def recording(self, A):
+        B = sp.csr_matrix(A).sorted_indices()
+        digest = hashlib.sha1(repr(B.shape).encode())
+        for part in (B.indptr, B.indices, B.data):
+            digest.update(part.tobytes())
+        digests.append(digest.hexdigest())
+        init(self, A)
+
+    monkeypatch.setattr(SpdFactor, "__init__", recording)
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
+    text = path.read_text().replace("M1 = 1.0", "M1 = 60.0").replace("M2 = 1.0", "M2 = 60.0")
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--quiet"]) == 0
+    assert len(digests) == count
+    assert len(set(digests)) == count
+
+
 def test_check_small_instance_passes(tmp_path, capsys):
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
     code = main(["check", "--config", str(path)])
@@ -353,12 +414,10 @@ def test_report_trajectories_equal_a_fresh_solve(variant, optimizer):
     assert np.array_equal(rep.adjoint.slices, p.slices)
 
 
-def test_solve_writes_reports_without_resolving(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve must reuse the optimizer's trajectories")
-
-    monkeypatch.setattr(cli, "solve_state", refuse)
-    monkeypatch.setattr(cli, "solve_adjoint", refuse)
+def test_solve_writes_reports_without_resolving(tmp_path):
+    # the command layer has no solver of its own to re-solve with: the
+    # reports come from the optimizer's trajectories
+    assert not hasattr(cli, "solve_state") and not hasattr(cli, "solve_adjoint")
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
     text = path.read_text().replace("M1 = 1.0", "M1 = 60.0").replace("M2 = 1.0", "M2 = 60.0")
     path.write_text(text)
