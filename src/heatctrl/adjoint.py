@@ -26,18 +26,19 @@ def _check_state(data, u, ops):
 def _backward(stepper, residual):
     """The backward time loop on the stepper's solved nodes.
 
-    residual[k] is the nodal residual of step k+1; it enters as the load
-    M residual[k].  Rows off the solved nodes and the last slice stay zero.
+    residual[k] is the nodal residual of step k+1; step k solves
+    A_SS x = M_S (p_{k+1} / tau + residual[k]).  Rows off the solved nodes
+    and the last slice stay zero.
     """
     ops, grid = stepper.ops, stepper.grid
     S = stepper.nodes
     tau = grid.tau
     p = np.zeros((grid.n_steps + 1, ops.n_nodes))
-    x = p[-1, S]
+    field = np.empty(ops.n_nodes)
     for k in range(grid.n_steps - 1, -1, -1):
-        rhs = (stepper.mass @ x) / tau + (ops.M @ residual[k])[S]
-        x = stepper.factor.solve(rhs)
-        p[k, S] = x
+        np.divide(p[k + 1], tau, out=field)
+        field += residual[k]
+        p[k][S] = stepper.factor.solve(stepper.mass @ field)
     return p
 
 

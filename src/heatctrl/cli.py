@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (SolverNotConverged, check_alphas, check_suite,
-                       fixed_control_sweep, optimal_control_sweep, sweep_flags)
+from .analysis import (SolverNotConverged, _sweeps, check_alphas, check_suite,
+                       sweep_flags)
 from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
 from .linalg import EigenError, SolverError
@@ -421,9 +421,9 @@ def run_sweep(config: RunConfig, quiet=False) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     zero = ControlPair.zeros_like(ops, data.grid)
-    fixed = fixed_control_sweep(data, zero, alphas, ops)
+    fixed, report = _sweeps(data, alphas, ops, ctrl=zero, tol=config.tol,
+                            max_iter=config.max_iter)
     fixed_flags = sweep_flags(fixed)
-    report = optimal_control_sweep(data, alphas, ops, config.tol)
     flags = sweep_flags(report)
     payload = {
         "command": "sweep",

@@ -64,8 +64,17 @@ class OptimalityReport:
 # -- weighted space-time inner products --------------------------------------
 
 def _series_inner(a, b, A, tau) -> float:
-    """tau * sum_k a_k' A b_k over the slices of two (n_steps, n) series."""
-    return tau * float(np.sum(a * (A @ b.T).T))
+    """tau * sum_k a_k' A b_k over the slices of two (n_steps, n) series.
+
+    Slice by slice: `A @ b.T` copies a series into the transposed layout,
+    and a BLAS dot would round by the BLAS thread count.
+    """
+    total = 0.0
+    for a_k, b_k in zip(a, b):
+        y = A @ b_k
+        y *= a_k
+        total += float(y.sum())
+    return tau * total
 
 
 def h_inner(a, b, ops: DiscreteOperators, grid) -> float:
@@ -200,13 +209,20 @@ def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
     r is the negative gradient at x.  Stops once the residual norm is at
     most threshold or after max_iter iterations, appends (iteration,
     residual norm) to history and returns the iterate and the iteration
-    count.
+    count.  x, r and the search direction are updated in place, and so is
+    each product apply_H returns, which must be a new pair.
     """
     rr = hq_inner(r, r, ops, grid)
     d = None
     iterations = 0
     while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
-        d = r if d is None else r + (rr / rr_old) * d
+        if d is None:
+            d = ControlPair(r.g.copy(), r.q.copy())
+        else:
+            beta = rr / rr_old
+            for d_part, r_part in ((d.g, r.g), (d.q, r.q)):
+                d_part *= beta
+                d_part += r_part  # d = r + beta d
         z = apply_H(d)
         dz = hq_inner(d, z, ops, grid)
         if not dz > 0:
@@ -215,20 +231,27 @@ def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
                 f"(d'Ad = {dz:.3e})", residual=dz
             )
         step = rr / dz
-        x = x + step * d
-        r = r - step * z
+        for x_part, r_part, d_part, z_part in ((x.g, r.g, d.g, z.g),
+                                               (x.q, r.q, d.q, z.q)):
+            z_part *= step
+            r_part -= z_part  # r = r - step z
+            np.multiply(d_part, step, out=z_part)
+            x_part += z_part  # x = x + step d
         rr, rr_old = hq_inner(r, r, ops, grid), rr
         iterations += 1
         history.append((iterations, math.sqrt(max(rr, 0.0))))
     return x, iterations
 
 
-def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q):
+def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q,
+                start_pass=None):
     """Conjugate gradients on the reduced quadratic from the control (0, q_start).
 
     With hold_q the q parts of the gradient and of every Hessian product
     are zeroed, so q stays at q_start and the gradient norms cover g only.
     Stops once that norm drops below tol * (1 + its value at the start).
+    start_pass, when given, is the state and adjoint (u, p) at the start
+    control, which then costs no sweeps.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -239,7 +262,9 @@ def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q):
         # made afresh for each use, so no zero field stays alive through CG
         return ControlPair(np.zeros((grid.n_steps, ops.n_nodes)), q_start)
 
-    r = -1.0 * _held(gradient_J(data, start(), ops, variant, stepper), hold_q)
+    u, p = start_pass or (None, None)
+    r = -1.0 * _held(gradient_J(data, start(), ops, variant, stepper, u=u, p=p),
+                     hold_q)
     grad_norm0 = hq_norm(r, ops, grid)
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
@@ -252,15 +277,18 @@ def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q):
 
 
 def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
-             stepper=None) -> OptimalityReport:
+             stepper=None, *, _start_pass=None) -> OptimalityReport:
     """Conjugate gradients on the reduced quadratic, from zero controls.
 
     Stops once the gradient norm drops below tol * (1 + gradient norm at
     zero); each iteration costs one forward and one backward sweep.
+    _start_pass is for callers in this package that already hold the state
+    and adjoint (u, p) at zero controls (the alpha sweeps); the start then
+    costs no sweeps.
     """
     q_start = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
     return _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start,
-                       hold_q=False)
+                       hold_q=False, start_pass=_start_pass)
 
 
 def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import DiscreteOperators
 from .linalg import SpdFactor
@@ -107,10 +106,12 @@ class Trajectory:
 class Stepper:
     """Shared implicit-Euler machinery for one (variant, alpha) pair.
 
-    Holds the solved nodes (the free nodes for "P", all nodes for "Palpha"),
-    the factorized step matrix, the mass block on those nodes and the gamma2
-    columns of B2 (the flux load); the same factorization serves the forward
-    and the backward sweeps because every matrix involved is symmetric.
+    Holds the solved nodes S (the free nodes for "P", all nodes for
+    "Palpha"), the factorized step matrix A_SS, the rows S of the mass
+    matrix and of the gamma2 columns of B2 (the flux load), and for the
+    pinned variant the Dirichlet block A_FD of the step matrix.  The same
+    factorization serves the forward and the backward sweeps because every
+    matrix involved is symmetric.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, variant="P", alpha=None):
@@ -120,38 +121,43 @@ class Stepper:
         self.grid = grid
         self.variant = variant
         self.alpha = alpha
-        self.B2_gamma_cols = sp.csr_matrix(ops.B2[:, ops.gamma2_nodes])
-        tau = grid.tau
         if variant == "P":
-            F = self.nodes = ops.free_nodes
-            A = ops.M / tau + ops.K
-            self.mass = sp.csr_matrix(ops.M[np.ix_(F, F)])
-            self.K_fd = sp.csr_matrix(ops.K[np.ix_(F, ops.dirichlet_nodes)])
-            self.factor = SpdFactor(sp.csr_matrix(A[np.ix_(F, F)]))
+            S = self.nodes = ops.free_nodes
+            A = (ops.M / grid.tau + ops.K)[S]
+            self.A_fd = A[:, ops.dirichlet_nodes]
+            A = A[:, S]
         else:
             if alpha is None or alpha <= 0:
                 raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
-            self.nodes = slice(None)
-            self.mass = ops.M
-            A = ops.M / tau + ops.K + alpha * ops.B1
-            self.factor = SpdFactor(sp.csr_matrix(A))
+            S = self.nodes = slice(None)
+            A = ops.M / grid.tau + ops.K + alpha * ops.B1
+        self.mass = ops.M[S]
+        self.flux = ops.B2[S][:, ops.gamma2_nodes]
+        self.factor = SpdFactor(A)
 
     def boundary_load(self, b):
-        """Constant load of the boundary data b on the solved nodes.
+        """Constant load of the boundary data b on the solved rows.
 
-        -K_fd b for the pinned variant, alpha B1 b for the Robin variant.
+        -A_FD b for the pinned variant: with the Dirichlet rows of every
+        slice held at b, the mass product of a step counts their part
+        M_FD b / tau, and -A_FD b = -M_FD b / tau - K_FD b takes it back out
+        and adds the stiffness lifting.  alpha B1 b for the Robin variant.
         """
         if self.variant == "P":
-            return -(self.K_fd @ b)
+            return -(self.A_fd @ b)
         b_ext = np.zeros(self.ops.n_nodes)
         b_ext[self.ops.dirichlet_nodes] = b
         return self.alpha * (self.ops.B1 @ b_ext)
 
-    def load(self, g_slice, q_slice):
-        """Right-hand-side contribution of one control sample (all nodes)."""
-        out = self.ops.M @ g_slice
+    def load(self, field, q_slice):
+        """M field - B2 q on the solved rows, for a nodal field and a gamma2 sample.
+
+        One forward step passes u_k / tau + g_k as the field, so a single
+        sparse product covers the mass term and the distributed control.
+        """
+        out = self.mass @ field
         if np.any(q_slice):
-            out -= self.B2_gamma_cols @ q_slice
+            out -= self.flux @ q_slice
         return out
 
 
@@ -191,7 +197,8 @@ def _forward(stepper, ctrl, start, source, pinned):
 
     start is the nodal field at t_0, source an optional constant load on the
     solved nodes, and pinned the value of the Dirichlet rows of every later
-    slice (the Robin variant solves those rows too).
+    slice (the Robin variant solves those rows too).  Step k solves
+    A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + source.
     """
     ops, grid = stepper.ops, stepper.grid
     S = stepper.nodes
@@ -199,13 +206,14 @@ def _forward(stepper, ctrl, start, source, pinned):
     u = np.empty((grid.n_steps + 1, ops.n_nodes))
     u[0] = start
     u[1:, ops.dirichlet_nodes] = pinned
-    x = u[0, S]
+    field = np.empty(ops.n_nodes)
     for k in range(grid.n_steps):
-        rhs = (stepper.mass @ x) / tau + stepper.load(ctrl.g[k], ctrl.q[k])[S]
+        np.divide(u[k], tau, out=field)
+        field += ctrl.g[k]
+        rhs = stepper.load(field, ctrl.q[k])
         if source is not None:
             rhs += source
-        x = stepper.factor.solve(rhs)
-        u[k + 1, S] = x
+        u[k + 1][S] = stepper.factor.solve(rhs)  # a row view: half the cost of u[k + 1, S]
     return u
 
 

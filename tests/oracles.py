@@ -11,6 +11,7 @@ package's own compositions of those sweeps must compute.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from heatctrl import (ControlPair, OptimalityReport, ProblemData, Stepper,
                       TimeGrid, assemble, build_rect_mesh, cost_J, h_inner,
@@ -238,6 +239,59 @@ def extend_gamma2(ops, q):
     full = np.zeros(q.shape[:-1] + (ops.n_nodes,))
     full[..., ops.gamma2_nodes] = q
     return full
+
+
+def _two_product_setup(ops, grid, variant, alpha):
+    """Solved nodes, mass block, Dirichlet stiffness block and factor of one variant."""
+    factor = Stepper(ops, grid, variant, alpha).factor
+    if variant == "P":
+        S = ops.free_nodes
+        return (S, sp.csr_matrix(ops.M[np.ix_(S, S)]),
+                sp.csr_matrix(ops.K[np.ix_(S, ops.dirichlet_nodes)]), factor)
+    return slice(None), ops.M, None, factor
+
+
+def two_product_state(data, ctrl, ops, variant):
+    """The forward sweep as two sparse products per step.
+
+    Step k solves A x = (M_SS x_k) / tau + (M g_k - B2 q_k)|_S + source,
+    with source -K_SD b (pinned) or alpha B1 b (Robin): the loop the
+    one-product sweep replaced, kept as its reference.
+    """
+    grid, tau = data.grid, data.grid.tau
+    S, mass, K_fd, factor = _two_product_setup(ops, grid, variant, data.alpha)
+    if variant == "P":
+        source = -(K_fd @ data.b)
+    else:
+        b_ext = np.zeros(ops.n_nodes)
+        b_ext[ops.dirichlet_nodes] = data.b
+        source = data.alpha * (ops.B1 @ b_ext)
+    flux = sp.csr_matrix(ops.B2[:, ops.gamma2_nodes])
+    u = np.empty((grid.n_steps + 1, ops.n_nodes))
+    u[0] = data.v_b
+    u[1:, ops.dirichlet_nodes] = data.b
+    x = u[0, S]
+    for k in range(grid.n_steps):
+        load = ops.M @ ctrl.g[k] - flux @ ctrl.q[k]
+        x = factor.solve((mass @ x) / tau + load[S] + source)
+        u[k + 1, S] = x
+    return u
+
+
+def two_product_adjoint(data, u, ops, variant):
+    """The backward sweep as two sparse products per step.
+
+    Step k solves A x = (M_SS x_{k+1}) / tau + (M (u_{k+1} - z_d[k]))|_S:
+    the loop the one-product sweep replaced, kept as its reference.
+    """
+    grid, tau = data.grid, data.grid.tau
+    S, mass, _, factor = _two_product_setup(ops, grid, variant, data.alpha)
+    p = np.zeros((grid.n_steps + 1, ops.n_nodes))
+    x = p[-1, S]
+    for k in range(grid.n_steps - 1, -1, -1):
+        x = factor.solve((mass @ x) / tau + (ops.M @ (u[k + 1] - data.z_d[k]))[S])
+        p[k, S] = x
+    return p
 
 
 def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):

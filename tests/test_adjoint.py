@@ -5,7 +5,8 @@ from heatctrl import (ControlPair, Stepper, h_inner, q_inner, solve_adjoint,
                       solve_state)
 from heatctrl.state import Trajectory, solve_state_homogeneous
 
-from oracles import SpaceTimeSystem, make_instance, random_control
+from oracles import (SpaceTimeSystem, make_instance, random_control,
+                     two_product_adjoint)
 
 
 def test_state_equal_to_target_gives_zero_adjoint():
@@ -87,6 +88,17 @@ def test_terminal_slice_is_zero(variant):
     u = solve_state(data, ctrl, ops, variant)
     p = solve_adjoint(data, u, ops, variant)
     assert np.array_equal(p.slices[-1], np.zeros(ops.n_nodes))
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_sweep_matches_the_two_product_loop(variant):
+    ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=63, alpha=10.0,
+                              gamma1="left,bottom")
+    ctrl = random_control(ops, data.grid, np.random.default_rng(64))
+    u = solve_state(data, ctrl, ops, variant)
+    reference = two_product_adjoint(data, u.slices, ops, variant)
+    p = solve_adjoint(data, u, ops, variant).slices
+    assert np.max(np.abs(p - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_residual_to_adjoint_map_is_linear():

@@ -261,7 +261,7 @@ def test_mesh_without_free_node_is_a_config_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command, count", [("check", 5), ("solve", 4),
-                                            ("constants", 3)])
+                                            ("constants", 3), ("sweep", 4)])
 def test_each_operator_is_factorized_once(tmp_path, monkeypatch, command, count):
     digests = []
     init = SpdFactor.__init__
@@ -281,6 +281,78 @@ def test_each_operator_is_factorized_once(tmp_path, monkeypatch, command, count)
     assert main([command, "--config", str(path), "--quiet"]) == 0
     assert len(digests) == count
     assert len(set(digests)) == count
+
+
+def test_sweep_costs_two_sweeps_per_cg_iteration_plus_four(tmp_path, monkeypatch):
+    counts = {"forward": 0, "backward": 0}
+    iterations = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            rep = fn(*args, **kwargs)
+            iterations.append(rep.iterations)
+            return rep
+        return wrapper
+
+    monkeypatch.setattr(heatctrl.state, "_forward",
+                        counted("forward", heatctrl.state._forward))
+    monkeypatch.setattr(heatctrl.adjoint, "_backward",
+                        counted("backward", heatctrl.adjoint._backward))
+    monkeypatch.setattr(heatctrl.analysis, "solve_cg",
+                        recorded(heatctrl.analysis.solve_cg))
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    assert main(["sweep", "--config", str(path), "--quiet"]) == 0
+    # one CG solve per operator: the pinned one and three Robin coefficients
+    assert len(iterations) == 4 and all(k > 0 for k in iterations)
+    # per solve: the zero-control pass, which also gives the fixed-control
+    # record, one state/adjoint pair per iteration and the final report
+    total = sum(k + 2 for k in iterations)
+    assert counts == {"forward": total, "backward": total}
+
+
+CRITERION_9_CONFIG = """
+[mesh]
+nx = 4
+ny = 4
+gamma1 = left
+[time]
+T = 1.0
+n_steps = 8
+[problem]
+M1 = 1.0
+M2 = 1.0
+alpha = 10.0
+alphas = [10.0, 100.0, 1000.0]
+b = zero
+v_b = zero
+z_d = bump:0.6,0.5,0.2,1.0
+[solver]
+tol = 1e-10
+max_iter = 1
+optimizer = cg
+variant = P
+[output]
+directory = {out}
+formats = csv,json
+"""
+
+
+def test_sweep_obeys_the_iteration_cap(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(CRITERION_9_CONFIG.format(out=tmp_path / "out"))
+    assert main(["solve", "--config", str(path), "--quiet"]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: inner solve for P stopped")
+    assert "after 1 iterations" in captured.err
 
 
 def test_check_small_instance_passes(tmp_path, capsys):

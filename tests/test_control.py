@@ -1,17 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from heatctrl import (ControlPair, ProblemData, Stepper, apply_W,
-                      compute_constants, contraction_constant, convexity_gap,
-                      cost_J, gradient_J, h_inner, hq_inner, hq_norm,
-                      measured_step_ratio, q_inner, solve_cg,
+from heatctrl import (ControlPair, ProblemData, Stepper, apply_W, assemble,
+                      build_rect_mesh, compute_constants, contraction_constant,
+                      convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
+                      hq_norm, measured_step_ratio, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point, solve_state)
 
 import heatctrl.adjoint
 import heatctrl.state
-from heatctrl.control import _cg
+from heatctrl.control import _cg, _series_inner
 from heatctrl.linalg import SolverError
 
 from oracles import (SpaceTimeSystem, apply_C, distributed_only_on_g,
@@ -61,6 +66,28 @@ def test_apply_C_matches_dense_map(variant):
     dense = SpaceTimeSystem(ops, data.grid, variant, data.alpha).state_difference(ctrl)
     du = apply_C(data, ctrl, ops, variant)
     assert np.max(np.abs(du.slices - dense)) <= 1e-10
+
+
+# -- inner products ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["M", "K+M", "B1", "B2_gamma", "nonsymmetric"])
+def test_series_inner_matches_a_dense_product(name):
+    ops = assemble(build_rect_mesh(5, 4, "left,bottom"))
+    matrices = {
+        "M": ops.M, "K+M": ops.K + ops.M, "B1": ops.B1, "B2_gamma": ops.B2_gamma,
+        "nonsymmetric": sp.random(ops.n_nodes, ops.n_nodes, density=0.2,
+                                  format="csr", random_state=8),
+    }
+    A = matrices[name]
+    dense = A.toarray()
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((7, A.shape[0]))
+    b = rng.standard_normal((7, A.shape[0]))
+    tau = 0.125
+    expected = tau * sum(a_k @ (dense @ b_k) for a_k, b_k in zip(a, b))
+    scale = tau * sum(np.abs(a_k) @ (np.abs(dense) @ np.abs(b_k))
+                      for a_k, b_k in zip(a, b))
+    assert abs(_series_inner(a, b, A, tau) - expected) <= 1e-13 * scale
 
 
 # -- cost ------------------------------------------------------------------------
@@ -227,6 +254,39 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
     assert rep.converged and k > 0
     # gradient at zero, one state/adjoint pair per iteration, final report
     assert counts == {"forward": k + 2, "backward": k + 2, "factorization": 1}
+
+
+SOLVE_SCRIPT = """
+import numpy as np
+from heatctrl import ProblemData, TimeGrid, assemble, build_rect_mesh, solve_cg
+mesh = build_rect_mesh(101, 101, "left")
+ops = assemble(mesh)
+grid = TimeGrid(1.0, 2)
+x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+z = np.exp(-((x - 0.7) ** 2 + (y - 0.5) ** 2) / (2 * 0.15**2))
+data = ProblemData(b=np.zeros(len(ops.dirichlet_nodes)), v_b=np.zeros(ops.n_nodes),
+                   z_d=np.tile(z, (grid.n_steps, 1)), M1=1.0, M2=1.0, grid=grid,
+                   alpha=10.0)
+for variant in ("P", "Palpha"):
+    rep = solve_cg(data, ops, variant, 1e-10)
+    print(rep.cost.hex(), rep.grad_norm.hex(), rep.iterations)
+"""
+
+
+def test_cg_does_not_depend_on_the_blas_thread_count():
+    # 10404 nodes: long enough for OpenBLAS to split a dot product across
+    # threads, which changes its rounding
+    src = str(Path(heatctrl.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", SOLVE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        results.append(proc.stdout)
+    assert len(results[0].splitlines()) == 2
+    assert results[0] == results[1]
 
 
 def test_cg_refuses_non_finite_curvature():

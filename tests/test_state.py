@@ -7,7 +7,8 @@ from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
                       build_rect_mesh, solve_state)
 from heatctrl.analysis import boundary_residual_norm
 
-from oracles import SpaceTimeSystem, extend_gamma2, make_instance, random_control
+from oracles import (SpaceTimeSystem, extend_gamma2, make_instance, random_control,
+                     two_product_state)
 
 
 def zero_instance(nx=2, ny=2, n_steps=3, alpha=10.0):
@@ -169,9 +170,23 @@ def test_load_equals_the_zero_extended_flux_product(variant, alpha):
     rng = np.random.default_rng(3)
     g = rng.standard_normal(ops.n_nodes)
     q = rng.standard_normal(len(ops.gamma2_nodes))
-    expected = ops.M @ g - ops.B2 @ extend_gamma2(ops, q)
+    # the load lives on the solved rows: the free nodes for "P", all for "Palpha"
+    S = stepper.nodes
+    expected = (ops.M @ g - ops.B2 @ extend_gamma2(ops, q))[S]
     assert np.array_equal(stepper.load(g, q), expected)
-    assert np.array_equal(stepper.load(g, np.zeros_like(q)), ops.M @ g)
+    assert np.array_equal(stepper.load(g, np.zeros_like(q)), (ops.M @ g)[S])
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_sweep_matches_the_two_product_loop(variant):
+    # nonzero b, v_b, g and q exercise the -A_SD b lifting and the flux load
+    ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=61, alpha=10.0,
+                              gamma1="left,bottom")
+    ctrl = random_control(ops, data.grid, np.random.default_rng(62))
+    assert np.all(data.b != 0.0) and np.all(ctrl.q != 0.0)
+    reference = two_product_state(data, ctrl, ops, variant)
+    u = solve_state(data, ctrl, ops, variant).slices
+    assert np.max(np.abs(u - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_mismatched_data_rejected():
