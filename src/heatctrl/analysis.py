@@ -107,47 +107,44 @@ def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
     return math.sqrt(max((alpha - 1.0) * sq, 0.0))
 
 
-def _sweeps(data: ProblemData, alphas, ops, ctrl=None, tol=None,
+def _sweeps(data: ProblemData, alphas, ops, ctrl: ControlPair, tol=None,
             max_iter=CG_MAX_ITER):
-    """The fixed-control and the optimal-control sweep in one pass over the operators.
+    """The fixed-control sweep at ctrl and, given tol, the optimal-control sweep.
 
-    Builds one stepper per operator, the pinned one and then the Robin one
-    at each alpha, so each is factorized once and at most two
-    factorizations are alive at a time.  On each operator one state/adjoint
-    pass at ctrl (zero controls when ctrl is None) gives the fixed-control
-    record when ctrl is given, and when tol is given a CG solve gives the
-    optimal record; at zero controls that pass is also the CG start.
-    Returns the two reports, None for a sweep not asked for.
+    One pass over the operators, the pinned one and then the Robin one at
+    each alpha: each gets one stepper, so it is factorized once and at most
+    two factorizations are alive at a time, and one state/adjoint pass at
+    ctrl, which gives its fixed-control record.  Given tol, ctrl must be
+    zero controls: the pass is then also the start of the operator's CG
+    solve.  Returns the fixed-control report and the optimal-control report
+    (None without tol).  `cli.run_sweep` calls this loop directly, to get
+    both reports of `heatctrl sweep` from one pass.
     """
     alphas = check_alphas(alphas)
     grid = data.grid
-    at = ControlPair.zeros_like(ops, grid) if ctrl is None else ctrl
-    shared_start = not (np.any(at.g) or np.any(at.q))
     fixed, optimal = [], []
     for alpha in (None, *alphas):
         variant = "P" if alpha is None else "Palpha"
         data_a = data if alpha is None else data.with_alpha(alpha)
         stepper = Stepper(ops, grid, variant, alpha)
-        u = solve_state(data_a, at, ops, variant, stepper)
+        u = solve_state(data_a, ctrl, ops, variant, stepper)
         p = solve_adjoint(data_a, u, ops, variant, stepper)
         rep = None
         if tol is not None:
             rep = solve_cg(data_a, ops, variant, tol, max_iter=max_iter,
-                           stepper=stepper,
-                           _start_pass=(u, p) if shared_start else None)
+                           stepper=stepper, _start_pass=(u, p))
             if not rep.converged:
                 label = "P" if alpha is None else f"Palpha at alpha={alpha}"
                 raise SolverNotConverged(label, rep)
         if alpha is None:
             u_ref, p_ref, ref = u, p, rep
             continue
-        if ctrl is not None:
-            fixed.append(SweepRecord(
-                alpha=alpha,
-                state_gap=state_gap_norm(u, u_ref, ops, grid),
-                adjoint_gap=adjoint_gap_norm(p, p_ref, ops, grid),
-                boundary_residual=boundary_residual_norm(u, data.b, alpha, ops, grid),
-            ))
+        fixed.append(SweepRecord(
+            alpha=alpha,
+            state_gap=state_gap_norm(u, u_ref, ops, grid),
+            adjoint_gap=adjoint_gap_norm(p, p_ref, ops, grid),
+            boundary_residual=boundary_residual_norm(u, data.b, alpha, ops, grid),
+        ))
         if rep is not None:
             optimal.append(SweepRecord(
                 alpha=alpha,
@@ -158,31 +155,29 @@ def _sweeps(data: ProblemData, alphas, ops, ctrl=None, tol=None,
                 control_gap=hq_norm(rep.control - ref.control, ops, grid),
                 cost_alpha=rep.cost,
             ))
-    fixed_report = optimal_report = None
-    if ctrl is not None:
-        fixed_report = SweepReport(alphas=alphas, records=fixed,
-                                   reference={"problem": "P"})
-    if tol is not None:
-        reference = {
-            "problem": "P",
-            "cost": ref.cost,
-            "grad_norm": ref.grad_norm,
-            "iterations": ref.iterations,
-        }
-        optimal_report = SweepReport(alphas=alphas, records=optimal,
+    fixed_report = SweepReport(alphas=alphas, records=fixed,
+                               reference={"problem": "P"})
+    if tol is None:
+        return fixed_report, None
+    reference = {
+        "problem": "P",
+        "cost": ref.cost,
+        "grad_norm": ref.grad_norm,
+        "iterations": ref.iterations,
+    }
+    return fixed_report, SweepReport(alphas=alphas, records=optimal,
                                      reference=reference)
-    return fixed_report, optimal_report
 
 
 def fixed_control_sweep(data: ProblemData, ctrl: ControlPair, alphas, ops) -> SweepReport:
     """State/adjoint gaps against the pinned system for one fixed control."""
-    return _sweeps(data, alphas, ops, ctrl=ctrl)[0]
+    return _sweeps(data, alphas, ops, ctrl)[0]
 
 
-def optimal_control_sweep(data: ProblemData, alphas, ops, tol,
-                          max_iter=CG_MAX_ITER) -> SweepReport:
+def optimal_control_sweep(data: ProblemData, alphas, ops, tol) -> SweepReport:
     """Gaps between the per-alpha optima and the pinned problem's optimum."""
-    return _sweeps(data, alphas, ops, tol=tol, max_iter=max_iter)[1]
+    zero = ControlPair.zeros_like(ops, data.grid)
+    return _sweeps(data, alphas, ops, zero, tol=tol)[1]
 
 
 # relative distance of the last sweep optimum's cost from the pinned one

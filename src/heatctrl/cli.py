@@ -421,7 +421,8 @@ def run_sweep(config: RunConfig, quiet=False) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     zero = ControlPair.zeros_like(ops, data.grid)
-    fixed, report = _sweeps(data, alphas, ops, ctrl=zero, tol=config.tol,
+    # the package-private loop gives both reports from one pass per operator
+    fixed, report = _sweeps(data, alphas, ops, zero, tol=config.tol,
                             max_iter=config.max_iter)
     fixed_flags = sweep_flags(fixed)
     flags = sweep_flags(report)

@@ -152,6 +152,8 @@ class Stepper:
     def load(self, field, q_slice):
         """M field - B2 q on the solved rows, for a nodal field and a gamma2 sample.
 
+        The result has one entry per solved node (len(free_nodes) for the
+        pinned variant, n_nodes for the Robin one), not one per mesh node.
         One forward step passes u_k / tau + g_k as the field, so a single
         sparse product covers the mass term and the distributed control.
         """

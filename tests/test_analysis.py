@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from heatctrl import (ControlPair, ProblemData, TimeGrid, assemble,
-                      build_rect_mesh, check_suite, fixed_control_sweep,
-                      optimal_control_sweep, sweep_flags)
+                      build_rect_mesh, check_suite, fixed_control_sweep, hq_norm,
+                      optimal_control_sweep, solve_cg, sweep_flags)
 
 import heatctrl.state
-from heatctrl.analysis import check_alphas
+from heatctrl.analysis import _sweeps, check_alphas
 
 from oracles import make_instance, random_control
 
@@ -101,6 +101,24 @@ def test_optimal_sweep_converges_to_pinned_problem():
         assert gaps[-1] < 0.2 * gaps[0], name
     flags = sweep_flags(report)
     assert all(flags.values()), flags
+
+
+def test_shared_zero_pass_equals_separate_sweeps_and_solves():
+    # the zero-control pass behind both sweeps of `heatctrl sweep` gives the
+    # fixed-control report and starts each CG solve exactly as fresh runs do
+    ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
+    alphas = [10.0, 100.0]
+    zero = ControlPair.zeros_like(ops, data.grid)
+    fixed, optimal = _sweeps(data, alphas, ops, zero, tol=1e-10)
+    assert fixed.to_dict() == fixed_control_sweep(data, zero, alphas, ops).to_dict()
+    ref = solve_cg(data, ops, "P", 1e-10)
+    assert optimal.reference == {"problem": "P", "cost": ref.cost,
+                                 "grad_norm": ref.grad_norm,
+                                 "iterations": ref.iterations}
+    for alpha, rec in zip(alphas, optimal.records):
+        rep = solve_cg(data.with_alpha(alpha), ops, "Palpha", 1e-10)
+        assert rec.cost_alpha == rep.cost
+        assert rec.control_gap == hq_norm(rep.control - ref.control, ops, data.grid)
 
 
 def test_check_suite_all_pass_on_random_instance():
