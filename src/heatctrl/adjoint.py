@@ -12,7 +12,7 @@ holds to machine precision for both variants.
 
 import numpy as np
 
-from .state import ProblemData, Stepper, Trajectory, stepper_for
+from .state import ProblemData, Stepper, Trajectory, _check
 
 
 def _check_state(data, u, ops):
@@ -42,11 +42,10 @@ def _backward(stepper, residual):
     return p
 
 
-def solve_adjoint(data: ProblemData, u: Trajectory, ops, variant,
-                  stepper: Stepper | None = None) -> Trajectory:
-    """Adjoint of the pinned or Robin system, driven by the tracking residual of u."""
-    _check_state(data, u, ops)
-    stepper = stepper_for(data, ops, variant, stepper)
+def solve_adjoint(data: ProblemData, u: Trajectory, stepper: Stepper) -> Trajectory:
+    """Adjoint of the stepper's system, driven by the tracking residual of u."""
+    _check(data, stepper)
+    _check_state(data, u, stepper.ops)
     return Trajectory(_backward(stepper, u.slices[1:] - data.z_d))
 
 

@@ -124,15 +124,12 @@ def _sweeps(data: ProblemData, alphas, ops, ctrl: ControlPair, tol=None,
     grid = data.grid
     fixed, optimal = [], []
     for alpha in (None, *alphas):
-        variant = "P" if alpha is None else "Palpha"
-        data_a = data if alpha is None else data.with_alpha(alpha)
-        stepper = Stepper(ops, grid, variant, alpha)
-        u = solve_state(data_a, ctrl, ops, variant, stepper)
-        p = solve_adjoint(data_a, u, ops, variant, stepper)
+        stepper = Stepper(ops, grid, "P" if alpha is None else "Palpha", alpha)
+        u = solve_state(data, ctrl, stepper)
+        p = solve_adjoint(data, u, stepper)
         rep = None
         if tol is not None:
-            rep = solve_cg(data_a, ops, variant, tol, max_iter=max_iter,
-                           stepper=stepper, _start_pass=(u, p))
+            rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_pass=(u, p))
             if not rep.converged:
                 label = "P" if alpha is None else f"Palpha at alpha={alpha}"
                 raise SolverNotConverged(label, rep)
@@ -259,8 +256,8 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     rng = np.random.default_rng(7)
     for name, variant_stepper in steppers.items():
         base = random_ctrl(rng)
-        u = solve_state(data, base, ops, name, variant_stepper)
-        p = solve_adjoint(data, u, ops, name, variant_stepper)
+        u = solve_state(data, base, variant_stepper)
+        p = solve_adjoint(data, u, variant_stepper)
         worst = 0.0
         for _ in range(5):
             d = random_ctrl(rng)
@@ -276,11 +273,11 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
         ctrl = random_ctrl(rng)
         d = random_ctrl(rng)
         d = (1.0 / hq_norm(d, ops, grid)) * d
-        grad = gradient_J(data, ctrl, ops, variant, stepper)
+        grad = gradient_J(data, ctrl, stepper)
         directional = hq_inner(grad, d, ops, grid)
         h = 1e-5
-        jp = cost_J(data, ctrl + h * d, ops, variant, stepper)
-        jm = cost_J(data, ctrl - h * d, ops, variant, stepper)
+        jp = cost_J(data, ctrl + h * d, stepper)
+        jm = cost_J(data, ctrl - h * d, stepper)
         fd = (jp - jm) / (2.0 * h)
         worst = max(worst, abs(directional - fd) / max(abs(fd), 1e-300))
     add("gradient_finite_difference", worst, 1e-6, worst <= 1e-6)
@@ -288,10 +285,10 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     worst = 0.0
     for _ in range(3):
         c1, c2 = random_ctrl(rng), random_ctrl(rng)
-        u1 = solve_state(data, c1, ops, variant, stepper)
-        u2 = solve_state(data, c2, ops, variant, stepper)
+        u1 = solve_state(data, c1, stepper)
+        u2 = solve_state(data, c2, stepper)
         for t in (0.25, 0.5, 0.75):
-            gap = convexity_gap(data, c1, c2, t, ops, variant, stepper)
+            gap = convexity_gap(data, c1, c2, t, stepper)
             dmis = u2.slices[1:] - u1.slices[1:]
             expect = 0.5 * t * (1.0 - t) * (
                 h_inner(dmis, dmis, ops, grid)
@@ -303,18 +300,17 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
 
     constants = compute_constants(ops)
     solutions = {
-        name: solve_cg(data, ops, name, tol, max_iter=max_iter,
-                       stepper=variant_stepper)
+        name: solve_cg(data, variant_stepper, tol, max_iter=max_iter)
         for name, variant_stepper in steppers.items()
     }
     rng = np.random.default_rng(20240)
     for name, variant_stepper in steppers.items():
-        alpha = data.alpha if name == "Palpha" else None
+        alpha = variant_stepper.alpha
         lam = _coercivity(constants, name, alpha)
         suffix = "" if name == "P" else "_alpha"
         full = solutions[name]
-        dist = solve_distributed_only(data, full.control.q, ops, name, tol,
-                                      max_iter=max_iter, stepper=variant_stepper)
+        dist = solve_distributed_only(data, full.control.q, variant_stepper, tol,
+                                      max_iter=max_iter)
 
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
@@ -336,15 +332,14 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
         worst = 0.0
         for _ in range(n_pairs):
             c_a, c_b = random_ctrl(rng), random_ctrl(rng)
-            wa = apply_W(data, c_a, ops, name, variant_stepper)
-            wb = apply_W(data, c_b, ops, name, variant_stepper)
+            wa = apply_W(data, c_a, variant_stepper)
+            wb = apply_W(data, c_b, variant_stepper)
             ratio = hq_norm(wb - wa, ops, grid) / hq_norm(c_b - c_a, ops, grid)
             worst = max(worst, ratio)
         add(f"fixed_point_lipschitz{suffix}", worst, c0, worst <= c0)
 
     if fixed_point:
-        fp = solve_fixed_point(data, ops, variant, tol, max_iter=max_iter,
-                               stepper=stepper)
+        fp = solve_fixed_point(data, stepper, tol, max_iter=max_iter)
         if fp.converged:
             gap = hq_norm(fp.control - solutions[variant].control, ops, grid)
             add("fixed_point_vs_cg", gap, 10.0 * tol, gap <= 10.0 * tol)
@@ -352,7 +347,7 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
             # divergence is the documented outcome when the bound is not a
             # contraction, so it only fails this check when C0 < 1
             c0 = contraction_constant(constants, data.M1, data.M2, variant,
-                                      data.alpha)
+                                      stepper.alpha)
             add("fixed_point_divergence_consistent", c0, 1.0, c0 >= 1.0)
 
     return checks

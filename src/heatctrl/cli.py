@@ -382,11 +382,10 @@ def run_solve(config: RunConfig, quiet=False) -> int:
     stepper = Stepper(ops, data.grid, config.variant, data.alpha)
     for name in optimizers:
         if name == "cg":
-            rep = solve_cg(data, ops, config.variant, config.tol,
-                           max_iter=config.max_iter, stepper=stepper)
+            rep = solve_cg(data, stepper, config.tol, max_iter=config.max_iter)
         else:
-            rep = solve_fixed_point(data, ops, config.variant, config.tol,
-                                    max_iter=config.max_iter, stepper=stepper)
+            rep = solve_fixed_point(data, stepper, config.tol,
+                                    max_iter=config.max_iter)
         reports[name] = rep
         runs[name] = rep.summary_dict()
 

@@ -17,8 +17,8 @@ import numpy as np
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import ConstantsReport, DiscreteOperators
 from .linalg import SolverError
-from .state import (ControlPair, ProblemData, Trajectory, solve_state,
-                    solve_state_homogeneous, stepper_for)
+from .state import (ControlPair, ProblemData, Stepper, Trajectory, _check,
+                    solve_state, solve_state_homogeneous)
 
 CG_MAX_ITER = 500
 
@@ -97,25 +97,26 @@ def hq_norm(c: ControlPair, ops, grid) -> float:
 
 # -- cost, gradient, convexity ------------------------------------------------
 
-def cost_J(data: ProblemData, ctrl: ControlPair, ops, variant,
-           stepper=None, u: Trajectory | None = None) -> float:
-    """Quadratic tracking cost with control penalties (always >= 0)."""
+def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
+           u: Trajectory | None = None) -> float:
+    """Quadratic tracking cost with control penalties (always >= 0).
+
+    u, when given, is the state at ctrl, which then costs no sweep.
+    """
     if u is None:
-        u = solve_state(data, ctrl, ops, variant, stepper)
+        u = solve_state(data, ctrl, stepper)
+    else:
+        _check(data, stepper)
+    ops, grid = stepper.ops, data.grid
     mis = u.slices[1:] - data.z_d
-    track = 0.5 * h_inner(mis, mis, ops, data.grid)
-    pen_g = 0.5 * data.M1 * h_inner(ctrl.g, ctrl.g, ops, data.grid)
-    pen_q = 0.5 * data.M2 * q_inner(ctrl.q, ctrl.q, ops, data.grid)
+    track = 0.5 * h_inner(mis, mis, ops, grid)
+    pen_g = 0.5 * data.M1 * h_inner(ctrl.g, ctrl.g, ops, grid)
+    pen_q = 0.5 * data.M2 * q_inner(ctrl.q, ctrl.q, ops, grid)
     return track + pen_g + pen_q
 
 
-def gradient_J(data: ProblemData, ctrl: ControlPair, ops, variant,
-               stepper=None, u=None, p=None) -> ControlPair:
-    """Weighted-space representative of the cost derivative at ctrl."""
-    if u is None:
-        u = solve_state(data, ctrl, ops, variant, stepper)
-    if p is None:
-        p = solve_adjoint(data, u, ops, variant, stepper)
+def _gradient(data, ctrl, ops, p) -> ControlPair:
+    """The gradient formula for the adjoint p at ctrl: no sweep, no check."""
     p_steps = p.slices[:-1]
     return ControlPair(
         data.M1 * ctrl.g + p_steps,
@@ -123,8 +124,24 @@ def gradient_J(data: ProblemData, ctrl: ControlPair, ops, variant,
     )
 
 
-def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t, ops,
-                  variant, stepper=None) -> float:
+def gradient_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
+               u=None, p=None) -> ControlPair:
+    """Weighted-space representative of the cost derivative at ctrl.
+
+    p, when given, is the adjoint at ctrl and u is not used; u alone is the
+    state at ctrl.  Each one given saves a sweep.
+    """
+    if p is None:
+        if u is None:
+            u = solve_state(data, ctrl, stepper)
+        p = solve_adjoint(data, u, stepper)
+    else:
+        _check(data, stepper)
+    return _gradient(data, ctrl, stepper.ops, p)
+
+
+def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
+                  stepper: Stepper) -> float:
     """Convex-combination gap of the cost along the segment [c2, c1].
 
     Equals (t(1-t)/2) [ |u2-u1|^2_H + M1 |g2-g1|^2_H + M2 |q2-q1|^2_Q ]
@@ -132,21 +149,18 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t, ops,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    stepper = stepper_for(data, ops, variant, stepper)
-    j2 = cost_J(data, c2, ops, variant, stepper)
-    j1 = cost_J(data, c1, ops, variant, stepper)
+    j2 = cost_J(data, c2, stepper)
+    j1 = cost_J(data, c1, stepper)
     blend = (1.0 - t) * c2 + t * c1
-    j_blend = cost_J(data, blend, ops, variant, stepper)
+    j_blend = cost_J(data, blend, stepper)
     return (1.0 - t) * j2 + t * j1 - j_blend
 
 
-def apply_W(data: ProblemData, ctrl: ControlPair, ops, variant,
-            stepper=None) -> ControlPair:
+def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
     """Fixed-point map (-p/M1, p|gamma2/M2) built from the adjoint at ctrl."""
-    u = solve_state(data, ctrl, ops, variant, stepper)
-    p = solve_adjoint(data, u, ops, variant, stepper)
-    p_steps = p.slices[:-1]
-    return ControlPair(-p_steps / data.M1, ops.trace2(p_steps) / data.M2)
+    u = solve_state(data, ctrl, stepper)
+    p_steps = solve_adjoint(data, u, stepper).slices[:-1]
+    return ControlPair(-p_steps / data.M1, stepper.ops.trace2(p_steps) / data.M2)
 
 
 def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
@@ -175,24 +189,23 @@ def _held(c: ControlPair, hold_q) -> ControlPair:
     return ControlPair(c.g, np.zeros_like(c.q)) if hold_q else c
 
 
-def _hessian_apply(d: ControlPair, data, ops, variant, stepper) -> ControlPair:
+def _hessian_apply(d: ControlPair, data, stepper) -> ControlPair:
     """Action of the reduced Hessian: the gradient formula at the linear part C(d)."""
     du = solve_state_homogeneous(d, stepper)
-    pi = solve_adjoint_homogeneous(du, stepper)
-    return gradient_J(data, d, ops, variant, stepper, u=du, p=pi)
+    return _gradient(data, d, stepper.ops, solve_adjoint_homogeneous(du, stepper))
 
 
-def _finalize(data, x, ops, variant, stepper, solver, tol, grad_norm0,
-              iterations, history, converged_rule, hold_q=False):
-    u = solve_state(data, x, ops, variant, stepper)
-    p = solve_adjoint(data, u, ops, variant, stepper)
-    grad = _held(gradient_J(data, x, ops, variant, stepper, u=u, p=p), hold_q)
-    grad_norm = hq_norm(grad, ops, data.grid)
+def _finalize(data, x, stepper, solver, tol, grad_norm0, iterations, history,
+              converged_rule, hold_q=False):
+    u = solve_state(data, x, stepper)
+    p = solve_adjoint(data, u, stepper)
+    grad = _held(_gradient(data, x, stepper.ops, p), hold_q)
+    grad_norm = hq_norm(grad, stepper.ops, data.grid)
     return OptimalityReport(
         control=x,
         state=u,
         adjoint=p,
-        cost=cost_J(data, x, ops, variant, stepper, u=u),
+        cost=cost_J(data, x, stepper, u=u),
         grad_norm=grad_norm,
         grad_norm0=grad_norm0,
         iterations=iterations,
@@ -243,8 +256,7 @@ def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
     return x, iterations
 
 
-def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q,
-                start_pass=None):
+def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
     """Conjugate gradients on the reduced quadratic from the control (0, q_start).
 
     With hold_q the q parts of the gradient and of every Hessian product
@@ -255,29 +267,27 @@ def _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start, hold_q,
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    stepper = stepper_for(data, ops, variant, stepper)
-    grid = data.grid
+    ops, grid = stepper.ops, data.grid
 
     def start():
         # made afresh for each use, so no zero field stays alive through CG
         return ControlPair(np.zeros((grid.n_steps, ops.n_nodes)), q_start)
 
     u, p = start_pass or (None, None)
-    r = -1.0 * _held(gradient_J(data, start(), ops, variant, stepper, u=u, p=p),
-                     hold_q)
+    r = -1.0 * _held(gradient_J(data, start(), stepper, u=u, p=p), hold_q)
     grad_norm0 = hq_norm(r, ops, grid)
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
     x, iterations = _cg(
         start(), r,
-        lambda d: _held(_hessian_apply(d, data, ops, variant, stepper), hold_q),
+        lambda d: _held(_hessian_apply(d, data, stepper), hold_q),
         ops, grid, threshold, max_iter, history)
-    return _finalize(data, x, ops, variant, stepper, "cg", tol, grad_norm0,
-                     iterations, history, lambda gn: gn <= threshold, hold_q)
+    return _finalize(data, x, stepper, "cg", tol, grad_norm0, iterations,
+                     history, lambda gn: gn <= threshold, hold_q)
 
 
-def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
-             stepper=None, *, _start_pass=None) -> OptimalityReport:
+def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
+             _start_pass=None) -> OptimalityReport:
     """Conjugate gradients on the reduced quadratic, from zero controls.
 
     Stops once the gradient norm drops below tol * (1 + gradient norm at
@@ -286,13 +296,13 @@ def solve_cg(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     and adjoint (u, p) at zero controls (the alpha sweeps); the start then
     costs no sweeps.
     """
-    q_start = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
-    return _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_start,
-                       hold_q=False, start_pass=_start_pass)
+    q_start = np.zeros((data.grid.n_steps, len(stepper.ops.gamma2_nodes)))
+    return _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q=False,
+                       start_pass=_start_pass)
 
 
-def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,
-                      stepper=None) -> OptimalityReport:
+def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
+                      max_iter=200) -> OptimalityReport:
     """Iterate the fixed-point map from zero controls.
 
     Succeeds when the weighted step norm drops below tol; hitting the
@@ -302,15 +312,14 @@ def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    stepper = stepper_for(data, ops, variant, stepper)
-    grid = data.grid
+    ops, grid = stepper.ops, data.grid
     x = ControlPair.zeros_like(ops, grid)
-    grad_norm0 = hq_norm(gradient_J(data, x, ops, variant, stepper), ops, grid)
+    grad_norm0 = hq_norm(gradient_J(data, x, stepper), ops, grid)
     history = []
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        w = apply_W(data, x, ops, variant, stepper)
+        w = apply_W(data, x, stepper)
         step_norm = hq_norm(w - x, ops, grid)
         history.append((it, step_norm))
         if not math.isfinite(step_norm):
@@ -320,8 +329,8 @@ def solve_fixed_point(data: ProblemData, ops, variant, tol, max_iter=200,
         if step_norm <= tol:
             converged = True
             break
-    return _finalize(data, x, ops, variant, stepper, "fixed_point", tol,
-                     grad_norm0, iterations, history, lambda gn: converged)
+    return _finalize(data, x, stepper, "fixed_point", tol, grad_norm0,
+                     iterations, history, lambda gn: converged)
 
 
 def measured_step_ratio(history, floor=0.0) -> float:
@@ -337,19 +346,18 @@ def measured_step_ratio(history, floor=0.0) -> float:
     return max(ratios) if ratios else float("nan")
 
 
-def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, ops, variant,
-                           tol, max_iter=CG_MAX_ITER, stepper=None) -> OptimalityReport:
+def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, stepper: Stepper,
+                           tol, max_iter=CG_MAX_ITER) -> OptimalityReport:
     """Minimize over the distributed control only, with the flux held fixed.
 
     The reported cost includes the constant (M2/2)|q_fixed|^2 term, so it is
     directly comparable with the simultaneous problem's optimum; the
     gradient norms cover the g part only.
     """
-    n_steps, n_gamma2 = data.grid.n_steps, len(ops.gamma2_nodes)
+    n_steps, n_gamma2 = data.grid.n_steps, len(stepper.ops.gamma2_nodes)
     q_fixed = np.array(q_fixed, dtype=float)  # a copy: the report never aliases it
     if q_fixed.shape != (n_steps, n_gamma2):
         raise ValueError(
             f"q_fixed must have shape ({n_steps}, {n_gamma2}), got {q_fixed.shape}"
         )
-    return _reduced_cg(data, ops, variant, tol, max_iter, stepper, q_fixed,
-                       hold_q=True)
+    return _reduced_cg(data, stepper, tol, max_iter, q_fixed, hold_q=True)

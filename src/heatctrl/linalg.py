@@ -47,6 +47,10 @@ class SpdFactor:
         A = sp.csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
+        non_finite = np.count_nonzero(~np.isfinite(A.data))
+        if non_finite:
+            raise ValueError(
+                f"matrix must be finite, got {non_finite} non-finite entries")
         asymmetric = (A != A.T).nnz
         if asymmetric:
             raise ValueError(

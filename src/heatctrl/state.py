@@ -11,7 +11,7 @@ Conventions used throughout the package:
   term alpha * B1 and the load alpha * B1 * b.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,9 @@ class ProblemData:
     v_b : initial nodal field; must equal b on the Dirichlet nodes.
     z_d : target, one nodal field per time step, shape (n_steps, n_nodes).
     M1, M2 : positive weights of the distributed / boundary control penalty.
-    alpha : Robin exchange coefficient, used only by the "Palpha" paths.
+    alpha : Robin exchange coefficient that the command line and the check
+        suite build the Robin stepper from; the solvers use the stepper's
+        coefficient, never this one.
     """
 
     b: np.ndarray
@@ -40,9 +42,6 @@ class ProblemData:
     M2: float
     grid: TimeGrid
     alpha: float | None = None
-
-    def with_alpha(self, alpha: float) -> "ProblemData":
-        return replace(self, alpha=alpha)
 
     def validate(self, ops: DiscreteOperators):
         n = ops.n_nodes
@@ -104,14 +103,16 @@ class Trajectory:
 
 
 class Stepper:
-    """Shared implicit-Euler machinery for one (variant, alpha) pair.
+    """One operator of the family: the pinned system, or the Robin one at alpha.
 
-    Holds the solved nodes S (the free nodes for "P", all nodes for
-    "Palpha"), the factorized step matrix A_SS, the rows S of the mass
-    matrix and of the gamma2 columns of B2 (the flux load), and for the
-    pinned variant the Dirichlet block A_FD of the step matrix.  The same
-    factorization serves the forward and the backward sweeps because every
-    matrix involved is symmetric.
+    Every solver takes its operator as one stepper and reads the mesh
+    operators, time grid, variant and alpha from it.  Holds the solved
+    nodes S (the free nodes for "P", all nodes for "Palpha"), the factorized
+    step matrix A_SS, the rows S of the mass matrix and of the gamma2
+    columns of B2 (the flux load), and for the pinned variant the Dirichlet
+    block A_FD of the step matrix.  The same factorization serves the
+    forward and the backward sweeps because every matrix involved is
+    symmetric.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, variant="P", alpha=None):
@@ -127,8 +128,9 @@ class Stepper:
             self.A_fd = A[:, ops.dirichlet_nodes]
             A = A[:, S]
         else:
-            if alpha is None or alpha <= 0:
-                raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
+            if alpha is None or not 0 < alpha < np.inf:
+                raise ValueError(
+                    f"the Robin variant needs a finite alpha > 0, got {alpha}")
             S = self.nodes = slice(None)
             A = ops.M / grid.tau + ops.K + alpha * ops.B1
         self.mass = ops.M[S]
@@ -163,8 +165,20 @@ class Stepper:
         return out
 
 
-def _check_ctrl(ctrl, ops, grid):
-    n_steps = grid.n_steps
+def _check(data: ProblemData, stepper: Stepper):
+    """Validate data, and refuse a stepper built for another time grid or mesh."""
+    if stepper.grid != data.grid:
+        raise ValueError(
+            f"stepper was built for {stepper.grid}, the data is on {data.grid}")
+    n = stepper.ops.n_nodes
+    if data.v_b.shape != (n,):
+        raise ValueError(f"stepper was built for a mesh of {n} nodes, the data's v_b "
+                         f"has shape {data.v_b.shape}")
+    data.validate(stepper.ops)
+
+
+def _check_ctrl(ctrl, stepper):
+    n_steps, ops = stepper.grid.n_steps, stepper.ops
     if ctrl.g.shape != (n_steps, ops.n_nodes):
         raise ValueError(
             f"g series must have shape ({n_steps}, {ops.n_nodes}), got {ctrl.g.shape}"
@@ -174,24 +188,6 @@ def _check_ctrl(ctrl, ops, grid):
             f"q series must have shape ({n_steps}, {len(ops.gamma2_nodes)}), "
             f"got {ctrl.q.shape}"
         )
-
-
-def stepper_for(data: ProblemData, ops, variant, stepper=None) -> Stepper:
-    """A new stepper for (variant, data.alpha), or the given one once checked.
-
-    Rejects a stepper built for a different variant or Robin coefficient.
-    """
-    if stepper is None:
-        return Stepper(ops, data.grid, variant, data.alpha)
-    if stepper.variant != variant:
-        raise ValueError(
-            f"stepper was built for variant {stepper.variant!r}, need {variant!r}"
-        )
-    if variant == "Palpha" and data.alpha is not None and stepper.alpha != data.alpha:
-        raise ValueError(
-            f"stepper was built for alpha={stepper.alpha}, need alpha={data.alpha}"
-        )
-    return stepper
 
 
 def _forward(stepper, ctrl, start, source, pinned):
@@ -219,12 +215,10 @@ def _forward(stepper, ctrl, start, source, pinned):
     return u
 
 
-def solve_state(data: ProblemData, ctrl: ControlPair, ops: DiscreteOperators,
-                variant, stepper: Stepper | None = None) -> Trajectory:
-    """Forward solve of the pinned ("P") or Robin ("Palpha", at data.alpha) system."""
-    data.validate(ops)
-    _check_ctrl(ctrl, ops, data.grid)
-    stepper = stepper_for(data, ops, variant, stepper)
+def solve_state(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> Trajectory:
+    """Forward solve of the stepper's system: pinned, or Robin at its alpha."""
+    _check(data, stepper)
+    _check_ctrl(ctrl, stepper)
     u = _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
     return Trajectory(u)
 
@@ -235,7 +229,6 @@ def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> Trajectory:
     This is the trajectory difference u(ctrl) - u(zero controls); the pinned
     variant keeps the Dirichlet rows at zero.
     """
-    ops, grid = stepper.ops, stepper.grid
-    _check_ctrl(ctrl, ops, grid)
-    du = _forward(stepper, ctrl, np.zeros(ops.n_nodes), None, 0.0)
+    _check_ctrl(ctrl, stepper)
+    du = _forward(stepper, ctrl, np.zeros(stepper.ops.n_nodes), None, 0.0)
     return Trajectory(du)

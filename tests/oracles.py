@@ -311,8 +311,8 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
 
     def solve_at(g):
         ctrl = ControlPair(g, q_fixed.copy())
-        u = solve_state(data, ctrl, ops, variant, stepper)
-        p = solve_adjoint(data, u, ops, variant, stepper)
+        u = solve_state(data, ctrl, stepper)
+        p = solve_adjoint(data, u, stepper)
         return ctrl, u, p, data.M1 * g + p.slices[:-1]
 
     def hessian(d):
@@ -342,7 +342,7 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
     grad_norm = math.sqrt(max(inner(final_grad, final_grad), 0.0))
     return OptimalityReport(
         control=ctrl, state=u, adjoint=p,
-        cost=cost_J(data, ctrl, ops, variant, stepper, u=u),
+        cost=cost_J(data, ctrl, stepper, u=u),
         grad_norm=grad_norm, grad_norm0=grad_norm0, iterations=iterations,
         solver="cg", converged=grad_norm <= threshold, tol=tol, history=history,
     )

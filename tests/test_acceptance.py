@@ -38,8 +38,8 @@ def test_criterion_1_adjoint_identity():
         for variant in ("P", "Palpha"):
             stepper = Stepper(ops, data.grid, variant, data.alpha)
             base = random_control(ops, data.grid, rng)
-            u = solve_state(data, base, ops, variant, stepper)
-            p = solve_adjoint(data, u, ops, variant, stepper)
+            u = solve_state(data, base, stepper)
+            p = solve_adjoint(data, u, stepper)
             for _ in range(20):
                 d = random_control(ops, data.grid, rng)
                 cu = solve_state_homogeneous(d, stepper)
@@ -64,10 +64,10 @@ def test_criterion_2_gradient_vs_finite_differences():
         d = random_control(ops, data.grid, rng)
         d = (1.0 / hq_norm(d, ops, data.grid)) * d
         directional = hq_inner(
-            gradient_J(data, ctrl, ops, variant, stepper), d, ops, data.grid)
+            gradient_J(data, ctrl, stepper), d, ops, data.grid)
         h = 1e-5
-        fd = (cost_J(data, ctrl + h * d, ops, variant, stepper)
-              - cost_J(data, ctrl - h * d, ops, variant, stepper)) / (2 * h)
+        fd = (cost_J(data, ctrl + h * d, stepper)
+              - cost_J(data, ctrl - h * d, stepper)) / (2 * h)
         worst = max(worst, abs(directional - fd) / abs(fd))
     report(2, worst <= 1e-6,
            f"gradient vs central differences worst relative error {worst:.3e} <= 1e-6")
@@ -81,11 +81,11 @@ def test_criterion_3_convexity_identity():
     for _ in range(10):
         c1 = random_control(ops, data.grid, rng)
         c2 = random_control(ops, data.grid, rng)
-        u1 = solve_state(data, c1, ops, "P", stepper)
-        u2 = solve_state(data, c2, ops, "P", stepper)
+        u1 = solve_state(data, c1, stepper)
+        u2 = solve_state(data, c2, stepper)
         dmis = u2.slices[1:] - u1.slices[1:]
         for t in (0.25, 0.5, 0.75):
-            gap = convexity_gap(data, c1, c2, t, ops, "P", stepper)
+            gap = convexity_gap(data, c1, c2, t, stepper)
             expected = 0.5 * t * (1 - t) * (
                 h_inner(dmis, dmis, ops, data.grid)
                 + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, data.grid)
@@ -99,7 +99,7 @@ def test_criterion_4_dense_kkt_oracle_equivalence():
     ops, data = small_instance(seed=4)
     worst = 0.0
     for variant in ("P", "Palpha"):
-        rep = solve_cg(data, ops, variant, 1e-12)
+        rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-12)
         assert rep.converged
         oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha).kkt_optimum(data)
         worst = max(worst, hq_norm(rep.control - oracle, ops, data.grid))
@@ -117,8 +117,9 @@ def test_criterion_5_fixed_point_characterization():
     c0 = contraction_constant(consts, M, M, "P")
     assert c0 < 0.8
     tol = 1e-11
-    fp = solve_fixed_point(data, ops, "P", tol, max_iter=400)
-    cg = solve_cg(data, ops, "P", tol)
+    stepper = Stepper(ops, data.grid, "P")
+    fp = solve_fixed_point(data, stepper, tol, max_iter=400)
+    cg = solve_cg(data, stepper, tol)
     ratio = measured_step_ratio(fp.history, floor=1e-13)
     gap = hq_norm(fp.control - cg.control, ops, data.grid)
     ok = fp.converged and cg.converged and ratio <= c0 + 0.05 and gap <= 10 * tol
@@ -155,10 +156,11 @@ def test_criterion_7_section5_inequalities():
                                   alpha=10.0)
         consts = compute_constants(ops)
         tol = 1e-11
-        full = solve_cg(data, ops, "P", tol)
-        dist = solve_distributed_only(data, full.control.q, ops, "P", tol)
-        u_full = solve_state(data, full.control, ops, "P")
-        u_dist = solve_state(data, dist.control, ops, "P")
+        stepper = Stepper(ops, data.grid, "P")
+        full = solve_cg(data, stepper, tol)
+        dist = solve_distributed_only(data, full.control.q, stepper, tol)
+        u_full = solve_state(data, full.control, stepper)
+        u_dist = solve_state(data, dist.control, stepper)
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, data.grid), 0.0))
         du = u_full.slices[1:] - u_dist.slices[1:]
@@ -180,8 +182,8 @@ def test_criterion_7_section5_inequalities():
     for _ in range(50):
         a = random_control(ops, data.grid, rng)
         b = random_control(ops, data.grid, rng)
-        wa = apply_W(data, a, ops, "P", stepper)
-        wb = apply_W(data, b, ops, "P", stepper)
+        wa = apply_W(data, a, stepper)
+        wb = apply_W(data, b, stepper)
         denom = hq_norm(b - a, ops, data.grid)
         worst_ratio = max(worst_ratio, hq_norm(wb - wa, ops, data.grid) / denom)
     all_ok = all_ok and worst_ratio <= c0
@@ -194,11 +196,12 @@ def test_criterion_7_section5_inequalities():
 def test_criterion_8_trivial_exactness():
     # matched target: both optimizers return the zero control at zero cost
     ops, data = small_instance(seed=8)
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), ops, "P")
+    stepper = Stepper(ops, data.grid, "P")
+    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
     data_m = ProblemData(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
                          M1=data.M1, M2=data.M2, grid=data.grid, alpha=data.alpha)
-    cg = solve_cg(data_m, ops, "P", 1e-10)
-    fp = solve_fixed_point(data_m, ops, "P", 1e-10)
+    cg = solve_cg(data_m, stepper, 1e-10)
+    fp = solve_fixed_point(data_m, stepper, 1e-10)
     ok = (cg.cost == 0.0 and fp.cost == 0.0
           and hq_norm(cg.control, ops, data.grid) == 0.0
           and hq_norm(fp.control, ops, data.grid) == 0.0)
@@ -212,8 +215,8 @@ def test_criterion_8_trivial_exactness():
         b=np.ones(len(ops_c.dirichlet_nodes)), v_b=np.ones(ops_c.n_nodes),
         z_d=np.ones((4, ops_c.n_nodes)), M1=1.0, M2=1.0, grid=grid, alpha=10.0)
     zero = ControlPair.zeros_like(ops_c, grid)
-    u = solve_state(data_c, zero, ops_c, "P")
-    ua = solve_state(data_c, zero, ops_c, "Palpha")
+    u = solve_state(data_c, zero, Stepper(ops_c, grid, "P"))
+    ua = solve_state(data_c, zero, Stepper(ops_c, grid, "Palpha", data_c.alpha))
     ok = ok and np.max(np.abs(u.slices - 1.0)) <= 1e-12
     ok = ok and np.max(np.abs(ua.slices - 1.0)) <= 1e-12
     alphas = [10.0, 100.0, 1000.0, 10000.0]

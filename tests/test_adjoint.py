@@ -13,22 +13,24 @@ def test_state_equal_to_target_gives_zero_adjoint():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=1)
     rng = np.random.default_rng(2)
     ctrl = random_control(ops, data.grid, rng)
-    u = solve_state(data, ctrl, ops, "P")
+    stepper = Stepper(ops, data.grid, "P")
+    u = solve_state(data, ctrl, stepper)
     matched = data.__class__(b=data.b, v_b=data.v_b, z_d=u.slices[1:].copy(),
                              M1=data.M1, M2=data.M2, grid=data.grid,
                              alpha=data.alpha)
-    p = solve_adjoint(matched, u, ops, "P")
+    p = solve_adjoint(matched, u, stepper)
     assert np.max(np.abs(p.slices)) == 0.0
 
 
 def test_zero_controls_with_matching_target():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=3)
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u00 = solve_state(data, ctrl, ops, "P")
+    stepper = Stepper(ops, data.grid, "P")
+    u00 = solve_state(data, ctrl, stepper)
     matched = data.__class__(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
                              M1=data.M1, M2=data.M2, grid=data.grid,
                              alpha=data.alpha)
-    p = solve_adjoint(matched, u00, ops, "P")
+    p = solve_adjoint(matched, u00, stepper)
     assert np.max(np.abs(p.slices)) == 0.0
 
 
@@ -37,8 +39,9 @@ def test_adjoint_matches_dense_transpose(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=4, alpha=10.0)
     rng = np.random.default_rng(5)
     ctrl = random_control(ops, data.grid, rng)
-    u = solve_state(data, ctrl, ops, variant)
-    p = solve_adjoint(data, u, ops, variant)
+    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    u = solve_state(data, ctrl, stepper)
+    p = solve_adjoint(data, u, stepper)
     dense = SpaceTimeSystem(ops, data.grid, variant, data.alpha).adjoint(data, u.slices)
     assert np.max(np.abs(p.slices - dense)) <= 1e-10
 
@@ -47,7 +50,7 @@ def test_single_impulse_unrolls_to_one_backward_solve():
     ops, data = make_instance(nx=2, ny=2, n_steps=4, seed=6, alpha=7.0)
     stepper = Stepper(ops, data.grid, "Palpha", data.alpha)
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u = solve_state(data, ctrl, ops, "Palpha", stepper)
+    u = solve_state(data, ctrl, stepper)
     # craft a target whose tracking residual is a single nodal impulse at step 3
     k0, node = 2, 5
     z_d = u.slices[1:].copy()
@@ -57,7 +60,7 @@ def test_single_impulse_unrolls_to_one_backward_solve():
     z_d[k0] -= SpdFactor(ops.M).solve(impulse)
     crafted = data.__class__(b=data.b, v_b=data.v_b, z_d=z_d, M1=data.M1,
                              M2=data.M2, grid=data.grid, alpha=data.alpha)
-    p = solve_adjoint(crafted, u, ops, "Palpha", stepper)
+    p = solve_adjoint(crafted, u, stepper)
     assert np.max(np.abs(p.slices[k0 + 1:])) <= 1e-12
     expected = stepper.factor.solve(impulse)
     assert np.max(np.abs(p.slices[k0] - expected)) <= 1e-10
@@ -69,8 +72,8 @@ def test_adjoint_identity(variant):
     stepper = Stepper(ops, data.grid, variant, data.alpha)
     rng = np.random.default_rng(8)
     base = random_control(ops, data.grid, rng)
-    u = solve_state(data, base, ops, variant, stepper)
-    p = solve_adjoint(data, u, ops, variant, stepper)
+    u = solve_state(data, base, stepper)
+    p = solve_adjoint(data, u, stepper)
     for _ in range(20):
         d = random_control(ops, data.grid, rng)
         cu = solve_state_homogeneous(d, stepper)
@@ -85,8 +88,9 @@ def test_terminal_slice_is_zero(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=9, alpha=10.0)
     rng = np.random.default_rng(10)
     ctrl = random_control(ops, data.grid, rng)
-    u = solve_state(data, ctrl, ops, variant)
-    p = solve_adjoint(data, u, ops, variant)
+    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    u = solve_state(data, ctrl, stepper)
+    p = solve_adjoint(data, u, stepper)
     assert np.array_equal(p.slices[-1], np.zeros(ops.n_nodes))
 
 
@@ -95,9 +99,10 @@ def test_sweep_matches_the_two_product_loop(variant):
     ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=63, alpha=10.0,
                               gamma1="left,bottom")
     ctrl = random_control(ops, data.grid, np.random.default_rng(64))
-    u = solve_state(data, ctrl, ops, variant)
+    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    u = solve_state(data, ctrl, stepper)
     reference = two_product_adjoint(data, u.slices, ops, variant)
-    p = solve_adjoint(data, u, ops, variant).slices
+    p = solve_adjoint(data, u, stepper).slices
     assert np.max(np.abs(p - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -120,4 +125,4 @@ def test_wrong_trajectory_length_rejected():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=13)
     short = Trajectory(np.zeros((2, ops.n_nodes)))
     with pytest.raises(ValueError, match="shape"):
-        solve_adjoint(data, short, ops, "P")
+        solve_adjoint(data, short, Stepper(ops, data.grid, "P"))

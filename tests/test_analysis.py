@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatctrl import (ControlPair, ProblemData, TimeGrid, assemble,
+from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
                       build_rect_mesh, check_suite, fixed_control_sweep, hq_norm,
                       optimal_control_sweep, solve_cg, sweep_flags)
 
@@ -111,12 +111,12 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
     zero = ControlPair.zeros_like(ops, data.grid)
     fixed, optimal = _sweeps(data, alphas, ops, zero, tol=1e-10)
     assert fixed.to_dict() == fixed_control_sweep(data, zero, alphas, ops).to_dict()
-    ref = solve_cg(data, ops, "P", 1e-10)
+    ref = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert optimal.reference == {"problem": "P", "cost": ref.cost,
                                  "grad_norm": ref.grad_norm,
                                  "iterations": ref.iterations}
     for alpha, rec in zip(alphas, optimal.records):
-        rep = solve_cg(data.with_alpha(alpha), ops, "Palpha", 1e-10)
+        rep = solve_cg(data, Stepper(ops, data.grid, "Palpha", alpha), 1e-10)
         assert rec.cost_alpha == rep.cost
         assert rec.control_gap == hq_norm(rep.control - ref.control, ops, data.grid)
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import heatctrl
-from heatctrl import (ProblemData, TimeGrid, assemble, build_rect_mesh,
+from heatctrl import (ProblemData, Stepper, TimeGrid, assemble, build_rect_mesh,
                       solve_adjoint, solve_cg, solve_distributed_only,
                       solve_fixed_point, solve_state)
 from heatctrl import cli
@@ -473,15 +473,16 @@ def test_report_trajectories_equal_a_fresh_solve(variant, optimizer):
                        v_b=np.zeros(ops.n_nodes),
                        z_d=np.tile(target, (grid.n_steps, 1)),
                        M1=60.0, M2=60.0, grid=grid, alpha=10.0)
+    stepper = Stepper(ops, grid, variant, data.alpha)
     if optimizer == "cg":
-        rep = solve_cg(data, ops, variant, 1e-10)
+        rep = solve_cg(data, stepper, 1e-10)
     elif optimizer == "fixed_point":
-        rep = solve_fixed_point(data, ops, variant, 1e-10)
+        rep = solve_fixed_point(data, stepper, 1e-10)
     else:
         q = np.full((grid.n_steps, len(ops.gamma2_nodes)), 0.25)
-        rep = solve_distributed_only(data, q, ops, variant, 1e-10)
-    u = solve_state(data, rep.control, ops, variant)
-    p = solve_adjoint(data, u, ops, variant)
+        rep = solve_distributed_only(data, q, stepper, 1e-10)
+    u = solve_state(data, rep.control, stepper)
+    p = solve_adjoint(data, u, stepper)
     assert np.array_equal(rep.state.slices, u.slices)
     assert np.array_equal(rep.adjoint.slices, p.slices)
 

@@ -25,7 +25,8 @@ from oracles import (SpaceTimeSystem, apply_C, distributed_only_on_g,
 
 def matched_target(data, ops, variant="P"):
     """Replace z_d by the zero-control trajectory (making (0,0) optimal)."""
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), ops, variant)
+    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid),
+                      Stepper(ops, data.grid, variant, data.alpha))
     return ProblemData(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
                        M1=data.M1, M2=data.M2, grid=data.grid, alpha=data.alpha)
 
@@ -95,15 +96,17 @@ def test_series_inner_matches_a_dense_product(name):
 def test_cost_zero_at_exact_tracking():
     ops, data = make_instance(seed=6)
     data = matched_target(data, ops)
-    assert cost_J(data, ControlPair.zeros_like(ops, data.grid), ops, "P") == 0.0
+    stepper = Stepper(ops, data.grid, "P")
+    assert cost_J(data, ControlPair.zeros_like(ops, data.grid), stepper) == 0.0
 
 
 def test_cost_at_zero_controls_is_pure_misfit():
     ops, data = make_instance(seed=7)
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), ops, "P")
+    stepper = Stepper(ops, data.grid, "P")
+    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
     mis = u00.slices[1:] - data.z_d
     expected = 0.5 * h_inner(mis, mis, ops, data.grid)
-    got = cost_J(data, ControlPair.zeros_like(ops, data.grid), ops, "P")
+    got = cost_J(data, ControlPair.zeros_like(ops, data.grid), stepper)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -123,7 +126,7 @@ def test_cost_matches_quadratic_form_oracle(variant):
         + data.M2 * q_inner(ctrl.q, ctrl.q, ops, grid)
     ell = h_inner(cu, -base, ops, grid)
     expected = 0.5 * pi - ell + 0.5 * h_inner(base, base, ops, grid)
-    got = cost_J(data, ctrl, ops, variant)
+    got = cost_J(data, ctrl, Stepper(ops, data.grid, variant, data.alpha))
     assert got == pytest.approx(expected, rel=1e-10)
     assert got >= 0.0
 
@@ -133,7 +136,8 @@ def test_cost_matches_quadratic_form_oracle(variant):
 def test_gradient_zero_at_matched_target():
     ops, data = make_instance(seed=10)
     data = matched_target(data, ops)
-    grad = gradient_J(data, ControlPair.zeros_like(ops, data.grid), ops, "P")
+    stepper = Stepper(ops, data.grid, "P")
+    grad = gradient_J(data, ControlPair.zeros_like(ops, data.grid), stepper)
     assert hq_norm(grad, ops, data.grid) == 0.0
 
 
@@ -150,24 +154,25 @@ def test_gradient_matches_central_differences():
         d = random_control(ops, data.grid, rng)
         d = (1.0 / hq_norm(d, ops, data.grid)) * d
         directional = hq_inner(
-            gradient_J(data, ctrl, ops, variant, stepper), d, ops, data.grid)
+            gradient_J(data, ctrl, stepper), d, ops, data.grid)
         h = 1e-5
-        fd = (cost_J(data, ctrl + h * d, ops, variant, stepper)
-              - cost_J(data, ctrl - h * d, ops, variant, stepper)) / (2 * h)
+        fd = (cost_J(data, ctrl + h * d, stepper)
+              - cost_J(data, ctrl - h * d, stepper)) / (2 * h)
         assert abs(directional - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
 
 def test_gradient_small_at_cg_optimum():
     ops, data = make_instance(seed=12)
-    rep = solve_cg(data, ops, "P", 1e-10)
+    rep = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert rep.converged
     assert rep.grad_norm <= 1e-10 * (1.0 + rep.grad_norm0)
 
 
 def test_reported_grad_norm_matches_fresh_evaluation():
     ops, data = make_instance(seed=13)
-    rep = solve_cg(data, ops, "P", 1e-10)
-    fresh = hq_norm(gradient_J(data, rep.control, ops, "P"), ops, data.grid)
+    stepper = Stepper(ops, data.grid, "P")
+    rep = solve_cg(data, stepper, 1e-10)
+    fresh = hq_norm(gradient_J(data, rep.control, stepper), ops, data.grid)
     assert abs(fresh - rep.grad_norm) <= 1e-12 * (1.0 + fresh)
 
 
@@ -178,9 +183,10 @@ def test_convexity_gap_vanishes_at_segment_ends():
     rng = np.random.default_rng(15)
     c1 = random_control(ops, data.grid, rng)
     c2 = random_control(ops, data.grid, rng)
-    assert convexity_gap(data, c1, c2, 0.0, ops, "P") == 0.0
+    stepper = Stepper(ops, data.grid, "P")
+    assert convexity_gap(data, c1, c2, 0.0, stepper) == 0.0
     for t in (0.0, 0.3, 1.0):
-        assert abs(convexity_gap(data, c1, c1, t, ops, "P")) <= 1e-12
+        assert abs(convexity_gap(data, c1, c1, t, stepper)) <= 1e-12
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
@@ -192,11 +198,11 @@ def test_convexity_identity(variant):
     for _ in range(10):
         c1 = random_control(ops, grid, rng)
         c2 = random_control(ops, grid, rng)
-        u1 = solve_state(data, c1, ops, variant, stepper)
-        u2 = solve_state(data, c2, ops, variant, stepper)
+        u1 = solve_state(data, c1, stepper)
+        u2 = solve_state(data, c2, stepper)
         dmis = u2.slices[1:] - u1.slices[1:]
         for t in (0.25, 0.5, 0.75):
-            gap = convexity_gap(data, c1, c2, t, ops, variant, stepper)
+            gap = convexity_gap(data, c1, c2, t, stepper)
             expected = 0.5 * t * (1 - t) * (
                 h_inner(dmis, dmis, ops, grid)
                 + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
@@ -209,7 +215,7 @@ def test_convexity_gap_rejects_bad_t():
     ops, data = make_instance(seed=18)
     zero = ControlPair.zeros_like(ops, data.grid)
     with pytest.raises(ValueError, match="t must"):
-        convexity_gap(data, zero, zero, 1.5, ops, "P")
+        convexity_gap(data, zero, zero, 1.5, Stepper(ops, data.grid, "P"))
 
 
 # -- conjugate gradients -------------------------------------------------------------
@@ -217,7 +223,7 @@ def test_convexity_gap_rejects_bad_t():
 def test_cg_trivial_optimum_zero_iterations():
     ops, data = make_instance(seed=19)
     data = matched_target(data, ops)
-    rep = solve_cg(data, ops, "P", 1e-10)
+    rep = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert rep.converged and rep.iterations == 0
     assert rep.cost == 0.0
     assert hq_norm(rep.control, ops, data.grid) == 0.0
@@ -244,12 +250,13 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
     monkeypatch.setattr(heatctrl.state, "SpdFactor",
                         counted("factorization", heatctrl.state.SpdFactor))
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21, alpha=10.0)
+    stepper = Stepper(ops, data.grid, variant, data.alpha)
     if solver == "simultaneous":
-        rep = solve_cg(data, ops, variant, 1e-10)
+        rep = solve_cg(data, stepper, 1e-10)
     else:
         q_fixed = np.random.default_rng(22).standard_normal(
             (data.grid.n_steps, len(ops.gamma2_nodes)))
-        rep = solve_distributed_only(data, q_fixed, ops, variant, 1e-10)
+        rep = solve_distributed_only(data, q_fixed, stepper, 1e-10)
     k = rep.iterations
     assert rep.converged and k > 0
     # gradient at zero, one state/adjoint pair per iteration, final report
@@ -258,7 +265,8 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
 
 SOLVE_SCRIPT = """
 import numpy as np
-from heatctrl import ProblemData, TimeGrid, assemble, build_rect_mesh, solve_cg
+from heatctrl import (ProblemData, Stepper, TimeGrid, assemble, build_rect_mesh,
+                      solve_cg)
 mesh = build_rect_mesh(101, 101, "left")
 ops = assemble(mesh)
 grid = TimeGrid(1.0, 2)
@@ -268,7 +276,7 @@ data = ProblemData(b=np.zeros(len(ops.dirichlet_nodes)), v_b=np.zeros(ops.n_node
                    z_d=np.tile(z, (grid.n_steps, 1)), M1=1.0, M2=1.0, grid=grid,
                    alpha=10.0)
 for variant in ("P", "Palpha"):
-    rep = solve_cg(data, ops, variant, 1e-10)
+    rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-10)
     print(rep.cost.hex(), rep.grad_norm.hex(), rep.iterations)
 """
 
@@ -303,7 +311,7 @@ def test_cg_refuses_non_finite_curvature():
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_cg_matches_dense_kkt_oracle(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=20, alpha=10.0)
-    rep = solve_cg(data, ops, variant, 1e-12)
+    rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-12)
     assert rep.converged
     oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha).kkt_optimum(data)
     assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
@@ -313,7 +321,7 @@ def test_cg_matches_oracle_on_two_sided_gamma1():
     ops, data = make_instance(nx=2, ny=3, n_steps=2, seed=60, alpha=10.0,
                               gamma1=("bottom", "top"))
     for variant in ("P", "Palpha"):
-        rep = solve_cg(data, ops, variant, 1e-12)
+        rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-12)
         assert rep.converged
         oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha).kkt_optimum(data)
         assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
@@ -321,7 +329,7 @@ def test_cg_matches_oracle_on_two_sided_gamma1():
 
 def test_large_penalties_force_zero_control():
     ops, data = make_instance(seed=21, M1=1e6, M2=1e6)
-    rep = solve_cg(data, ops, "P", 1e-12)
+    rep = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-12)
     assert rep.converged
     assert hq_norm(rep.control, ops, data.grid) <= 1e-5
 
@@ -331,16 +339,18 @@ def test_large_penalties_force_zero_control():
 def test_W_at_zero_with_matched_target():
     ops, data = make_instance(seed=22)
     data = matched_target(data, ops)
-    w = apply_W(data, ControlPair.zeros_like(ops, data.grid), ops, "P")
+    stepper = Stepper(ops, data.grid, "P")
+    w = apply_W(data, ControlPair.zeros_like(ops, data.grid), stepper)
     assert hq_norm(w, ops, data.grid) == 0.0
 
 
 def test_gradient_vanishes_at_any_W_fixed_point():
     # at a fixed point, M1 g + p = 0 and M2 q - p = 0 by construction
     ops, data, _ = contractive_instance(seed=23)
-    rep = solve_fixed_point(data, ops, "P", 1e-12, max_iter=300)
+    stepper = Stepper(ops, data.grid, "P")
+    rep = solve_fixed_point(data, stepper, 1e-12, max_iter=300)
     assert rep.converged
-    grad = gradient_J(data, rep.control, ops, "P")
+    grad = gradient_J(data, rep.control, stepper)
     assert hq_norm(grad, ops, data.grid) <= 1e-9
 
 
@@ -351,7 +361,7 @@ def test_W_matches_dense_adjoint_scaling():
     sts = SpaceTimeSystem(ops, data.grid, "P")
     u = sts.state(data, ctrl)
     p = sts.adjoint(data, u)[:-1]
-    w = apply_W(data, ctrl, ops, "P")
+    w = apply_W(data, ctrl, Stepper(ops, data.grid, "P"))
     assert np.max(np.abs(w.g - (-p / data.M1))) <= 1e-10
     assert np.max(np.abs(w.q - p[:, ops.gamma2_nodes] / data.M2)) <= 1e-10
 
@@ -375,7 +385,7 @@ def test_contraction_constant_formula():
 def test_fixed_point_trivial_instance_converges_in_one_step():
     ops, data = make_instance(seed=26)
     data = matched_target(data, ops)
-    rep = solve_fixed_point(data, ops, "P", 1e-10)
+    rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert rep.converged and rep.iterations == 1
     assert hq_norm(rep.control, ops, data.grid) == 0.0
 
@@ -385,8 +395,9 @@ def test_fixed_point_contracts_and_matches_cg():
     c0 = contraction_constant(consts, data.M1, data.M2, "P")
     assert c0 == pytest.approx(0.5, rel=1e-9)
     tol = 1e-11
-    fp = solve_fixed_point(data, ops, "P", tol, max_iter=300)
-    cg = solve_cg(data, ops, "P", tol)
+    stepper = Stepper(ops, data.grid, "P")
+    fp = solve_fixed_point(data, stepper, tol, max_iter=300)
+    cg = solve_cg(data, stepper, tol)
     assert fp.converged and cg.converged
     ratio = measured_step_ratio(fp.history, floor=1e-13)
     assert ratio <= 0.6
@@ -397,7 +408,7 @@ def test_fixed_point_contracts_and_matches_cg():
 
 def test_fixed_point_reports_divergence():
     ops, data = make_instance(seed=28, M1=1e-3, M2=1e-3)
-    rep = solve_fixed_point(data, ops, "P", 1e-10, max_iter=25)
+    rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10, max_iter=25)
     assert not rep.converged
     assert measured_step_ratio(rep.history) > 1.0
 
@@ -411,8 +422,8 @@ def test_lipschitz_ratio_below_contraction_constant():
     for _ in range(50):
         a = random_control(ops, data.grid, rng)
         b = random_control(ops, data.grid, rng)
-        wa = apply_W(data, a, ops, "P", stepper)
-        wb = apply_W(data, b, ops, "P", stepper)
+        wa = apply_W(data, a, stepper)
+        wb = apply_W(data, b, stepper)
         denom = hq_norm(b - a, ops, data.grid)
         assert hq_norm(wb - wa, ops, data.grid) <= c0 * denom
 
@@ -423,7 +434,7 @@ def test_distributed_only_trivial():
     ops, data = make_instance(seed=31)
     data = matched_target(data, ops)
     q0 = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
-    rep = solve_distributed_only(data, q0, ops, "P", 1e-10)
+    rep = solve_distributed_only(data, q0, Stepper(ops, data.grid, "P"), 1e-10)
     assert rep.converged
     assert np.max(np.abs(rep.control.g)) == 0.0
 
@@ -433,7 +444,8 @@ def test_distributed_only_matches_dense_g_block(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=32, alpha=10.0)
     rng = np.random.default_rng(33)
     q_fixed = rng.standard_normal((data.grid.n_steps, len(ops.gamma2_nodes)))
-    rep = solve_distributed_only(data, q_fixed, ops, variant, 1e-12)
+    rep = solve_distributed_only(data, q_fixed,
+                                 Stepper(ops, data.grid, variant, data.alpha), 1e-12)
     assert rep.converged
     oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha) \
         .kkt_optimum_distributed(data, q_fixed)
@@ -443,8 +455,9 @@ def test_distributed_only_matches_dense_g_block(variant):
 
 def test_simultaneous_cost_never_exceeds_frozen_flux_cost():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=34)
-    full = solve_cg(data, ops, "P", 1e-11)
-    dist = solve_distributed_only(data, full.control.q, ops, "P", 1e-11)
+    stepper = Stepper(ops, data.grid, "P")
+    full = solve_cg(data, stepper, 1e-11)
+    dist = solve_distributed_only(data, full.control.q, stepper, 1e-11)
     assert full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14
 
 
@@ -459,13 +472,14 @@ def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=39, alpha=10.0,
                               zero_data=flux == "zero_data")
     shape_q = (data.grid.n_steps, len(ops.gamma2_nodes))
+    stepper = Stepper(ops, data.grid, variant, data.alpha)
     if flux == "random":
         q_fixed = np.random.default_rng(40).standard_normal(shape_q)
     elif flux == "simultaneous_optimum":
-        q_fixed = solve_cg(data, ops, variant, 1e-11).control.q
+        q_fixed = solve_cg(data, stepper, 1e-11).control.q
     else:
         q_fixed = np.zeros(shape_q)
-    rep = solve_distributed_only(data, q_fixed, ops, variant, 1e-11)
+    rep = solve_distributed_only(data, q_fixed, stepper, 1e-11)
     ref = distributed_only_on_g(data, q_fixed, ops, variant, 1e-11)
     assert (flux == "zero_data") == (ref.iterations == 0)
     for got, expected in ((rep.control.g, ref.control.g), (rep.control.q, ref.control.q),
@@ -480,12 +494,13 @@ def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
 def test_bad_q_fixed_shape_rejected():
     ops, data = make_instance(seed=35)
     with pytest.raises(ValueError, match="q_fixed"):
-        solve_distributed_only(data, np.zeros((1, 1)), ops, "P", 1e-8)
+        solve_distributed_only(data, np.zeros((1, 1)), Stepper(ops, data.grid, "P"), 1e-8)
 
 
 def test_nonpositive_tolerances_rejected():
     ops, data = make_instance(seed=36)
+    stepper = Stepper(ops, data.grid, "P")
     with pytest.raises(ValueError):
-        solve_cg(data, ops, "P", 0.0)
+        solve_cg(data, stepper, 0.0)
     with pytest.raises(ValueError):
-        solve_fixed_point(data, ops, "P", -1.0)
+        solve_fixed_point(data, stepper, -1.0)

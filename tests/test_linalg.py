@@ -134,6 +134,15 @@ def test_bad_inputs_rejected():
         SpdFactor(sp.csr_matrix([[2.0, 1.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_are_reported_before_the_symmetry_test(bad):
+    # the Robin step matrix at a non-finite alpha: a nan differs from its
+    # transpose, and an inf made the factorization fail as singular
+    ops = assemble(build_rect_mesh(3, 3, "left"))
+    with pytest.raises(ValueError, match=r"must be finite, got \d+ non-finite"):
+        SpdFactor(ops.M + ops.K + bad * ops.B1)
+
+
 def test_solves_and_eigenvalues_are_deterministic():
     ops = assemble(build_rect_mesh(3, 3, "left"))
     A = sp.csr_matrix(ops.K + ops.M)

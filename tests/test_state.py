@@ -32,8 +32,8 @@ def constant_instance(nx=3, ny=2, n_steps=4, alpha=10.0):
 def test_zero_data_gives_zero_state():
     ops, data = zero_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u = solve_state(data, ctrl, ops, "P")
-    ua = solve_state(data, ctrl, ops, "Palpha")
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
+    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", data.alpha))
     assert np.max(np.abs(u.slices)) == 0.0
     assert np.max(np.abs(ua.slices)) == 0.0
 
@@ -41,7 +41,7 @@ def test_zero_data_gives_zero_state():
 def test_constant_state_is_stationary():
     ops, data = constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u = solve_state(data, ctrl, ops, "P")
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
     assert np.max(np.abs(u.slices - 1.0)) <= 1e-12
 
 
@@ -49,7 +49,7 @@ def test_constant_state_is_stationary():
 def test_constant_state_is_stationary_robin(alpha):
     ops, data = constant_instance(alpha=alpha)
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    ua = solve_state(data, ctrl, ops, "Palpha")
+    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", data.alpha))
     assert np.max(np.abs(ua.slices - 1.0)) <= 1e-12
 
 
@@ -58,7 +58,7 @@ def test_state_matches_dense_spacetime_solve():
     rng = np.random.default_rng(22)
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "P").state(data, ctrl)
-    u = solve_state(data, ctrl, ops, "P")
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
     assert np.max(np.abs(u.slices - dense)) <= 1e-10
 
 
@@ -67,7 +67,7 @@ def test_robin_state_matches_dense_spacetime_solve():
     rng = np.random.default_rng(24)
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "Palpha", 10.0).state(data, ctrl)
-    ua = solve_state(data, ctrl, ops, "Palpha")
+    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", data.alpha))
     assert np.max(np.abs(ua.slices - dense)) <= 1e-10
 
 
@@ -76,10 +76,11 @@ def test_superposition_of_the_affine_map():
     rng = np.random.default_rng(31)
     c1 = random_control(ops, data.grid, rng)
     c2 = random_control(ops, data.grid, rng)
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), ops, "P").slices
-    u1 = solve_state(data, c1, ops, "P").slices
-    u2 = solve_state(data, c2, ops, "P").slices
-    u12 = solve_state(data, c1 + c2, ops, "P").slices
+    stepper = Stepper(ops, data.grid, "P")
+    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper).slices
+    u1 = solve_state(data, c1, stepper).slices
+    u2 = solve_state(data, c2, stepper).slices
+    u12 = solve_state(data, c1 + c2, stepper).slices
     assert np.max(np.abs((u12 - u00) - ((u1 - u00) + (u2 - u00)))) <= 1e-10
 
 
@@ -87,7 +88,7 @@ def test_dirichlet_trace_is_exact():
     ops, data = make_instance(nx=3, ny=2, n_steps=4, seed=33)
     rng = np.random.default_rng(34)
     ctrl = random_control(ops, data.grid, rng)
-    u = solve_state(data, ctrl, ops, "P")
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
     for k in range(data.grid.n_steps + 1):
         assert np.array_equal(u.slices[k][ops.dirichlet_nodes], data.b)
 
@@ -98,7 +99,7 @@ def test_penalized_boundary_mismatch_stays_bounded():
     ctrl = random_control(ops, data.grid, rng)
     residuals = []
     for alpha in (10.0, 100.0, 1000.0, 10000.0):
-        ua = solve_state(data.with_alpha(alpha), ctrl, ops, "Palpha")
+        ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", alpha))
         residuals.append(boundary_residual_norm(ua, data.b, alpha, ops, data.grid))
     assert max(residuals) <= 10.0 * residuals[0]
 
@@ -142,7 +143,7 @@ def test_spatial_convergence_against_exact_solution(with_flux):
     errs = []
     for nx in (4, 8, 16):
         ops, data, ctrl, space = manufactured_problem(nx, 2048, with_flux)
-        u = solve_state(data, ctrl, ops, "P")
+        u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
         err = u.slices[-1] - np.exp(-1.0) * space
         errs.append(np.sqrt(err @ (ops.M @ err)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -152,11 +153,11 @@ def test_spatial_convergence_against_exact_solution(with_flux):
 def test_temporal_convergence_is_first_order():
     ops, data, _, _ = manufactured_problem(12, 2048, True)
     _, data_ref, ctrl_ref, _ = manufactured_problem(12, 2048, True)
-    u_ref = solve_state(data_ref, ctrl_ref, ops, "P")
+    u_ref = solve_state(data_ref, ctrl_ref, Stepper(ops, data_ref.grid, "P"))
     errs = []
     for n_steps in (8, 16, 32):
         _, data_c, ctrl_c, _ = manufactured_problem(12, n_steps, True)
-        u = solve_state(data_c, ctrl_c, ops, "P")
+        u = solve_state(data_c, ctrl_c, Stepper(ops, data_c.grid, "P"))
         d = u.slices[-1] - u_ref.slices[-1]
         errs.append(np.sqrt(d @ (ops.M @ d)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -185,7 +186,7 @@ def test_sweep_matches_the_two_product_loop(variant):
     ctrl = random_control(ops, data.grid, np.random.default_rng(62))
     assert np.all(data.b != 0.0) and np.all(ctrl.q != 0.0)
     reference = two_product_state(data, ctrl, ops, variant)
-    u = solve_state(data, ctrl, ops, variant).slices
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, variant, data.alpha)).slices
     assert np.max(np.abs(u - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -194,30 +195,19 @@ def test_mismatched_data_rejected():
     bad = ProblemData(b=data.b, v_b=data.v_b + 1.0, z_d=data.z_d,
                       M1=data.M1, M2=data.M2, grid=data.grid, alpha=data.alpha)
     ctrl = ControlPair.zeros_like(ops, data.grid)
+    stepper = Stepper(ops, data.grid, "P")
     with pytest.raises(ValueError, match="Dirichlet"):
-        solve_state(bad, ctrl, ops, "P")
+        solve_state(bad, ctrl, stepper)
     with pytest.raises(ValueError, match="positive"):
         solve_state(
             ProblemData(b=data.b, v_b=data.v_b, z_d=data.z_d, M1=-1.0,
-                        M2=data.M2, grid=data.grid), ctrl, ops, "P")
+                        M2=data.M2, grid=data.grid), ctrl, stepper)
     z_d = data.z_d.copy()
     z_d[1, 2] = np.nan
     for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
                         ("M2", np.nan), ("alpha", -np.inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            solve_state(replace(data, **{name: value}), ctrl, ops, "P")
-
-
-def test_mismatched_stepper_rejected():
-    from heatctrl import Stepper
-    ops, data = make_instance(seed=37, alpha=10.0)
-    ctrl = ControlPair.zeros_like(ops, data.grid)
-    robin_stepper = Stepper(ops, data.grid, "Palpha", data.alpha)
-    with pytest.raises(ValueError, match="variant"):
-        solve_state(data, ctrl, ops, "P", stepper=robin_stepper)
-    other_alpha = Stepper(ops, data.grid, "Palpha", 99.0)
-    with pytest.raises(ValueError, match="alpha"):
-        solve_state(data, ctrl, ops, "Palpha", stepper=other_alpha)
+            solve_state(replace(data, **{name: value}), ctrl, stepper)
 
 
 def test_robin_variant_needs_alpha():
@@ -225,4 +215,12 @@ def test_robin_variant_needs_alpha():
     data_no_alpha = ProblemData(b=data.b, v_b=data.v_b, z_d=data.z_d,
                                 M1=data.M1, M2=data.M2, grid=data.grid)
     with pytest.raises(ValueError, match="alpha"):
-        solve_state(data_no_alpha, ControlPair.zeros_like(ops, data.grid), ops, "Palpha")
+        solve_state(data_no_alpha, ControlPair.zeros_like(ops, data.grid),
+                    Stepper(ops, data.grid, "Palpha", data_no_alpha.alpha))
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
+def test_robin_stepper_refuses_a_bad_alpha_by_name(alpha):
+    ops, data = make_instance()
+    with pytest.raises(ValueError, match=r"needs a finite alpha > 0, got"):
+        Stepper(ops, data.grid, "Palpha", alpha)
