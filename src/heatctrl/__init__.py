@@ -8,8 +8,8 @@ the Robin-to-pinned limit and the fixed-point characterization of optima.
 """
 
 from .adjoint import solve_adjoint
-from .analysis import (SweepRecord, SweepReport, check_suite,
-                       fixed_control_sweep, optimal_control_sweep, sweep_flags)
+from .analysis import (SweepRecord, SweepReport, alpha_sweep, check_suite,
+                       sweep_flags)
 from .assembly import (AssemblyError, ConstantsReport, DiscreteOperators,
                        assemble, compute_constants)
 from .control import (OptimalityReport, apply_W, contraction_constant,
@@ -36,6 +36,7 @@ __all__ = [
     "SweepReport",
     "TimeGrid",
     "Trajectory",
+    "alpha_sweep",
     "apply_W",
     "assemble",
     "build_rect_mesh",
@@ -45,14 +46,12 @@ __all__ = [
     "convexity_gap",
     "cost_J",
     "dof_partition",
-    "fixed_control_sweep",
     "gen_eig_extreme",
     "gradient_J",
     "h_inner",
     "hq_inner",
     "hq_norm",
     "measured_step_ratio",
-    "optimal_control_sweep",
     "q_inner",
     "solve_adjoint",
     "solve_cg",

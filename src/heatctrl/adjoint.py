@@ -15,8 +15,8 @@ import numpy as np
 from .state import ProblemData, Stepper, Trajectory, _check
 
 
-def _check_state(data, u, ops):
-    expected = (data.grid.n_steps + 1, ops.n_nodes)
+def _check_state(data, u):
+    expected = (data.grid.n_steps + 1, data.ops.n_nodes)
     if u.slices.shape != expected:
         raise ValueError(
             f"state trajectory has shape {u.slices.shape}, expected {expected}"
@@ -45,7 +45,7 @@ def _backward(stepper, residual):
 def solve_adjoint(data: ProblemData, u: Trajectory, stepper: Stepper) -> Trajectory:
     """Adjoint of the stepper's system, driven by the tracking residual of u."""
     _check(data, stepper)
-    _check_state(data, u, stepper.ops)
+    _check_state(data, u)
     return Trajectory(_backward(stepper, u.slices[1:] - data.z_d))
 
 

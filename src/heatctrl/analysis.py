@@ -74,10 +74,12 @@ class SweepReport:
 
 
 def check_alphas(alphas):
-    """The sweep coefficients as floats: nonempty, all above 1, strictly increasing."""
+    """The sweep coefficients as floats: nonempty, finite, > 1, strictly increasing."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("a sweep needs at least one coefficient")
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError(f"sweep coefficients must be finite, got {alphas}")
     if any(a <= 1.0 for a in alphas):
         raise ValueError(f"sweep coefficients must all exceed 1, got {alphas}")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
@@ -107,21 +109,23 @@ def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
     return math.sqrt(max((alpha - 1.0) * sq, 0.0))
 
 
-def _sweeps(data: ProblemData, alphas, ops, ctrl: ControlPair, tol=None,
-            max_iter=CG_MAX_ITER):
+def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
+                max_iter=CG_MAX_ITER):
     """The fixed-control sweep at ctrl and, given tol, the optimal-control sweep.
 
-    One pass over the operators, the pinned one and then the Robin one at
-    each alpha: each gets one stepper, so it is factorized once and at most
-    two factorizations are alive at a time, and one state/adjoint pass at
-    ctrl, which gives its fixed-control record.  Given tol, ctrl must be
-    zero controls: the pass is then also the start of the operator's CG
-    solve.  Returns the fixed-control report and the optimal-control report
-    (None without tol).  `cli.run_sweep` calls this loop directly, to get
-    both reports of `heatctrl sweep` from one pass.
+    Both measure gaps against the pinned system: of the states and adjoints
+    at ctrl, and of the per-alpha optima.  One pass over the operators, the
+    pinned one and then the Robin one at each alpha: each is factorized once
+    (at most two factorizations alive at a time) and gets one state/adjoint
+    pass at ctrl, which gives its fixed-control record and, given tol,
+    starts its CG solve, so ctrl must then be zero controls.  Returns the
+    fixed-control report and the optimal-control report (None without tol).
     """
     alphas = check_alphas(alphas)
-    grid = data.grid
+    if tol is not None and (np.any(ctrl.g) or np.any(ctrl.q)):
+        raise ValueError("an optimal-control sweep (tol given) starts each CG solve "
+                         "from its pass at ctrl, so ctrl must be zero controls")
+    ops, grid = data.ops, data.grid
     fixed, optimal = [], []
     for alpha in (None, *alphas):
         stepper = Stepper(ops, grid, "P" if alpha is None else "Palpha", alpha)
@@ -166,17 +170,6 @@ def _sweeps(data: ProblemData, alphas, ops, ctrl: ControlPair, tol=None,
                                      reference=reference)
 
 
-def fixed_control_sweep(data: ProblemData, ctrl: ControlPair, alphas, ops) -> SweepReport:
-    """State/adjoint gaps against the pinned system for one fixed control."""
-    return _sweeps(data, alphas, ops, ctrl)[0]
-
-
-def optimal_control_sweep(data: ProblemData, alphas, ops, tol) -> SweepReport:
-    """Gaps between the per-alpha optima and the pinned problem's optimum."""
-    zero = ControlPair.zeros_like(ops, data.grid)
-    return _sweeps(data, alphas, ops, zero, tol=tol)[1]
-
-
 # relative distance of the last sweep optimum's cost from the pinned one
 COST_TOLERANCE = 0.05
 
@@ -215,14 +208,14 @@ def sweep_flags(report: SweepReport) -> dict:
     return flags
 
 
-def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
+def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                 fixed_point=False, n_pairs=10) -> list:
     """Every check of `heatctrl check`, as {name, measured, bound, passed} records.
 
     The identity checks come first, on random controls drawn from a
     generator seeded 7: the adjoint identity for both variants, then the
     gradient against central differences and the convexity identity for
-    `variant`.  Then, for the pinned and the Robin variant at data.alpha,
+    `variant`.  Then, for the pinned and the Robin variant at alpha,
     the inter-problem estimates: the simultaneous optimum against the
     distributed-only optimum with its flux frozen (distance estimate and
     cost ordering), and the measured Lipschitz ratio of the fixed-point map
@@ -231,11 +224,11 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     for `variant` must match the CG optimum, or its divergence must agree
     with a contraction constant of at least one.
     """
-    if data.alpha is None or data.alpha <= 1.0:
-        raise ValueError(f"the checks need alpha > 1, got {data.alpha}")
-    grid = data.grid
+    if alpha is None or not 1.0 < alpha < math.inf:
+        raise ValueError(f"the checks need a finite alpha > 1, got {alpha}")
+    ops, grid = data.ops, data.grid
     steppers = {"P": Stepper(ops, grid, "P"),
-                "Palpha": Stepper(ops, grid, "Palpha", data.alpha)}
+                "Palpha": Stepper(ops, grid, "Palpha", alpha)}
     stepper = steppers[variant]
     checks = []
 
@@ -305,8 +298,7 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
     }
     rng = np.random.default_rng(20240)
     for name, variant_stepper in steppers.items():
-        alpha = variant_stepper.alpha
-        lam = _coercivity(constants, name, alpha)
+        lam = _coercivity(constants, name, variant_stepper.alpha)
         suffix = "" if name == "P" else "_alpha"
         full = solutions[name]
         dist = solve_distributed_only(data, full.control.q, variant_stepper, tol,
@@ -328,7 +320,8 @@ def check_suite(data: ProblemData, ops, variant, tol, max_iter=CG_MAX_ITER,
         add(f"cost_ordering{suffix}", full.cost, dist.cost,
             full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)
 
-        c0 = contraction_constant(constants, data.M1, data.M2, name, alpha)
+        c0 = contraction_constant(constants, data.M1, data.M2, name,
+                                  variant_stepper.alpha)
         worst = 0.0
         for _ in range(n_pairs):
             c_a, c_b = random_ctrl(rng), random_ctrl(rng)

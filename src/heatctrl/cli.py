@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (SolverNotConverged, _sweeps, check_alphas, check_suite,
+from .analysis import (SolverNotConverged, alpha_sweep, check_alphas, check_suite,
                        sweep_flags)
 from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
@@ -271,7 +271,7 @@ def load_config(path) -> RunConfig:
 
 
 def build_problem(config: RunConfig):
-    """Construct (ops, data) from a parsed configuration."""
+    """Construct the problem data, operators included, from a parsed configuration."""
     try:
         mesh = build_rect_mesh(config.nx, config.ny, config.gamma1)
         grid = TimeGrid(config.T, config.n_steps)
@@ -287,13 +287,13 @@ def build_problem(config: RunConfig):
     v_b = _field_values(config.v_b_spec, mesh.nodes, "[problem] v_b")
     z_node = _field_values(config.z_d_spec, mesh.nodes, "[problem] z_d")
     z_d = np.tile(z_node, (grid.n_steps, 1))
-    data = ProblemData(b=b, v_b=v_b, z_d=z_d, M1=config.M1, M2=config.M2,
-                       grid=grid, alpha=config.alpha)
+    data = ProblemData(ops=ops, b=b, v_b=v_b, z_d=z_d, M1=config.M1, M2=config.M2,
+                       grid=grid)
     try:
-        data.validate(ops)
+        data.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ops, data
+    return data
 
 
 # -- report writers --------------------------------------------------------------
@@ -371,15 +371,15 @@ def summarize_sweep(payload) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 def run_solve(config: RunConfig, quiet=False) -> int:
-    ops, data = build_problem(config)
-    constants = compute_constants(ops)
+    data = build_problem(config)
+    constants = compute_constants(data.ops)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
     reports = {}
     optimizers = ("cg", "fixed_point") if config.optimizer == "both" \
         else (config.optimizer,)
-    stepper = Stepper(ops, data.grid, config.variant, data.alpha)
+    stepper = Stepper(data.ops, data.grid, config.variant, config.alpha)
     for name in optimizers:
         if name == "cg":
             rep = solve_cg(data, stepper, config.tol, max_iter=config.max_iter)
@@ -405,24 +405,23 @@ def run_solve(config: RunConfig, quiet=False) -> int:
             write_csv_series(out / f"adjoint_{name}.csv", rep.adjoint.slices)
             write_csv_series(out / f"control_g_{name}.csv", rep.control.g, step0=1)
             write_csv_series(out / f"control_q_{name}.csv", rep.control.q, step0=1,
-                             node_ids=ops.gamma2_nodes)
+                             node_ids=data.ops.gamma2_nodes)
     if not quiet:
         print(summarize_solve(payload))
     return 0 if all(r["converged"] for r in runs.values()) else 2
 
 
 def run_sweep(config: RunConfig, quiet=False) -> int:
-    ops, data = build_problem(config)
+    data = build_problem(config)
     try:
         alphas = check_alphas(config.alphas)
     except ValueError as exc:
         raise ConfigError(f"[problem] alphas: {exc}") from None
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    zero = ControlPair.zeros_like(ops, data.grid)
-    # the package-private loop gives both reports from one pass per operator
-    fixed, report = _sweeps(data, alphas, ops, zero, tol=config.tol,
-                            max_iter=config.max_iter)
+    zero = ControlPair.zeros_like(data.ops, data.grid)
+    fixed, report = alpha_sweep(data, alphas, zero, tol=config.tol,
+                                max_iter=config.max_iter)
     fixed_flags = sweep_flags(fixed)
     flags = sweep_flags(report)
     payload = {
@@ -456,10 +455,10 @@ def run_sweep(config: RunConfig, quiet=False) -> int:
 
 
 def run_checks(config: RunConfig, quiet=False) -> int:
-    ops, data = build_problem(config)
-    if data.alpha is None or data.alpha <= 1.0:
+    data = build_problem(config)
+    if config.alpha is None or config.alpha <= 1.0:
         raise ConfigError("checks need problem.alpha > 1")
-    checks = check_suite(data, ops, config.variant, config.tol,
+    checks = check_suite(data, config.alpha, config.variant, config.tol,
                          max_iter=config.max_iter,
                          fixed_point=config.optimizer in ("fixed_point", "both"))
     payload = {"command": "check", "checks": checks}
@@ -476,8 +475,7 @@ def run_checks(config: RunConfig, quiet=False) -> int:
 
 
 def run_constants(config: RunConfig, quiet=False) -> int:
-    ops, _ = build_problem(config)
-    constants = compute_constants(ops)
+    constants = compute_constants(build_problem(config).ops)
     payload = {"command": "constants", "constants": constants.to_dict()}
     config.out_dir.mkdir(parents=True, exist_ok=True)
     if "json" in config.formats:

@@ -107,7 +107,7 @@ def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
         u = solve_state(data, ctrl, stepper)
     else:
         _check(data, stepper)
-    ops, grid = stepper.ops, data.grid
+    ops, grid = data.ops, data.grid
     mis = u.slices[1:] - data.z_d
     track = 0.5 * h_inner(mis, mis, ops, grid)
     pen_g = 0.5 * data.M1 * h_inner(ctrl.g, ctrl.g, ops, grid)
@@ -115,12 +115,12 @@ def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
     return track + pen_g + pen_q
 
 
-def _gradient(data, ctrl, ops, p) -> ControlPair:
+def _gradient(data, ctrl, p) -> ControlPair:
     """The gradient formula for the adjoint p at ctrl: no sweep, no check."""
     p_steps = p.slices[:-1]
     return ControlPair(
         data.M1 * ctrl.g + p_steps,
-        data.M2 * ctrl.q - ops.trace2(p_steps),
+        data.M2 * ctrl.q - data.ops.trace2(p_steps),
     )
 
 
@@ -137,7 +137,7 @@ def gradient_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
         p = solve_adjoint(data, u, stepper)
     else:
         _check(data, stepper)
-    return _gradient(data, ctrl, stepper.ops, p)
+    return _gradient(data, ctrl, p)
 
 
 def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
@@ -160,7 +160,7 @@ def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPa
     """Fixed-point map (-p/M1, p|gamma2/M2) built from the adjoint at ctrl."""
     u = solve_state(data, ctrl, stepper)
     p_steps = solve_adjoint(data, u, stepper).slices[:-1]
-    return ControlPair(-p_steps / data.M1, stepper.ops.trace2(p_steps) / data.M2)
+    return ControlPair(-p_steps / data.M1, data.ops.trace2(p_steps) / data.M2)
 
 
 def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
@@ -192,15 +192,15 @@ def _held(c: ControlPair, hold_q) -> ControlPair:
 def _hessian_apply(d: ControlPair, data, stepper) -> ControlPair:
     """Action of the reduced Hessian: the gradient formula at the linear part C(d)."""
     du = solve_state_homogeneous(d, stepper)
-    return _gradient(data, d, stepper.ops, solve_adjoint_homogeneous(du, stepper))
+    return _gradient(data, d, solve_adjoint_homogeneous(du, stepper))
 
 
 def _finalize(data, x, stepper, solver, tol, grad_norm0, iterations, history,
               converged_rule, hold_q=False):
     u = solve_state(data, x, stepper)
     p = solve_adjoint(data, u, stepper)
-    grad = _held(_gradient(data, x, stepper.ops, p), hold_q)
-    grad_norm = hq_norm(grad, stepper.ops, data.grid)
+    grad = _held(_gradient(data, x, p), hold_q)
+    grad_norm = hq_norm(grad, data.ops, data.grid)
     return OptimalityReport(
         control=x,
         state=u,
@@ -267,7 +267,7 @@ def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    ops, grid = stepper.ops, data.grid
+    ops, grid = data.ops, data.grid
 
     def start():
         # made afresh for each use, so no zero field stays alive through CG
@@ -296,7 +296,7 @@ def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
     and adjoint (u, p) at zero controls (the alpha sweeps); the start then
     costs no sweeps.
     """
-    q_start = np.zeros((data.grid.n_steps, len(stepper.ops.gamma2_nodes)))
+    q_start = np.zeros((data.grid.n_steps, len(data.ops.gamma2_nodes)))
     return _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q=False,
                        start_pass=_start_pass)
 
@@ -312,7 +312,7 @@ def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    ops, grid = stepper.ops, data.grid
+    ops, grid = data.ops, data.grid
     x = ControlPair.zeros_like(ops, grid)
     grad_norm0 = hq_norm(gradient_J(data, x, stepper), ops, grid)
     history = []
@@ -354,10 +354,12 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, stepper: Step
     directly comparable with the simultaneous problem's optimum; the
     gradient norms cover the g part only.
     """
-    n_steps, n_gamma2 = data.grid.n_steps, len(stepper.ops.gamma2_nodes)
+    n_steps, n_gamma2 = data.grid.n_steps, len(data.ops.gamma2_nodes)
     q_fixed = np.array(q_fixed, dtype=float)  # a copy: the report never aliases it
     if q_fixed.shape != (n_steps, n_gamma2):
         raise ValueError(
             f"q_fixed must have shape ({n_steps}, {n_gamma2}), got {q_fixed.shape}"
         )
+    if not np.all(np.isfinite(q_fixed)):
+        raise ValueError("q_fixed must be finite")
     return _reduced_cg(data, stepper, tol, max_iter, q_fixed, hold_q=True)

@@ -26,28 +26,26 @@ VARIANTS = ("P", "Palpha")
 class ProblemData:
     """One fully specified control problem instance.
 
+    ops : the assembled operators of the mesh the data lives on; every
+        stepper that solves this problem must be built on this very object.
     b : values on the Dirichlet nodes (time independent).
     v_b : initial nodal field; must equal b on the Dirichlet nodes.
     z_d : target, one nodal field per time step, shape (n_steps, n_nodes).
     M1, M2 : positive weights of the distributed / boundary control penalty.
-    alpha : Robin exchange coefficient that the command line and the check
-        suite build the Robin stepper from; the solvers use the stepper's
-        coefficient, never this one.
     """
 
+    ops: DiscreteOperators
     b: np.ndarray
     v_b: np.ndarray
     z_d: np.ndarray
     M1: float
     M2: float
     grid: TimeGrid
-    alpha: float | None = None
 
-    def validate(self, ops: DiscreteOperators):
-        n = ops.n_nodes
-        for name in ("b", "v_b", "z_d", "M1", "M2", "alpha"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+    def validate(self):
+        ops, n = self.ops, self.ops.n_nodes
+        for name in ("b", "v_b", "z_d", "M1", "M2"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.M1 <= 0 or self.M2 <= 0:
             raise ValueError(f"cost weights must be positive, got {self.M1}, {self.M2}")
@@ -170,11 +168,14 @@ def _check(data: ProblemData, stepper: Stepper):
     if stepper.grid != data.grid:
         raise ValueError(
             f"stepper was built for {stepper.grid}, the data is on {data.grid}")
-    n = stepper.ops.n_nodes
-    if data.v_b.shape != (n,):
-        raise ValueError(f"stepper was built for a mesh of {n} nodes, the data's v_b "
-                         f"has shape {data.v_b.shape}")
-    data.validate(stepper.ops)
+    # operators hold sparse matrices, which == cannot compare: the stepper
+    # must share the data's very object
+    if stepper.ops is not data.ops:
+        raise ValueError(
+            f"stepper was built on other mesh operators (a mesh of "
+            f"{stepper.ops.n_nodes} nodes) than the data's (nodal fields of shape "
+            f"({data.ops.n_nodes},))")
+    data.validate()
 
 
 def _check_ctrl(ctrl, stepper):

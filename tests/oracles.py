@@ -228,9 +228,13 @@ class SpaceTimeSystem:
 
 # -- reference helpers on the package's own sweeps -------------------------------
 
+# the Robin coefficient of every helper below and of most test instances
+ALPHA = 10.0
+
+
 def apply_C(data, ctrl, ops, variant):
     """Linear part of the control-to-state map: u(ctrl) - u(zero controls)."""
-    return solve_state_homogeneous(ctrl, Stepper(ops, data.grid, variant, data.alpha))
+    return solve_state_homogeneous(ctrl, Stepper(ops, data.grid, variant, ALPHA))
 
 
 def extend_gamma2(ops, q):
@@ -259,13 +263,13 @@ def two_product_state(data, ctrl, ops, variant):
     one-product sweep replaced, kept as its reference.
     """
     grid, tau = data.grid, data.grid.tau
-    S, mass, K_fd, factor = _two_product_setup(ops, grid, variant, data.alpha)
+    S, mass, K_fd, factor = _two_product_setup(ops, grid, variant, ALPHA)
     if variant == "P":
         source = -(K_fd @ data.b)
     else:
         b_ext = np.zeros(ops.n_nodes)
         b_ext[ops.dirichlet_nodes] = data.b
-        source = data.alpha * (ops.B1 @ b_ext)
+        source = ALPHA * (ops.B1 @ b_ext)
     flux = sp.csr_matrix(ops.B2[:, ops.gamma2_nodes])
     u = np.empty((grid.n_steps + 1, ops.n_nodes))
     u[0] = data.v_b
@@ -285,7 +289,7 @@ def two_product_adjoint(data, u, ops, variant):
     the loop the one-product sweep replaced, kept as its reference.
     """
     grid, tau = data.grid, data.grid.tau
-    S, mass, _, factor = _two_product_setup(ops, grid, variant, data.alpha)
+    S, mass, _, factor = _two_product_setup(ops, grid, variant, ALPHA)
     p = np.zeros((grid.n_steps + 1, ops.n_nodes))
     x = p[-1, S]
     for k in range(grid.n_steps - 1, -1, -1):
@@ -301,7 +305,7 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
     every state solve: the algorithm `solve_distributed_only` must reproduce
     bit for bit when it runs the simultaneous CG with the q part held.
     """
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     grid = data.grid
     q_fixed = np.asarray(q_fixed, dtype=float)
     zero_q = np.zeros_like(q_fixed)
@@ -350,7 +354,7 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
 
 # -- shared instance builders ----------------------------------------------------
 
-def make_instance(nx=2, ny=2, n_steps=2, seed=0, M1=1.0, M2=1.0, alpha=10.0,
+def make_instance(nx=2, ny=2, n_steps=2, seed=0, M1=1.0, M2=1.0,
                   gamma1="left", zero_data=False, T=1.0):
     """A small problem instance with random data (or all-zero data)."""
     mesh = build_rect_mesh(nx, ny, gamma1)
@@ -367,7 +371,7 @@ def make_instance(nx=2, ny=2, n_steps=2, seed=0, M1=1.0, M2=1.0, alpha=10.0,
         v_b = rng.standard_normal(n)
         v_b[ops.dirichlet_nodes] = b
         z_d = rng.standard_normal((n_steps, n))
-    data = ProblemData(b=b, v_b=v_b, z_d=z_d, M1=M1, M2=M2, grid=grid, alpha=alpha)
+    data = ProblemData(ops=ops, b=b, v_b=v_b, z_d=z_d, M1=M1, M2=M2, grid=grid)
     return ops, data
 
 
@@ -387,12 +391,12 @@ def default_instance(seed=42):
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     z_node = np.exp(-((x - 0.7) ** 2 + (y - 0.5) ** 2) / (2 * 0.15**2))
     data = ProblemData(
+        ops=ops,
         b=np.zeros(len(ops.dirichlet_nodes)),
         v_b=np.zeros(n),
         z_d=np.tile(z_node, (grid.n_steps, 1)),
         M1=1.0,
         M2=1.0,
         grid=grid,
-        alpha=10.0,
     )
     return ops, data

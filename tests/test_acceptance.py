@@ -5,20 +5,21 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heatctrl import (ControlPair, ProblemData, Stepper, compute_constants,
-                      contraction_constant, convexity_gap, cost_J,
-                      fixed_control_sweep, gradient_J, h_inner, hq_inner,
-                      hq_norm, measured_step_ratio, optimal_control_sweep,
-                      q_inner, solve_adjoint, solve_cg, solve_distributed_only,
-                      solve_fixed_point, solve_state)
+from heatctrl import (ControlPair, ProblemData, Stepper, alpha_sweep,
+                      compute_constants, contraction_constant, convexity_gap,
+                      cost_J, gradient_J, h_inner, hq_inner, hq_norm,
+                      measured_step_ratio, q_inner, solve_adjoint, solve_cg,
+                      solve_distributed_only, solve_fixed_point, solve_state)
 from heatctrl.cli import main
 from heatctrl.state import solve_state_homogeneous
 
-from oracles import SpaceTimeSystem, default_instance, make_instance, random_control
+from oracles import (ALPHA, SpaceTimeSystem, default_instance, make_instance,
+                     random_control)
 
 
 def report(criterion, passed, detail):
@@ -28,7 +29,7 @@ def report(criterion, passed, detail):
 
 
 def small_instance(seed=1):
-    return make_instance(nx=2, ny=2, n_steps=2, seed=seed, alpha=10.0)
+    return make_instance(nx=2, ny=2, n_steps=2, seed=seed)
 
 
 def test_criterion_1_adjoint_identity():
@@ -36,7 +37,7 @@ def test_criterion_1_adjoint_identity():
     rng = np.random.default_rng(101)
     for ops, data in (small_instance(), default_instance()):
         for variant in ("P", "Palpha"):
-            stepper = Stepper(ops, data.grid, variant, data.alpha)
+            stepper = Stepper(ops, data.grid, variant, ALPHA)
             base = random_control(ops, data.grid, rng)
             u = solve_state(data, base, stepper)
             p = solve_adjoint(data, u, stepper)
@@ -57,9 +58,9 @@ def test_criterion_2_gradient_vs_finite_differences():
     for trial in range(20):
         ops, data = make_instance(
             nx=2 + trial % 2, ny=2, n_steps=2 + trial % 2, seed=200 + trial,
-            M1=0.4 + 0.1 * trial, M2=0.6 + 0.07 * trial, alpha=10.0)
+            M1=0.4 + 0.1 * trial, M2=0.6 + 0.07 * trial)
         variant = "P" if trial % 2 == 0 else "Palpha"
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
+        stepper = Stepper(ops, data.grid, variant, ALPHA)
         ctrl = random_control(ops, data.grid, rng)
         d = random_control(ops, data.grid, rng)
         d = (1.0 / hq_norm(d, ops, data.grid)) * d
@@ -99,9 +100,9 @@ def test_criterion_4_dense_kkt_oracle_equivalence():
     ops, data = small_instance(seed=4)
     worst = 0.0
     for variant in ("P", "Palpha"):
-        rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-12)
+        rep = solve_cg(data, Stepper(ops, data.grid, variant, ALPHA), 1e-12)
         assert rep.converged
-        oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha).kkt_optimum(data)
+        oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
         worst = max(worst, hq_norm(rep.control - oracle, ops, data.grid))
     report(4, worst <= 1e-8,
            f"cg optimum vs dense normal equations, worst gap {worst:.3e} <= 1e-8")
@@ -112,8 +113,7 @@ def test_criterion_5_fixed_point_characterization():
     consts = compute_constants(ops)
     gamma = consts.trace_norm
     M = (2.0 / consts.lambda0**2) * math.sqrt(1 + gamma**2) * (1 + gamma) / 0.7
-    data = ProblemData(b=data.b, v_b=data.v_b, z_d=data.z_d, M1=M, M2=M,
-                       grid=data.grid, alpha=data.alpha)
+    data = replace(data, M1=M, M2=M)
     c0 = contraction_constant(consts, M, M, "P")
     assert c0 < 0.8
     tol = 1e-11
@@ -130,8 +130,8 @@ def test_criterion_5_fixed_point_characterization():
 
 def test_criterion_6_alpha_convergence_on_default_instance():
     ops, data = default_instance()
-    sweep = optimal_control_sweep(data, [10.0, 100.0, 1000.0, 10000.0], ops,
-                                  tol=1e-10)
+    _, sweep = alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0],
+                           ControlPair.zeros_like(ops, data.grid), tol=1e-10)
     ok = True
     details = []
     for name in ("state_gap", "adjoint_gap", "control_gap"):
@@ -152,8 +152,7 @@ def test_criterion_7_section5_inequalities():
     all_ok = True
     for trial in range(10):
         ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=700 + trial,
-                                  M1=0.5 + 0.15 * trial, M2=0.7 + 0.1 * trial,
-                                  alpha=10.0)
+                                  M1=0.5 + 0.15 * trial, M2=0.7 + 0.1 * trial)
         consts = compute_constants(ops)
         tol = 1e-11
         stepper = Stepper(ops, data.grid, "P")
@@ -198,8 +197,7 @@ def test_criterion_8_trivial_exactness():
     ops, data = small_instance(seed=8)
     stepper = Stepper(ops, data.grid, "P")
     u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
-    data_m = ProblemData(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
-                         M1=data.M1, M2=data.M2, grid=data.grid, alpha=data.alpha)
+    data_m = replace(data, z_d=u00.slices[1:].copy())
     cg = solve_cg(data_m, stepper, 1e-10)
     fp = solve_fixed_point(data_m, stepper, 1e-10)
     ok = (cg.cost == 0.0 and fp.cost == 0.0
@@ -212,16 +210,15 @@ def test_criterion_8_trivial_exactness():
     ops_c = assemble(mesh)
     grid = TimeGrid(1.0, 4)
     data_c = ProblemData(
-        b=np.ones(len(ops_c.dirichlet_nodes)), v_b=np.ones(ops_c.n_nodes),
-        z_d=np.ones((4, ops_c.n_nodes)), M1=1.0, M2=1.0, grid=grid, alpha=10.0)
+        ops=ops_c, b=np.ones(len(ops_c.dirichlet_nodes)), v_b=np.ones(ops_c.n_nodes),
+        z_d=np.ones((4, ops_c.n_nodes)), M1=1.0, M2=1.0, grid=grid)
     zero = ControlPair.zeros_like(ops_c, grid)
     u = solve_state(data_c, zero, Stepper(ops_c, grid, "P"))
-    ua = solve_state(data_c, zero, Stepper(ops_c, grid, "Palpha", data_c.alpha))
+    ua = solve_state(data_c, zero, Stepper(ops_c, grid, "Palpha", 10.0))
     ok = ok and np.max(np.abs(u.slices - 1.0)) <= 1e-12
     ok = ok and np.max(np.abs(ua.slices - 1.0)) <= 1e-12
     alphas = [10.0, 100.0, 1000.0, 10000.0]
-    fixed = fixed_control_sweep(data_c, zero, alphas, ops_c)
-    opt = optimal_control_sweep(data_c, alphas, ops_c, tol=1e-10)
+    fixed, opt = alpha_sweep(data_c, alphas, zero, tol=1e-10)
     worst = max(
         max(fixed.gaps("state_gap")), max(fixed.gaps("adjoint_gap")),
         max(fixed.gaps("boundary_residual")),

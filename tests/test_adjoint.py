@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from heatctrl import (ControlPair, Stepper, h_inner, q_inner, solve_adjoint,
                       solve_state)
 from heatctrl.state import Trajectory, solve_state_homogeneous
 
-from oracles import (SpaceTimeSystem, make_instance, random_control,
+from oracles import (ALPHA, SpaceTimeSystem, make_instance, random_control,
                      two_product_adjoint)
 
 
@@ -15,9 +17,7 @@ def test_state_equal_to_target_gives_zero_adjoint():
     ctrl = random_control(ops, data.grid, rng)
     stepper = Stepper(ops, data.grid, "P")
     u = solve_state(data, ctrl, stepper)
-    matched = data.__class__(b=data.b, v_b=data.v_b, z_d=u.slices[1:].copy(),
-                             M1=data.M1, M2=data.M2, grid=data.grid,
-                             alpha=data.alpha)
+    matched = replace(data, z_d=u.slices[1:].copy())
     p = solve_adjoint(matched, u, stepper)
     assert np.max(np.abs(p.slices)) == 0.0
 
@@ -27,28 +27,26 @@ def test_zero_controls_with_matching_target():
     ctrl = ControlPair.zeros_like(ops, data.grid)
     stepper = Stepper(ops, data.grid, "P")
     u00 = solve_state(data, ctrl, stepper)
-    matched = data.__class__(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
-                             M1=data.M1, M2=data.M2, grid=data.grid,
-                             alpha=data.alpha)
+    matched = replace(data, z_d=u00.slices[1:].copy())
     p = solve_adjoint(matched, u00, stepper)
     assert np.max(np.abs(p.slices)) == 0.0
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_adjoint_matches_dense_transpose(variant):
-    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=4, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=4)
     rng = np.random.default_rng(5)
     ctrl = random_control(ops, data.grid, rng)
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     u = solve_state(data, ctrl, stepper)
     p = solve_adjoint(data, u, stepper)
-    dense = SpaceTimeSystem(ops, data.grid, variant, data.alpha).adjoint(data, u.slices)
+    dense = SpaceTimeSystem(ops, data.grid, variant, ALPHA).adjoint(data, u.slices)
     assert np.max(np.abs(p.slices - dense)) <= 1e-10
 
 
 def test_single_impulse_unrolls_to_one_backward_solve():
-    ops, data = make_instance(nx=2, ny=2, n_steps=4, seed=6, alpha=7.0)
-    stepper = Stepper(ops, data.grid, "Palpha", data.alpha)
+    ops, data = make_instance(nx=2, ny=2, n_steps=4, seed=6)
+    stepper = Stepper(ops, data.grid, "Palpha", 7.0)
     ctrl = ControlPair.zeros_like(ops, data.grid)
     u = solve_state(data, ctrl, stepper)
     # craft a target whose tracking residual is a single nodal impulse at step 3
@@ -58,8 +56,7 @@ def test_single_impulse_unrolls_to_one_backward_solve():
     impulse[node] = 1.0
     from heatctrl.linalg import SpdFactor
     z_d[k0] -= SpdFactor(ops.M).solve(impulse)
-    crafted = data.__class__(b=data.b, v_b=data.v_b, z_d=z_d, M1=data.M1,
-                             M2=data.M2, grid=data.grid, alpha=data.alpha)
+    crafted = replace(data, z_d=z_d)
     p = solve_adjoint(crafted, u, stepper)
     assert np.max(np.abs(p.slices[k0 + 1:])) <= 1e-12
     expected = stepper.factor.solve(impulse)
@@ -68,8 +65,8 @@ def test_single_impulse_unrolls_to_one_backward_solve():
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_adjoint_identity(variant):
-    ops, data = make_instance(nx=3, ny=2, n_steps=4, seed=7, alpha=10.0)
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    ops, data = make_instance(nx=3, ny=2, n_steps=4, seed=7)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     rng = np.random.default_rng(8)
     base = random_control(ops, data.grid, rng)
     u = solve_state(data, base, stepper)
@@ -85,10 +82,10 @@ def test_adjoint_identity(variant):
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_terminal_slice_is_zero(variant):
-    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=9, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=9)
     rng = np.random.default_rng(10)
     ctrl = random_control(ops, data.grid, rng)
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     u = solve_state(data, ctrl, stepper)
     p = solve_adjoint(data, u, stepper)
     assert np.array_equal(p.slices[-1], np.zeros(ops.n_nodes))
@@ -96,10 +93,10 @@ def test_terminal_slice_is_zero(variant):
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_sweep_matches_the_two_product_loop(variant):
-    ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=63, alpha=10.0,
+    ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=63,
                               gamma1="left,bottom")
     ctrl = random_control(ops, data.grid, np.random.default_rng(64))
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     u = solve_state(data, ctrl, stepper)
     reference = two_product_adjoint(data, u.slices, ops, variant)
     p = solve_adjoint(data, u, stepper).slices

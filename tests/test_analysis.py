@@ -1,14 +1,19 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
-                      build_rect_mesh, check_suite, fixed_control_sweep, hq_norm,
-                      optimal_control_sweep, solve_cg, sweep_flags)
+from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, alpha_sweep,
+                      assemble, build_rect_mesh, check_suite, hq_norm, solve_cg,
+                      sweep_flags)
 
+import heatctrl.analysis
+import heatctrl.cli
 import heatctrl.state
-from heatctrl.analysis import _sweeps, check_alphas
+from heatctrl.analysis import check_alphas
 
-from oracles import make_instance, random_control
+from oracles import ALPHA, make_instance, random_control
 
 ALPHAS = [10.0, 100.0, 1000.0, 10000.0]
 
@@ -18,6 +23,7 @@ def compatible_constant_instance(n_steps=4):
     ops = assemble(mesh)
     grid = TimeGrid(1.0, n_steps)
     data = ProblemData(
+        ops=ops,
         b=np.ones(len(ops.dirichlet_nodes)),
         v_b=np.ones(ops.n_nodes),
         z_d=np.ones((n_steps, ops.n_nodes)),
@@ -29,7 +35,7 @@ def compatible_constant_instance(n_steps=4):
 def test_compatible_instance_has_zero_gaps():
     ops, data = compatible_constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    report = fixed_control_sweep(data, ctrl, ALPHAS, ops)
+    report, _ = alpha_sweep(data, ALPHAS, ctrl)
     assert max(report.gaps("state_gap")) <= 1e-12
     assert max(report.gaps("adjoint_gap")) <= 1e-12
     assert max(report.gaps("boundary_residual")) <= 1e-12
@@ -39,7 +45,7 @@ def test_fixed_control_gaps_decay():
     ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=40)
     rng = np.random.default_rng(41)
     ctrl = random_control(ops, data.grid, rng)
-    report = fixed_control_sweep(data, ctrl, [10.0, 100.0, 1000.0], ops)
+    report, _ = alpha_sweep(data, [10.0, 100.0, 1000.0], ctrl)
     gaps = report.gaps("state_gap")
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     adj = report.gaps("adjoint_gap")
@@ -56,7 +62,7 @@ def test_fixed_control_sweep_factorizes_each_operator_once(monkeypatch):
     ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=39)
     ctrl = ControlPair.zeros_like(ops, data.grid)
     alphas = [10.0, 100.0, 1000.0]
-    fixed_control_sweep(data, ctrl, alphas, ops)
+    alpha_sweep(data, alphas, ctrl)
     # one pinned factorization shared by the reference state and adjoint,
     # then one Robin factorization per coefficient
     assert len(built) == 1 + len(alphas)
@@ -66,9 +72,12 @@ def test_sweep_alphas_validated():
     ops, data = make_instance(seed=42)
     ctrl = ControlPair.zeros_like(ops, data.grid)
     with pytest.raises(ValueError, match="exceed 1"):
-        fixed_control_sweep(data, ctrl, [0.5, 10.0], ops)
+        alpha_sweep(data, [0.5, 10.0], ctrl)
     with pytest.raises(ValueError, match="increasing"):
-        fixed_control_sweep(data, ctrl, [10.0, 10.0], ops)
+        alpha_sweep(data, [10.0, 10.0], ctrl)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sweep coefficients must be finite"):
+            alpha_sweep(data, [10.0, bad], ctrl)
 
 
 def test_empty_sweep_ladder_rejected():
@@ -77,15 +86,16 @@ def test_empty_sweep_ladder_rejected():
     with pytest.raises(ValueError, match="at least one coefficient"):
         check_alphas([])
     with pytest.raises(ValueError, match="at least one coefficient"):
-        fixed_control_sweep(data, ctrl, [], ops)
+        alpha_sweep(data, [], ctrl)
     with pytest.raises(ValueError, match="at least one coefficient"):
-        optimal_control_sweep(data, [], ops, tol=1e-10)
+        alpha_sweep(data, [], ctrl, tol=1e-10)
 
 
 def test_optimal_sweep_trivial_instance():
     # zero data and zero target: every optimum is (0, 0) and all gaps vanish
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=43, zero_data=True)
-    report = optimal_control_sweep(data, ALPHAS, ops, tol=1e-10)
+    _, report = alpha_sweep(data, ALPHAS, ControlPair.zeros_like(ops, data.grid),
+                            tol=1e-10)
     assert max(report.gaps("state_gap")) == 0.0
     assert max(report.gaps("adjoint_gap")) == 0.0
     assert max(report.gaps("control_gap")) == 0.0
@@ -94,7 +104,8 @@ def test_optimal_sweep_trivial_instance():
 
 def test_optimal_sweep_converges_to_pinned_problem():
     ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
-    report = optimal_control_sweep(data, ALPHAS, ops, tol=1e-10)
+    _, report = alpha_sweep(data, ALPHAS, ControlPair.zeros_like(ops, data.grid),
+                            tol=1e-10)
     for name in ("state_gap", "adjoint_gap", "control_gap"):
         gaps = report.gaps(name)
         assert all(b < a for a, b in zip(gaps, gaps[1:])), name
@@ -109,8 +120,9 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
     ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
     alphas = [10.0, 100.0]
     zero = ControlPair.zeros_like(ops, data.grid)
-    fixed, optimal = _sweeps(data, alphas, ops, zero, tol=1e-10)
-    assert fixed.to_dict() == fixed_control_sweep(data, zero, alphas, ops).to_dict()
+    fixed, optimal = alpha_sweep(data, alphas, zero, tol=1e-10)
+    alone, none = alpha_sweep(data, alphas, zero)
+    assert fixed.to_dict() == alone.to_dict() and none is None
     ref = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert optimal.reference == {"problem": "P", "cost": ref.cost,
                                  "grad_norm": ref.grad_norm,
@@ -121,9 +133,35 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
         assert rec.control_gap == hq_norm(rep.control - ref.control, ops, data.grid)
 
 
+def test_optimal_sweep_refuses_a_nonzero_start_control(monkeypatch):
+    # each CG solve starts from the pass at ctrl, which must be its zero start
+    built = []
+    factor = heatctrl.state.SpdFactor
+    monkeypatch.setattr(heatctrl.state, "SpdFactor",
+                        lambda A: built.append(A) or factor(A))
+    ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
+    ctrl = random_control(ops, data.grid, np.random.default_rng(44))
+    with pytest.raises(ValueError, match="ctrl must be zero controls"):
+        alpha_sweep(data, ALPHAS, ctrl, tol=1e-10)
+    assert built == []
+    fixed, optimal = alpha_sweep(data, ALPHAS, ctrl)
+    assert len(fixed.records) == len(ALPHAS) and optimal is None
+
+
+def test_one_public_sweep():
+    for gone in ("_sweeps", "fixed_control_sweep", "optimal_control_sweep"):
+        assert not hasattr(heatctrl.analysis, gone), gone
+    imported = {alias.name
+                for node in ast.walk(ast.parse(inspect.getsource(heatctrl.cli)))
+                if isinstance(node, ast.ImportFrom) and node.module == "analysis"
+                for alias in node.names}
+    assert "alpha_sweep" in imported
+    assert not any(name.startswith("_") for name in imported), imported
+
+
 def test_check_suite_all_pass_on_random_instance():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=45, M1=0.9, M2=1.7)
-    checks = check_suite(data, ops, "P", tol=1e-11, n_pairs=20)
+    checks = check_suite(data, ALPHA, "P", tol=1e-11, n_pairs=20)
     names = {c["name"] for c in checks}
     assert "distributed_distance_estimate" in names
     assert "cost_ordering_alpha" in names
@@ -134,23 +172,24 @@ def test_check_suite_all_pass_on_random_instance():
 
 def test_section5_trivial_instance_has_zero_sides():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=46, zero_data=True)
-    checks = check_suite(data, ops, "P", tol=1e-11, n_pairs=5)
+    checks = check_suite(data, ALPHA, "P", tol=1e-11, n_pairs=5)
     est = next(c for c in checks if c["name"] == "distributed_distance_estimate")
     assert est["measured"] <= 1e-12 and est["bound"] <= 1e-12
     assert est["passed"]
 
 
 def test_section5_requires_alpha_above_one():
-    ops, data = make_instance(seed=47, alpha=0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        check_suite(data, ops, "P", tol=1e-10)
+    ops, data = make_instance(seed=47)
+    for alpha in (0.5, 1.0, None, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            check_suite(data, alpha, "P", tol=1e-10)
 
 
 def test_sweep_report_round_trip_dict():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=48)
     rng = np.random.default_rng(49)
     ctrl = random_control(ops, data.grid, rng)
-    report = fixed_control_sweep(data, ctrl, [10.0, 100.0], ops)
+    report, _ = alpha_sweep(data, [10.0, 100.0], ctrl)
     payload = report.to_dict()
     assert payload["alphas"] == [10.0, 100.0]
     assert len(payload["records"]) == 2

@@ -469,11 +469,11 @@ def test_report_trajectories_equal_a_fresh_solve(variant, optimizer):
     grid = TimeGrid(1.0, 4)
     x, y = ops.mesh.nodes[:, 0], ops.mesh.nodes[:, 1]
     target = np.exp(-((x - 0.6) ** 2 + (y - 0.5) ** 2) / 0.08)
-    data = ProblemData(b=np.zeros(len(ops.dirichlet_nodes)),
+    data = ProblemData(ops=ops, b=np.zeros(len(ops.dirichlet_nodes)),
                        v_b=np.zeros(ops.n_nodes),
                        z_d=np.tile(target, (grid.n_steps, 1)),
-                       M1=60.0, M2=60.0, grid=grid, alpha=10.0)
-    stepper = Stepper(ops, grid, variant, data.alpha)
+                       M1=60.0, M2=60.0, grid=grid)
+    stepper = Stepper(ops, grid, variant, 10.0)
     if optimizer == "cg":
         rep = solve_cg(data, stepper, 1e-10)
     elif optimizer == "fixed_point":

@@ -2,13 +2,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heatctrl import (ControlPair, ProblemData, Stepper, apply_W, assemble,
+from heatctrl import (ControlPair, Stepper, apply_W, assemble,
                       build_rect_mesh, compute_constants, contraction_constant,
                       convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
                       hq_norm, measured_step_ratio, q_inner, solve_cg,
@@ -19,26 +20,24 @@ import heatctrl.state
 from heatctrl.control import _cg, _series_inner
 from heatctrl.linalg import SolverError
 
-from oracles import (SpaceTimeSystem, apply_C, distributed_only_on_g,
+from oracles import (ALPHA, SpaceTimeSystem, apply_C, distributed_only_on_g,
                      make_instance, random_control)
 
 
 def matched_target(data, ops, variant="P"):
     """Replace z_d by the zero-control trajectory (making (0,0) optimal)."""
     u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid),
-                      Stepper(ops, data.grid, variant, data.alpha))
-    return ProblemData(b=data.b, v_b=data.v_b, z_d=u00.slices[1:].copy(),
-                       M1=data.M1, M2=data.M2, grid=data.grid, alpha=data.alpha)
+                      Stepper(ops, data.grid, variant, ALPHA))
+    return replace(data, z_d=u00.slices[1:].copy())
 
 
 def contractive_instance(seed=50, target_c0=0.5):
     """Instance whose fixed-point map contracts at the requested bound."""
-    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=seed, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=seed)
     consts = compute_constants(ops)
     gamma = consts.trace_norm
     M = (2.0 / consts.lambda0**2) * math.sqrt(1 + gamma**2) * (1 + gamma) / target_c0
-    data = ProblemData(b=data.b, v_b=data.v_b, z_d=data.z_d, M1=M, M2=M,
-                       grid=data.grid, alpha=data.alpha)
+    data = replace(data, M1=M, M2=M)
     return ops, data, consts
 
 
@@ -61,10 +60,10 @@ def test_apply_C_is_linear():
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_apply_C_matches_dense_map(variant):
-    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=4, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=4)
     rng = np.random.default_rng(5)
     ctrl = random_control(ops, data.grid, rng)
-    dense = SpaceTimeSystem(ops, data.grid, variant, data.alpha).state_difference(ctrl)
+    dense = SpaceTimeSystem(ops, data.grid, variant, ALPHA).state_difference(ctrl)
     du = apply_C(data, ctrl, ops, variant)
     assert np.max(np.abs(du.slices - dense)) <= 1e-10
 
@@ -113,9 +112,9 @@ def test_cost_at_zero_controls_is_pure_misfit():
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_cost_matches_quadratic_form_oracle(variant):
     # J(c) = 1/2 Pi(c,c) - L(c) + 1/2 |u00 - z_d|^2, evaluated densely
-    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=8, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=8)
     grid = data.grid
-    sts = SpaceTimeSystem(ops, grid, variant, data.alpha)
+    sts = SpaceTimeSystem(ops, grid, variant, ALPHA)
     rng = np.random.default_rng(9)
     ctrl = random_control(ops, grid, rng)
     cu = sts.state_difference(ctrl)[1:]
@@ -126,7 +125,7 @@ def test_cost_matches_quadratic_form_oracle(variant):
         + data.M2 * q_inner(ctrl.q, ctrl.q, ops, grid)
     ell = h_inner(cu, -base, ops, grid)
     expected = 0.5 * pi - ell + 0.5 * h_inner(base, base, ops, grid)
-    got = cost_J(data, ctrl, Stepper(ops, data.grid, variant, data.alpha))
+    got = cost_J(data, ctrl, Stepper(ops, data.grid, variant, ALPHA))
     assert got == pytest.approx(expected, rel=1e-10)
     assert got >= 0.0
 
@@ -146,10 +145,10 @@ def test_gradient_matches_central_differences():
     for trial in range(20):
         ops, data = make_instance(
             nx=2 + trial % 2, ny=2, n_steps=2 + trial % 3, seed=100 + trial,
-            M1=0.5 + 0.1 * trial, M2=0.3 + 0.05 * trial, alpha=5.0,
+            M1=0.5 + 0.1 * trial, M2=0.3 + 0.05 * trial,
         )
         variant = "P" if trial % 2 == 0 else "Palpha"
-        stepper = Stepper(ops, data.grid, variant, data.alpha)
+        stepper = Stepper(ops, data.grid, variant, 5.0)
         ctrl = random_control(ops, data.grid, rng)
         d = random_control(ops, data.grid, rng)
         d = (1.0 / hq_norm(d, ops, data.grid)) * d
@@ -191,9 +190,9 @@ def test_convexity_gap_vanishes_at_segment_ends():
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_convexity_identity(variant):
-    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=16, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=16)
     grid = data.grid
-    stepper = Stepper(ops, grid, variant, data.alpha)
+    stepper = Stepper(ops, grid, variant, ALPHA)
     rng = np.random.default_rng(17)
     for _ in range(10):
         c1 = random_control(ops, grid, rng)
@@ -249,8 +248,8 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
                         counted("backward", heatctrl.adjoint._backward))
     monkeypatch.setattr(heatctrl.state, "SpdFactor",
                         counted("factorization", heatctrl.state.SpdFactor))
-    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21, alpha=10.0)
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     if solver == "simultaneous":
         rep = solve_cg(data, stepper, 1e-10)
     else:
@@ -272,11 +271,11 @@ ops = assemble(mesh)
 grid = TimeGrid(1.0, 2)
 x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
 z = np.exp(-((x - 0.7) ** 2 + (y - 0.5) ** 2) / (2 * 0.15**2))
-data = ProblemData(b=np.zeros(len(ops.dirichlet_nodes)), v_b=np.zeros(ops.n_nodes),
-                   z_d=np.tile(z, (grid.n_steps, 1)), M1=1.0, M2=1.0, grid=grid,
-                   alpha=10.0)
+data = ProblemData(ops=ops, b=np.zeros(len(ops.dirichlet_nodes)),
+                   v_b=np.zeros(ops.n_nodes), z_d=np.tile(z, (grid.n_steps, 1)),
+                   M1=1.0, M2=1.0, grid=grid)
 for variant in ("P", "Palpha"):
-    rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-10)
+    rep = solve_cg(data, Stepper(ops, data.grid, variant, 10.0), 1e-10)
     print(rep.cost.hex(), rep.grad_norm.hex(), rep.iterations)
 """
 
@@ -310,20 +309,20 @@ def test_cg_refuses_non_finite_curvature():
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_cg_matches_dense_kkt_oracle(variant):
-    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=20, alpha=10.0)
-    rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-12)
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=20)
+    rep = solve_cg(data, Stepper(ops, data.grid, variant, ALPHA), 1e-12)
     assert rep.converged
-    oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha).kkt_optimum(data)
+    oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
     assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
 
 
 def test_cg_matches_oracle_on_two_sided_gamma1():
-    ops, data = make_instance(nx=2, ny=3, n_steps=2, seed=60, alpha=10.0,
+    ops, data = make_instance(nx=2, ny=3, n_steps=2, seed=60,
                               gamma1=("bottom", "top"))
     for variant in ("P", "Palpha"):
-        rep = solve_cg(data, Stepper(ops, data.grid, variant, data.alpha), 1e-12)
+        rep = solve_cg(data, Stepper(ops, data.grid, variant, ALPHA), 1e-12)
         assert rep.converged
-        oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha).kkt_optimum(data)
+        oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
         assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
 
 
@@ -441,13 +440,13 @@ def test_distributed_only_trivial():
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_distributed_only_matches_dense_g_block(variant):
-    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=32, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=32)
     rng = np.random.default_rng(33)
     q_fixed = rng.standard_normal((data.grid.n_steps, len(ops.gamma2_nodes)))
     rep = solve_distributed_only(data, q_fixed,
-                                 Stepper(ops, data.grid, variant, data.alpha), 1e-12)
+                                 Stepper(ops, data.grid, variant, ALPHA), 1e-12)
     assert rep.converged
-    oracle = SpaceTimeSystem(ops, data.grid, variant, data.alpha) \
+    oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA) \
         .kkt_optimum_distributed(data, q_fixed)
     diff = rep.control.g - oracle
     assert math.sqrt(h_inner(diff, diff, ops, data.grid)) <= 1e-8
@@ -469,10 +468,10 @@ def same_bits(a, b):
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 @pytest.mark.parametrize("flux", ["random", "simultaneous_optimum", "zero_data"])
 def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
-    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=39, alpha=10.0,
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=39,
                               zero_data=flux == "zero_data")
     shape_q = (data.grid.n_steps, len(ops.gamma2_nodes))
-    stepper = Stepper(ops, data.grid, variant, data.alpha)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
     if flux == "random":
         q_fixed = np.random.default_rng(40).standard_normal(shape_q)
     elif flux == "simultaneous_optimum":
@@ -495,6 +494,15 @@ def test_bad_q_fixed_shape_rejected():
     ops, data = make_instance(seed=35)
     with pytest.raises(ValueError, match="q_fixed"):
         solve_distributed_only(data, np.zeros((1, 1)), Stepper(ops, data.grid, "P"), 1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_q_fixed_rejected_by_name(bad):
+    ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=35)
+    q_fixed = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
+    q_fixed[1, 2] = bad
+    with pytest.raises(ValueError, match="q_fixed must be finite"):
+        solve_distributed_only(data, q_fixed, Stepper(ops, data.grid, "P"), 1e-8)
 
 
 def test_nonpositive_tolerances_rejected():

@@ -7,24 +7,25 @@ from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
                       build_rect_mesh, solve_state)
 from heatctrl.analysis import boundary_residual_norm
 
-from oracles import (SpaceTimeSystem, extend_gamma2, make_instance, random_control,
-                     two_product_state)
+from oracles import (ALPHA, SpaceTimeSystem, extend_gamma2, make_instance,
+                     random_control, two_product_state)
 
 
-def zero_instance(nx=2, ny=2, n_steps=3, alpha=10.0):
-    return make_instance(nx=nx, ny=ny, n_steps=n_steps, alpha=alpha, zero_data=True)
+def zero_instance(nx=2, ny=2, n_steps=3):
+    return make_instance(nx=nx, ny=ny, n_steps=n_steps, zero_data=True)
 
 
-def constant_instance(nx=3, ny=2, n_steps=4, alpha=10.0):
+def constant_instance(nx=3, ny=2, n_steps=4):
     """b = 1 on the pinned side, v_b = 1 everywhere, z_d = 1."""
     mesh = build_rect_mesh(nx, ny, "left")
     ops = assemble(mesh)
     grid = TimeGrid(1.0, n_steps)
     data = ProblemData(
+        ops=ops,
         b=np.ones(len(ops.dirichlet_nodes)),
         v_b=np.ones(ops.n_nodes),
         z_d=np.ones((n_steps, ops.n_nodes)),
-        M1=1.0, M2=1.0, grid=grid, alpha=alpha,
+        M1=1.0, M2=1.0, grid=grid,
     )
     return ops, data
 
@@ -33,7 +34,7 @@ def test_zero_data_gives_zero_state():
     ops, data = zero_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
     u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
-    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", data.alpha))
+    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", ALPHA))
     assert np.max(np.abs(u.slices)) == 0.0
     assert np.max(np.abs(ua.slices)) == 0.0
 
@@ -47,9 +48,9 @@ def test_constant_state_is_stationary():
 
 @pytest.mark.parametrize("alpha", [1.5, 10.0, 1e4])
 def test_constant_state_is_stationary_robin(alpha):
-    ops, data = constant_instance(alpha=alpha)
+    ops, data = constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", data.alpha))
+    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", alpha))
     assert np.max(np.abs(ua.slices - 1.0)) <= 1e-12
 
 
@@ -63,11 +64,11 @@ def test_state_matches_dense_spacetime_solve():
 
 
 def test_robin_state_matches_dense_spacetime_solve():
-    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=23, alpha=10.0)
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=23)
     rng = np.random.default_rng(24)
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "Palpha", 10.0).state(data, ctrl)
-    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", data.alpha))
+    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", 10.0))
     assert np.max(np.abs(ua.slices - dense)) <= 1e-10
 
 
@@ -133,7 +134,7 @@ def manufactured_problem(nx, n_steps, with_flux):
         g = (w**2 - 1.0) * decay * space[None, :]
         q = np.zeros((n_steps, len(ops.gamma2_nodes)))
     data = ProblemData(
-        b=np.zeros(len(ops.dirichlet_nodes)), v_b=space,
+        ops=ops, b=np.zeros(len(ops.dirichlet_nodes)), v_b=space,
         z_d=np.zeros((n_steps, mesh.n_nodes)), M1=1.0, M2=1.0, grid=grid)
     return ops, data, ControlPair(g, q), space
 
@@ -151,13 +152,12 @@ def test_spatial_convergence_against_exact_solution(with_flux):
 
 
 def test_temporal_convergence_is_first_order():
-    ops, data, _, _ = manufactured_problem(12, 2048, True)
-    _, data_ref, ctrl_ref, _ = manufactured_problem(12, 2048, True)
+    ops, data_ref, ctrl_ref, _ = manufactured_problem(12, 2048, True)
     u_ref = solve_state(data_ref, ctrl_ref, Stepper(ops, data_ref.grid, "P"))
     errs = []
     for n_steps in (8, 16, 32):
         _, data_c, ctrl_c, _ = manufactured_problem(12, n_steps, True)
-        u = solve_state(data_c, ctrl_c, Stepper(ops, data_c.grid, "P"))
+        u = solve_state(data_c, ctrl_c, Stepper(data_c.ops, data_c.grid, "P"))
         d = u.slices[-1] - u_ref.slices[-1]
         errs.append(np.sqrt(d @ (ops.M @ d)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -181,42 +181,36 @@ def test_load_equals_the_zero_extended_flux_product(variant, alpha):
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_sweep_matches_the_two_product_loop(variant):
     # nonzero b, v_b, g and q exercise the -A_SD b lifting and the flux load
-    ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=61, alpha=10.0,
-                              gamma1="left,bottom")
+    ops, data = make_instance(nx=5, ny=4, n_steps=6, seed=61, gamma1="left,bottom")
     ctrl = random_control(ops, data.grid, np.random.default_rng(62))
     assert np.all(data.b != 0.0) and np.all(ctrl.q != 0.0)
     reference = two_product_state(data, ctrl, ops, variant)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, variant, data.alpha)).slices
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, variant, ALPHA)).slices
     assert np.max(np.abs(u - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_mismatched_data_rejected():
     ops, data = make_instance()
-    bad = ProblemData(b=data.b, v_b=data.v_b + 1.0, z_d=data.z_d,
-                      M1=data.M1, M2=data.M2, grid=data.grid, alpha=data.alpha)
+    bad = replace(data, v_b=data.v_b + 1.0)
     ctrl = ControlPair.zeros_like(ops, data.grid)
     stepper = Stepper(ops, data.grid, "P")
     with pytest.raises(ValueError, match="Dirichlet"):
         solve_state(bad, ctrl, stepper)
     with pytest.raises(ValueError, match="positive"):
-        solve_state(
-            ProblemData(b=data.b, v_b=data.v_b, z_d=data.z_d, M1=-1.0,
-                        M2=data.M2, grid=data.grid), ctrl, stepper)
+        solve_state(replace(data, M1=-1.0), ctrl, stepper)
     z_d = data.z_d.copy()
     z_d[1, 2] = np.nan
     for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
-                        ("M2", np.nan), ("alpha", -np.inf)):
+                        ("M2", np.nan)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             solve_state(replace(data, **{name: value}), ctrl, stepper)
 
 
 def test_robin_variant_needs_alpha():
     ops, data = make_instance()
-    data_no_alpha = ProblemData(b=data.b, v_b=data.v_b, z_d=data.z_d,
-                                M1=data.M1, M2=data.M2, grid=data.grid)
     with pytest.raises(ValueError, match="alpha"):
-        solve_state(data_no_alpha, ControlPair.zeros_like(ops, data.grid),
-                    Stepper(ops, data.grid, "Palpha", data_no_alpha.alpha))
+        solve_state(data, ControlPair.zeros_like(ops, data.grid),
+                    Stepper(ops, data.grid, "Palpha"))
 
 
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])

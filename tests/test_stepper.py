@@ -1,23 +1,25 @@
 """The stepper is the operator a solver runs: ops, grid, variant and alpha.
 
-Every solver entry point takes one stepper and refuses one that does not
-fit its data (another time grid or another mesh), and validates the data
-before any sweep.
+The data owns its mesh operators.  Every solver entry point takes one
+stepper and refuses one that does not fit its data (another time grid, or
+operators other than the data's), and validates the data before any sweep.
 """
 
 import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import heatctrl.adjoint
+import heatctrl.analysis
 import heatctrl.control
 import heatctrl.state
-from heatctrl import (ControlPair, Stepper, TimeGrid, cost_J, solve_adjoint,
-                      solve_cg, solve_state)
+from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, cost_J,
+                      solve_adjoint, solve_cg, solve_state)
 from heatctrl.state import Trajectory
 
-from oracles import make_instance
+from oracles import ALPHA, make_instance
 
 # the entry points that read ops, grid, variant and alpha from the stepper
 SOLVERS = ("state.solve_state", "adjoint.solve_adjoint", "control.cost_J",
@@ -42,7 +44,7 @@ CALLS = {
 def test_stepper_on_another_time_grid_is_refused(call, variant):
     # the sweeps would run with the stepper's tau and converge to a wrong cost
     ops, data = make_instance(nx=4, ny=4, n_steps=4, seed=1)
-    stepper = Stepper(ops, TimeGrid(2.0, 4), variant, data.alpha)
+    stepper = Stepper(ops, TimeGrid(2.0, 4), variant, ALPHA)
     with pytest.raises(ValueError) as err:
         CALLS[call](data, ops, stepper)
     assert str(stepper.grid) in str(err.value) and str(data.grid) in str(err.value)
@@ -51,12 +53,16 @@ def test_stepper_on_another_time_grid_is_refused(call, variant):
 @pytest.mark.parametrize("call", CALLS)
 def test_stepper_on_another_mesh_is_refused(call):
     ops, data = make_instance(nx=4, ny=4, n_steps=4, seed=2)
-    other, _ = make_instance(nx=3, ny=3, n_steps=4)
-    stepper = Stepper(other, data.grid, "P")
-    with pytest.raises(ValueError) as err:
-        CALLS[call](data, ops, stepper)
-    message = str(err.value)
-    assert f"{other.n_nodes} nodes" in message and f"({ops.n_nodes},)" in message
+    # zero b and v_b fit the 4x4 mesh pinned on the right as well, so only
+    # the operators tell the two meshes apart
+    unpinned = replace(data, b=np.zeros_like(data.b), v_b=np.zeros_like(data.v_b))
+    for (n, gamma1), case in (((3, "left"), data), ((4, "right"), unpinned)):
+        other, _ = make_instance(nx=n, ny=n, n_steps=4, gamma1=gamma1)
+        stepper = Stepper(other, data.grid, "P")
+        with pytest.raises(ValueError) as err:
+            CALLS[call](case, ops, stepper)
+        message = str(err.value)
+        assert f"{other.n_nodes} nodes" in message and f"({ops.n_nodes},)" in message
 
 
 def nan_target_instance():
@@ -65,8 +71,7 @@ def nan_target_instance():
     u = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
     z_d = data.z_d.copy()
     z_d[1, 4] = np.nan
-    return data.__class__(b=data.b, v_b=data.v_b, z_d=z_d, M1=data.M1,
-                          M2=data.M2, grid=data.grid, alpha=data.alpha), stepper, u
+    return replace(data, z_d=z_d), stepper, u
 
 
 def test_adjoint_refuses_a_non_finite_target():
@@ -106,3 +111,14 @@ def test_solvers_take_a_required_stepper():
         assert stepper.default is inspect.Parameter.empty, qualname
     assert not hasattr(heatctrl.state, "stepper_for")
     assert not hasattr(heatctrl.state.ProblemData, "with_alpha")
+
+
+def test_the_data_owns_its_operators():
+    assert {f.name for f in fields(ProblemData)} \
+        == {"ops", "b", "v_b", "z_d", "M1", "M2", "grid"}
+    assert list(inspect.signature(ProblemData.validate).parameters) == ["self"]
+    for module in (heatctrl.state, heatctrl.adjoint, heatctrl.control,
+                   heatctrl.analysis):
+        for name, fn in public_functions(module).items():
+            params = inspect.signature(fn).parameters
+            assert not {"data", "ops"} <= set(params), f"{module.__name__}.{name}"

@@ -13,8 +13,11 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # layer entries whose functions are gone from heatctrl; dropping them from
-# the layer table is a change to the benchmark
-STALE_LAYER_ENTRIES = {"cli.trajectory_rows", "cli.control_rows"}
+# the layer table (and pointing one sweep layer at `analysis.alpha_sweep`)
+# is a change to the benchmark
+STALE_LAYER_ENTRIES = {"cli.trajectory_rows", "cli.control_rows",
+                       "analysis.optimal_control_sweep",
+                       "analysis.fixed_control_sweep"}
 
 
 def load_tracing():
