@@ -18,7 +18,7 @@ from .control import (OptimalityReport, apply_W, contraction_constant,
                       solve_distributed_only, solve_fixed_point)
 from .linalg import EigenError, SolverError, SpdFactor, gen_eig_extreme
 from .mesh import Mesh, TimeGrid, build_rect_mesh, dof_partition
-from .state import ControlPair, ProblemData, Stepper, Trajectory, solve_state
+from .state import ControlPair, ProblemData, Stepper, solve_state
 
 __all__ = [
     "AssemblyError",
@@ -35,7 +35,6 @@ __all__ = [
     "SweepRecord",
     "SweepReport",
     "TimeGrid",
-    "Trajectory",
     "alpha_sweep",
     "apply_W",
     "assemble",

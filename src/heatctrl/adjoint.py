@@ -2,8 +2,10 @@
 
 The adjoint is the literal transpose of the discrete state map paired with
 the right-endpoint cost quadrature, not a re-discretization of the dual PDE.
-With the slice convention of `state.Trajectory` (adjoint slice k multiplies
-the step ending at t_{k+1}, last slice zero), the pairing
+An adjoint trajectory is a plain (n_steps + 1, n_nodes) array: slice k
+multiplies the step ending at t_{k+1}, so p[:-1] pairs with the control
+series, and the last slice is the zero terminal condition.  With it, the
+pairing
 
     (C(h,eta), u - z_d)_H  =  (h, p)_H - (eta, p)_Q
 
@@ -12,14 +14,14 @@ holds to machine precision for both variants.
 
 import numpy as np
 
-from .state import ProblemData, Stepper, Trajectory, _check
+from .state import ProblemData, Stepper, _check
 
 
 def _check_state(data, u):
     expected = (data.grid.n_steps + 1, data.ops.n_nodes)
-    if u.slices.shape != expected:
+    if u.shape != expected:
         raise ValueError(
-            f"state trajectory has shape {u.slices.shape}, expected {expected}"
+            f"state trajectory has shape {u.shape}, expected {expected}"
         )
 
 
@@ -42,17 +44,17 @@ def _backward(stepper, residual):
     return p
 
 
-def solve_adjoint(data: ProblemData, u: Trajectory, stepper: Stepper) -> Trajectory:
+def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndarray:
     """Adjoint of the stepper's system, driven by the tracking residual of u."""
     _check(data, stepper)
     _check_state(data, u)
-    return Trajectory(_backward(stepper, u.slices[1:] - data.z_d))
+    return _backward(stepper, u[1:] - data.z_d)
 
 
-def solve_adjoint_homogeneous(du: Trajectory, stepper: Stepper) -> Trajectory:
+def solve_adjoint_homogeneous(du: np.ndarray, stepper: Stepper) -> np.ndarray:
     """Adjoint driven by the residual of a trajectory difference (z_d = 0).
 
     Used by the reduced optimizers: the Hessian action on a control
     direction is assembled from this sweep applied to the homogeneous state.
     """
-    return Trajectory(_backward(stepper, du.slices[1:]))
+    return _backward(stepper, du[1:])

@@ -14,9 +14,9 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .assembly import compute_constants
-from .control import (CG_MAX_ITER, _coercivity, _series_inner, apply_W,
-                      contraction_constant, convexity_gap, cost_J, gradient_J,
-                      h_inner, hq_inner, hq_norm, q_inner, solve_cg,
+from .control import (CG_MAX_ITER, _coercivity, _cost, _series_inner, apply_W,
+                      contraction_constant, cost_J, gradient_J, h_inner,
+                      hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
 from .state import (ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
@@ -93,18 +93,18 @@ def l2v_series_norm(series, ops, grid) -> float:
 
 
 def state_gap_norm(ua, u, ops, grid) -> float:
-    return l2v_series_norm(ua.slices[1:] - u.slices[1:], ops, grid)
+    return l2v_series_norm(ua[1:] - u[1:], ops, grid)
 
 
 def adjoint_gap_norm(pa, p, ops, grid) -> float:
-    return l2v_series_norm(pa.slices[:-1] - p.slices[:-1], ops, grid)
+    return l2v_series_norm(pa[:-1] - p[:-1], ops, grid)
 
 
 def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
     """sqrt(alpha - 1) times the gamma1 mismatch of a Robin trajectory."""
     b_ext = np.zeros(ops.n_nodes)
     b_ext[ops.dirichlet_nodes] = b
-    diff = ua.slices[1:] - b_ext
+    diff = ua[1:] - b_ext
     sq = _series_inner(diff, diff, ops.B1, grid.tau)
     return math.sqrt(max((alpha - 1.0) * sq, 0.0))
 
@@ -255,9 +255,9 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         for _ in range(5):
             d = random_ctrl(rng)
             cu = solve_state_homogeneous(d, variant_stepper)
-            lhs = h_inner(cu.slices[1:], u.slices[1:] - data.z_d, ops, grid)
-            rhs = h_inner(d.g, p.slices[:-1], ops, grid) \
-                - q_inner(d.q, ops.trace2(p.slices[:-1]), ops, grid)
+            lhs = h_inner(cu[1:], u[1:] - data.z_d, ops, grid)
+            rhs = h_inner(d.g, p[:-1], ops, grid) \
+                - q_inner(d.q, ops.trace2(p[:-1]), ops, grid)
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
         add(f"adjoint_identity_{name}", worst, 1e-10, worst <= 1e-10)
 
@@ -280,9 +280,12 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         c1, c2 = random_ctrl(rng), random_ctrl(rng)
         u1 = solve_state(data, c1, stepper)
         u2 = solve_state(data, c2, stepper)
+        j1, j2 = _cost(data, c1, u1), _cost(data, c2, u2)
         for t in (0.25, 0.5, 0.75):
-            gap = convexity_gap(data, c1, c2, t, stepper)
-            dmis = u2.slices[1:] - u1.slices[1:]
+            # convexity_gap's formula, on the costs the states above give
+            j_blend = cost_J(data, (1.0 - t) * c2 + t * c1, stepper)
+            gap = (1.0 - t) * j2 + t * j1 - j_blend
+            dmis = u2[1:] - u1[1:]
             expect = 0.5 * t * (1.0 - t) * (
                 h_inner(dmis, dmis, ops, grid)
                 + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
@@ -306,7 +309,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
 
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
-        du = full.state.slices[1:] - dist.state.slices[1:]
+        du = full.state[1:] - dist.state[1:]
         rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / (lam * data.M1)
         # With the flux frozen at the simultaneous optimum the two optima
         # coincide exactly, so both sides are solver noise; the gradient

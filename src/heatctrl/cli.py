@@ -121,7 +121,11 @@ def _field_values(spec, points, origin):
             path = Path(args.strip())
             if not path.exists():
                 raise ConfigError(f"{origin}: field file not found: {path}")
-            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+            try:
+                values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+            except OSError as exc:
+                raise ConfigError(f"{origin}: cannot read field file {path}: "
+                                  f"{exc.strerror or exc}") from None
             if values.ndim != 1 or len(values) != len(points):
                 raise ConfigError(
                     f"{origin}: {path} must hold {len(points)} values, "
@@ -401,8 +405,8 @@ def run_solve(config: RunConfig, quiet=False) -> int:
         for name, rep in reports.items():
             write_csv(out / f"history_{name}.csv",
                       ("iteration", "residual_norm"), rep.history)
-            write_csv_series(out / f"state_{name}.csv", rep.state.slices)
-            write_csv_series(out / f"adjoint_{name}.csv", rep.adjoint.slices)
+            write_csv_series(out / f"state_{name}.csv", rep.state)
+            write_csv_series(out / f"adjoint_{name}.csv", rep.adjoint)
             write_csv_series(out / f"control_g_{name}.csv", rep.control.g, step0=1)
             write_csv_series(out / f"control_q_{name}.csv", rep.control.q, step0=1,
                              node_ids=data.ops.gamma2_nodes)

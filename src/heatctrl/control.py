@@ -17,8 +17,8 @@ import numpy as np
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import ConstantsReport, DiscreteOperators
 from .linalg import SolverError
-from .state import (ControlPair, ProblemData, Stepper, Trajectory, _check,
-                    solve_state, solve_state_homogeneous)
+from .state import (ControlPair, ProblemData, Stepper, solve_state,
+                    solve_state_homogeneous)
 
 CG_MAX_ITER = 500
 
@@ -38,8 +38,8 @@ class OptimalityReport:
     """
 
     control: ControlPair
-    state: Trajectory
-    adjoint: Trajectory
+    state: np.ndarray
+    adjoint: np.ndarray
     cost: float
     grad_norm: float
     grad_norm0: float
@@ -95,20 +95,16 @@ def hq_norm(c: ControlPair, ops, grid) -> float:
     return math.sqrt(max(hq_inner(c, c, ops, grid), 0.0))
 
 
-# -- cost, gradient, convexity ------------------------------------------------
+# -- cost, gradient, convexity, fixed-point map --------------------------------
+#
+# Each public function is the sweeps it needs plus one private formula of
+# their results; the formulas run no sweep and no check, so the optimizers
+# call them on the sweeps they already hold.
 
-def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
-           u: Trajectory | None = None) -> float:
-    """Quadratic tracking cost with control penalties (always >= 0).
-
-    u, when given, is the state at ctrl, which then costs no sweep.
-    """
-    if u is None:
-        u = solve_state(data, ctrl, stepper)
-    else:
-        _check(data, stepper)
+def _cost(data, ctrl, u) -> float:
+    """The cost formula for the state u at ctrl."""
     ops, grid = data.ops, data.grid
-    mis = u.slices[1:] - data.z_d
+    mis = u[1:] - data.z_d
     track = 0.5 * h_inner(mis, mis, ops, grid)
     pen_g = 0.5 * data.M1 * h_inner(ctrl.g, ctrl.g, ops, grid)
     pen_q = 0.5 * data.M2 * q_inner(ctrl.q, ctrl.q, ops, grid)
@@ -116,28 +112,33 @@ def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
 
 
 def _gradient(data, ctrl, p) -> ControlPair:
-    """The gradient formula for the adjoint p at ctrl: no sweep, no check."""
-    p_steps = p.slices[:-1]
+    """The gradient formula for the adjoint p at ctrl."""
+    p_steps = p[:-1]
     return ControlPair(
         data.M1 * ctrl.g + p_steps,
         data.M2 * ctrl.q - data.ops.trace2(p_steps),
     )
 
 
-def gradient_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper,
-               u=None, p=None) -> ControlPair:
-    """Weighted-space representative of the cost derivative at ctrl.
+def _W(data, p) -> ControlPair:
+    """The fixed-point map's formula (-p/M1, p|gamma2/M2) for the adjoint p."""
+    p_steps = p[:-1]
+    return ControlPair(-p_steps / data.M1, data.ops.trace2(p_steps) / data.M2)
 
-    p, when given, is the adjoint at ctrl and u is not used; u alone is the
-    state at ctrl.  Each one given saves a sweep.
-    """
-    if p is None:
-        if u is None:
-            u = solve_state(data, ctrl, stepper)
-        p = solve_adjoint(data, u, stepper)
-    else:
-        _check(data, stepper)
-    return _gradient(data, ctrl, p)
+
+def _adjoint_at(data, ctrl, stepper):
+    """The adjoint at ctrl: one forward and one backward sweep."""
+    return solve_adjoint(data, solve_state(data, ctrl, stepper), stepper)
+
+
+def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> float:
+    """Quadratic tracking cost with control penalties (always >= 0)."""
+    return _cost(data, ctrl, solve_state(data, ctrl, stepper))
+
+
+def gradient_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
+    """Weighted-space representative of the cost derivative at ctrl."""
+    return _gradient(data, ctrl, _adjoint_at(data, ctrl, stepper))
 
 
 def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
@@ -158,9 +159,7 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
 
 def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
     """Fixed-point map (-p/M1, p|gamma2/M2) built from the adjoint at ctrl."""
-    u = solve_state(data, ctrl, stepper)
-    p_steps = solve_adjoint(data, u, stepper).slices[:-1]
-    return ControlPair(-p_steps / data.M1, data.ops.trace2(p_steps) / data.M2)
+    return _W(data, _adjoint_at(data, ctrl, stepper))
 
 
 def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
@@ -205,7 +204,7 @@ def _finalize(data, x, stepper, solver, tol, grad_norm0, iterations, history,
         control=x,
         state=u,
         adjoint=p,
-        cost=cost_J(data, x, stepper, u=u),
+        cost=_cost(data, x, u),
         grad_norm=grad_norm,
         grad_norm0=grad_norm0,
         iterations=iterations,
@@ -273,8 +272,9 @@ def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
         # made afresh for each use, so no zero field stays alive through CG
         return ControlPair(np.zeros((grid.n_steps, ops.n_nodes)), q_start)
 
-    u, p = start_pass or (None, None)
-    r = -1.0 * _held(gradient_J(data, start(), stepper, u=u, p=p), hold_q)
+    p = start_pass[1] if start_pass else _adjoint_at(data, start(), stepper)
+    r = -1.0 * _held(_gradient(data, start(), p), hold_q)
+    del p  # so the start adjoint does not stay alive through CG either
     grad_norm0 = hq_norm(r, ops, grid)
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
@@ -314,12 +314,13 @@ def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
         raise ValueError(f"tolerance must be positive, got {tol}")
     ops, grid = data.ops, data.grid
     x = ControlPair.zeros_like(ops, grid)
-    grad_norm0 = hq_norm(gradient_J(data, x, stepper), ops, grid)
+    p = _adjoint_at(data, x, stepper)  # the adjoint at x at the start of each step
+    grad_norm0 = hq_norm(_gradient(data, x, p), ops, grid)
     history = []
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        w = apply_W(data, x, stepper)
+        w = _W(data, p)
         step_norm = hq_norm(w - x, ops, grid)
         history.append((it, step_norm))
         if not math.isfinite(step_norm):
@@ -329,6 +330,7 @@ def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
         if step_norm <= tol:
             converged = True
             break
+        p = _adjoint_at(data, x, stepper)
     return _finalize(data, x, stepper, "fixed_point", tol, grad_norm0,
                      iterations, history, lambda gn: converged)
 

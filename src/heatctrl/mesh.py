@@ -6,6 +6,7 @@ are tagged either "gamma1" (the side where the temperature is pinned / the
 Robin exchange acts) or "gamma2" (the side carrying the prescribed flux).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,13 @@ class TimeGrid:
             raise ValueError(f"final time must be positive, got {self.T}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one time step, got {self.n_steps}")
+        # the step matrix M / tau + K needs a finite 1 / tau; a step can
+        # also underflow to zero
+        tau = float(self.tau)
+        if tau == 0.0 or not math.isfinite(1.0 / tau):
+            raise ValueError(
+                f"time step T / n_steps = {self.T} / {self.n_steps} is too small: "
+                f"its reciprocal is not finite")
 
     @property
     def tau(self) -> float:

@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
 
-* A state trajectory has n_steps+1 slices; slice 0 is the initial field.
+* A state trajectory is a plain (n_steps + 1, n_nodes) array: slice k is
+  the field at t_k and slice 0 the initial one, so u[1:] pairs with the
+  control and target series.
 * Controls and the target are sampled at the step right endpoints, so a
   control series has n_steps slices and slice k acts on the step from
   t_k to t_{k+1}.
@@ -86,18 +88,6 @@ class ControlPair:
         return ControlPair(scalar * self.g, scalar * self.q)
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-indexed nodal fields: a state, an adjoint or a difference of states.
-
-    For adjoints the stored slice k pairs with control step k (slice k holds
-    the multiplier of the step ending at t_{k+1}) and the last slice is the
-    zero terminal condition.
-    """
-
-    slices: np.ndarray
 
 
 class Stepper:
@@ -216,20 +206,18 @@ def _forward(stepper, ctrl, start, source, pinned):
     return u
 
 
-def solve_state(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> Trajectory:
+def solve_state(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
     """Forward solve of the stepper's system: pinned, or Robin at its alpha."""
     _check(data, stepper)
     _check_ctrl(ctrl, stepper)
-    u = _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
-    return Trajectory(u)
+    return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
 
 
-def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> Trajectory:
+def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
     """Linear part of the control-to-state map (zero data, zero start).
 
     This is the trajectory difference u(ctrl) - u(zero controls); the pinned
     variant keeps the Dirichlet rows at zero.
     """
     _check_ctrl(ctrl, stepper)
-    du = _forward(stepper, ctrl, np.zeros(stepper.ops.n_nodes), None, 0.0)
-    return Trajectory(du)
+    return _forward(stepper, ctrl, np.zeros(stepper.ops.n_nodes), None, 0.0)

@@ -317,11 +317,11 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
         ctrl = ControlPair(g, q_fixed.copy())
         u = solve_state(data, ctrl, stepper)
         p = solve_adjoint(data, u, stepper)
-        return ctrl, u, p, data.M1 * g + p.slices[:-1]
+        return ctrl, u, p, data.M1 * g + p[:-1]
 
     def hessian(d):
         du = solve_state_homogeneous(ControlPair(d, zero_q), stepper)
-        return data.M1 * d + solve_adjoint_homogeneous(du, stepper).slices[:-1]
+        return data.M1 * d + solve_adjoint_homogeneous(du, stepper)[:-1]
 
     shape = (grid.n_steps, ops.n_nodes)
     r = -solve_at(np.zeros(shape))[-1]
@@ -346,7 +346,7 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
     grad_norm = math.sqrt(max(inner(final_grad, final_grad), 0.0))
     return OptimalityReport(
         control=ctrl, state=u, adjoint=p,
-        cost=cost_J(data, ctrl, stepper, u=u),
+        cost=cost_J(data, ctrl, stepper),
         grad_norm=grad_norm, grad_norm0=grad_norm0, iterations=iterations,
         solver="cg", converged=grad_norm <= threshold, tol=tol, history=history,
     )

@@ -44,9 +44,9 @@ def test_criterion_1_adjoint_identity():
             for _ in range(20):
                 d = random_control(ops, data.grid, rng)
                 cu = solve_state_homogeneous(d, stepper)
-                lhs = h_inner(cu.slices[1:], u.slices[1:] - data.z_d, ops, data.grid)
-                rhs = h_inner(d.g, p.slices[:-1], ops, data.grid) \
-                    - q_inner(d.q, ops.trace2(p.slices[:-1]), ops, data.grid)
+                lhs = h_inner(cu[1:], u[1:] - data.z_d, ops, data.grid)
+                rhs = h_inner(d.g, p[:-1], ops, data.grid) \
+                    - q_inner(d.q, ops.trace2(p[:-1]), ops, data.grid)
                 worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     report(1, worst <= 1e-10,
            f"adjoint identity worst relative defect {worst:.3e} <= 1e-10")
@@ -84,7 +84,7 @@ def test_criterion_3_convexity_identity():
         c2 = random_control(ops, data.grid, rng)
         u1 = solve_state(data, c1, stepper)
         u2 = solve_state(data, c2, stepper)
-        dmis = u2.slices[1:] - u1.slices[1:]
+        dmis = u2[1:] - u1[1:]
         for t in (0.25, 0.5, 0.75):
             gap = convexity_gap(data, c1, c2, t, stepper)
             expected = 0.5 * t * (1 - t) * (
@@ -162,7 +162,7 @@ def test_criterion_7_section5_inequalities():
         u_dist = solve_state(data, dist.control, stepper)
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, data.grid), 0.0))
-        du = u_full.slices[1:] - u_dist.slices[1:]
+        du = u_full[1:] - u_dist[1:]
         rhs = math.sqrt(max(h_inner(du, du, ops, data.grid), 0.0)) \
             / (consts.lambda0 * data.M1)
         noise = full.grad_norm / min(data.M1, data.M2) + dist.grad_norm / data.M1
@@ -197,7 +197,7 @@ def test_criterion_8_trivial_exactness():
     ops, data = small_instance(seed=8)
     stepper = Stepper(ops, data.grid, "P")
     u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
-    data_m = replace(data, z_d=u00.slices[1:].copy())
+    data_m = replace(data, z_d=u00[1:].copy())
     cg = solve_cg(data_m, stepper, 1e-10)
     fp = solve_fixed_point(data_m, stepper, 1e-10)
     ok = (cg.cost == 0.0 and fp.cost == 0.0
@@ -215,8 +215,8 @@ def test_criterion_8_trivial_exactness():
     zero = ControlPair.zeros_like(ops_c, grid)
     u = solve_state(data_c, zero, Stepper(ops_c, grid, "P"))
     ua = solve_state(data_c, zero, Stepper(ops_c, grid, "Palpha", 10.0))
-    ok = ok and np.max(np.abs(u.slices - 1.0)) <= 1e-12
-    ok = ok and np.max(np.abs(ua.slices - 1.0)) <= 1e-12
+    ok = ok and np.max(np.abs(u - 1.0)) <= 1e-12
+    ok = ok and np.max(np.abs(ua - 1.0)) <= 1e-12
     alphas = [10.0, 100.0, 1000.0, 10000.0]
     fixed, opt = alpha_sweep(data_c, alphas, zero, tol=1e-10)
     worst = max(

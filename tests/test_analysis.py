@@ -170,6 +170,30 @@ def test_check_suite_all_pass_on_random_instance():
         assert c["passed"], c
 
 
+def test_identity_checks_solve_each_state_once(monkeypatch):
+    forward = []
+    at_constants = []
+    inner_forward = heatctrl.state._forward
+    inner_constants = heatctrl.analysis.compute_constants
+
+    def counted(*args, **kwargs):
+        forward.append(1)
+        return inner_forward(*args, **kwargs)
+
+    def constants(*args, **kwargs):
+        at_constants.append(len(forward))
+        return inner_constants(*args, **kwargs)
+
+    monkeypatch.setattr(heatctrl.state, "_forward", counted)
+    monkeypatch.setattr(heatctrl.analysis, "compute_constants", constants)
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=1)
+    # the identity checks run before the constants: per variant the adjoint
+    # identity solves 1 + 5 states, each gradient sample 3, and each of the
+    # 3 convexity pairs its 2 end states and one blend per t (15 in all)
+    assert at_constants == [2 * (1 + 5) + 5 * 3 + 3 * (2 + 3)]
+
+
 def test_section5_trivial_instance_has_zero_sides():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=46, zero_data=True)
     checks = check_suite(data, ALPHA, "P", tol=1e-11, n_pairs=5)

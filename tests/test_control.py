@@ -28,7 +28,7 @@ def matched_target(data, ops, variant="P"):
     """Replace z_d by the zero-control trajectory (making (0,0) optimal)."""
     u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid),
                       Stepper(ops, data.grid, variant, ALPHA))
-    return replace(data, z_d=u00.slices[1:].copy())
+    return replace(data, z_d=u00[1:].copy())
 
 
 def contractive_instance(seed=50, target_c0=0.5):
@@ -46,15 +46,15 @@ def contractive_instance(seed=50, target_c0=0.5):
 def test_apply_C_zero_control():
     ops, data = make_instance(seed=1)
     du = apply_C(data, ControlPair.zeros_like(ops, data.grid), ops, "P")
-    assert np.max(np.abs(du.slices)) == 0.0
+    assert np.max(np.abs(du)) == 0.0
 
 
 def test_apply_C_is_linear():
     ops, data = make_instance(seed=2)
     rng = np.random.default_rng(3)
     ctrl = random_control(ops, data.grid, rng)
-    one = apply_C(data, ctrl, ops, "P").slices
-    two = apply_C(data, 2.0 * ctrl, ops, "P").slices
+    one = apply_C(data, ctrl, ops, "P")
+    two = apply_C(data, 2.0 * ctrl, ops, "P")
     assert np.max(np.abs(two - 2.0 * one)) <= 1e-10
 
 
@@ -65,7 +65,7 @@ def test_apply_C_matches_dense_map(variant):
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, variant, ALPHA).state_difference(ctrl)
     du = apply_C(data, ctrl, ops, variant)
-    assert np.max(np.abs(du.slices - dense)) <= 1e-10
+    assert np.max(np.abs(du - dense)) <= 1e-10
 
 
 # -- inner products ----------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_cost_at_zero_controls_is_pure_misfit():
     ops, data = make_instance(seed=7)
     stepper = Stepper(ops, data.grid, "P")
     u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
-    mis = u00.slices[1:] - data.z_d
+    mis = u00[1:] - data.z_d
     expected = 0.5 * h_inner(mis, mis, ops, data.grid)
     got = cost_J(data, ControlPair.zeros_like(ops, data.grid), stepper)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -199,7 +199,7 @@ def test_convexity_identity(variant):
         c2 = random_control(ops, grid, rng)
         u1 = solve_state(data, c1, stepper)
         u2 = solve_state(data, c2, stepper)
-        dmis = u2.slices[1:] - u1.slices[1:]
+        dmis = u2[1:] - u1[1:]
         for t in (0.25, 0.5, 0.75):
             gap = convexity_gap(data, c1, c2, t, stepper)
             expected = 0.5 * t * (1 - t) * (
@@ -232,6 +232,7 @@ def test_cg_trivial_optimum_zero_iterations():
     pytest.param("P", "simultaneous", id="P"),
     pytest.param("Palpha", "simultaneous", id="Palpha"),
     pytest.param("P", "distributed_only", id="distributed_only-P"),
+    pytest.param("P", "fixed_point", id="fixed_point-P"),
 ])
 def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatch):
     counts = {"forward": 0, "backward": 0, "factorization": 0}
@@ -252,14 +253,19 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
     stepper = Stepper(ops, data.grid, variant, ALPHA)
     if solver == "simultaneous":
         rep = solve_cg(data, stepper, 1e-10)
-    else:
+    elif solver == "distributed_only":
         q_fixed = np.random.default_rng(22).standard_normal(
             (data.grid.n_steps, len(ops.gamma2_nodes)))
         rep = solve_distributed_only(data, q_fixed, stepper, 1e-10)
+    else:
+        # large penalties make the map contract
+        rep = solve_fixed_point(replace(data, M1=60.0, M2=60.0), stepper, 1e-10)
     k = rep.iterations
     assert rep.converged and k > 0
-    # gradient at zero, one state/adjoint pair per iteration, final report
-    assert counts == {"forward": k + 2, "backward": k + 2, "factorization": 1}
+    # gradient at zero, one state/adjoint pair per iteration, final report;
+    # the fixed-point map takes its first step from the pair at zero
+    pairs = k + 1 if solver == "fixed_point" else k + 2
+    assert counts == {"forward": pairs, "backward": pairs, "factorization": 1}
 
 
 SOLVE_SCRIPT = """
@@ -482,8 +488,8 @@ def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
     ref = distributed_only_on_g(data, q_fixed, ops, variant, 1e-11)
     assert (flux == "zero_data") == (ref.iterations == 0)
     for got, expected in ((rep.control.g, ref.control.g), (rep.control.q, ref.control.q),
-                          (rep.state.slices, ref.state.slices),
-                          (rep.adjoint.slices, ref.adjoint.slices)):
+                          (rep.state, ref.state),
+                          (rep.adjoint, ref.adjoint)):
         assert same_bits(got, expected)
     for name in ("cost", "grad_norm", "grad_norm0", "iterations", "history",
                  "converged", "solver", "tol"):

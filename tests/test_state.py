@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, assemble,
-                      build_rect_mesh, solve_state)
+                      build_rect_mesh, cost_J, solve_state)
 from heatctrl.analysis import boundary_residual_norm
 
 from oracles import (ALPHA, SpaceTimeSystem, extend_gamma2, make_instance,
@@ -35,15 +35,15 @@ def test_zero_data_gives_zero_state():
     ctrl = ControlPair.zeros_like(ops, data.grid)
     u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
     ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", ALPHA))
-    assert np.max(np.abs(u.slices)) == 0.0
-    assert np.max(np.abs(ua.slices)) == 0.0
+    assert np.max(np.abs(u)) == 0.0
+    assert np.max(np.abs(ua)) == 0.0
 
 
 def test_constant_state_is_stationary():
     ops, data = constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
     u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
-    assert np.max(np.abs(u.slices - 1.0)) <= 1e-12
+    assert np.max(np.abs(u - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [1.5, 10.0, 1e4])
@@ -51,7 +51,7 @@ def test_constant_state_is_stationary_robin(alpha):
     ops, data = constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
     ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", alpha))
-    assert np.max(np.abs(ua.slices - 1.0)) <= 1e-12
+    assert np.max(np.abs(ua - 1.0)) <= 1e-12
 
 
 def test_state_matches_dense_spacetime_solve():
@@ -60,7 +60,7 @@ def test_state_matches_dense_spacetime_solve():
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "P").state(data, ctrl)
     u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
-    assert np.max(np.abs(u.slices - dense)) <= 1e-10
+    assert np.max(np.abs(u - dense)) <= 1e-10
 
 
 def test_robin_state_matches_dense_spacetime_solve():
@@ -69,7 +69,7 @@ def test_robin_state_matches_dense_spacetime_solve():
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "Palpha", 10.0).state(data, ctrl)
     ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", 10.0))
-    assert np.max(np.abs(ua.slices - dense)) <= 1e-10
+    assert np.max(np.abs(ua - dense)) <= 1e-10
 
 
 def test_superposition_of_the_affine_map():
@@ -78,10 +78,10 @@ def test_superposition_of_the_affine_map():
     c1 = random_control(ops, data.grid, rng)
     c2 = random_control(ops, data.grid, rng)
     stepper = Stepper(ops, data.grid, "P")
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper).slices
-    u1 = solve_state(data, c1, stepper).slices
-    u2 = solve_state(data, c2, stepper).slices
-    u12 = solve_state(data, c1 + c2, stepper).slices
+    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    u1 = solve_state(data, c1, stepper)
+    u2 = solve_state(data, c2, stepper)
+    u12 = solve_state(data, c1 + c2, stepper)
     assert np.max(np.abs((u12 - u00) - ((u1 - u00) + (u2 - u00)))) <= 1e-10
 
 
@@ -91,7 +91,7 @@ def test_dirichlet_trace_is_exact():
     ctrl = random_control(ops, data.grid, rng)
     u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
     for k in range(data.grid.n_steps + 1):
-        assert np.array_equal(u.slices[k][ops.dirichlet_nodes], data.b)
+        assert np.array_equal(u[k][ops.dirichlet_nodes], data.b)
 
 
 def test_penalized_boundary_mismatch_stays_bounded():
@@ -145,7 +145,7 @@ def test_spatial_convergence_against_exact_solution(with_flux):
     for nx in (4, 8, 16):
         ops, data, ctrl, space = manufactured_problem(nx, 2048, with_flux)
         u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
-        err = u.slices[-1] - np.exp(-1.0) * space
+        err = u[-1] - np.exp(-1.0) * space
         errs.append(np.sqrt(err @ (ops.M @ err)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(rates) > 1.6, (errs, rates)  # second order in h, time error tiny
@@ -158,7 +158,7 @@ def test_temporal_convergence_is_first_order():
     for n_steps in (8, 16, 32):
         _, data_c, ctrl_c, _ = manufactured_problem(12, n_steps, True)
         u = solve_state(data_c, ctrl_c, Stepper(data_c.ops, data_c.grid, "P"))
-        d = u.slices[-1] - u_ref.slices[-1]
+        d = u[-1] - u_ref[-1]
         errs.append(np.sqrt(d @ (ops.M @ d)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(0.8 < r < 1.2 for r in rates), (errs, rates)
@@ -185,7 +185,7 @@ def test_sweep_matches_the_two_product_loop(variant):
     ctrl = random_control(ops, data.grid, np.random.default_rng(62))
     assert np.all(data.b != 0.0) and np.all(ctrl.q != 0.0)
     reference = two_product_state(data, ctrl, ops, variant)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, variant, ALPHA)).slices
+    u = solve_state(data, ctrl, Stepper(ops, data.grid, variant, ALPHA))
     assert np.max(np.abs(u - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -202,8 +202,10 @@ def test_mismatched_data_rejected():
     z_d[1, 2] = np.nan
     for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
                         ("M2", np.nan)):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            solve_state(replace(data, **{name: value}), ctrl, stepper)
+        # cost_J refuses through its own state solve
+        for solve in (solve_state, cost_J):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                solve(replace(data, **{name: value}), ctrl, stepper)
 
 
 def test_robin_variant_needs_alpha():

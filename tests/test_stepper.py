@@ -11,13 +11,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import heatctrl
 import heatctrl.adjoint
 import heatctrl.analysis
 import heatctrl.control
 import heatctrl.state
 from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, cost_J,
                       solve_adjoint, solve_cg, solve_state)
-from heatctrl.state import Trajectory
 
 from oracles import ALPHA, make_instance
 
@@ -32,7 +32,7 @@ CALLS = {
     "solve_state": lambda data, ops, stepper: solve_state(
         data, ControlPair.zeros_like(ops, data.grid), stepper),
     "solve_adjoint": lambda data, ops, stepper: solve_adjoint(
-        data, Trajectory(np.zeros((data.grid.n_steps + 1, ops.n_nodes))), stepper),
+        data, np.zeros((data.grid.n_steps + 1, ops.n_nodes)), stepper),
     "cost_J": lambda data, ops, stepper: cost_J(
         data, ControlPair.zeros_like(ops, data.grid), stepper),
     "solve_cg": lambda data, ops, stepper: solve_cg(data, stepper, 1e-10),
@@ -80,13 +80,6 @@ def test_adjoint_refuses_a_non_finite_target():
         solve_adjoint(data, u, stepper)
 
 
-def test_cost_at_a_given_state_refuses_a_non_finite_target():
-    data, stepper, u = nan_target_instance()
-    ctrl = ControlPair.zeros_like(stepper.ops, data.grid)
-    with pytest.raises(ValueError, match="z_d must be finite"):
-        cost_J(data, ctrl, stepper, u=u)
-
-
 def public_functions(module):
     return {name: fn for name, fn in vars(module).items()
             if not name.startswith("_") and inspect.isfunction(fn)
@@ -111,6 +104,26 @@ def test_solvers_take_a_required_stepper():
         assert stepper.default is inspect.Parameter.empty, qualname
     assert not hasattr(heatctrl.state, "stepper_for")
     assert not hasattr(heatctrl.state.ProblemData, "with_alpha")
+
+
+def test_trajectories_are_plain_arrays():
+    assert not hasattr(heatctrl, "Trajectory")
+    assert not hasattr(heatctrl.state, "Trajectory")
+    ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=4)
+    stepper = Stepper(ops, data.grid, "P")
+    u = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    p = solve_adjoint(data, u, stepper)
+    for trajectory in (u, p):
+        assert type(trajectory) is np.ndarray
+        assert trajectory.shape == (data.grid.n_steps + 1, ops.n_nodes)
+
+
+@pytest.mark.parametrize("name", ["cost_J", "gradient_J", "apply_W"])
+def test_cost_gradient_and_W_take_only_data_ctrl_and_stepper(name):
+    # the state or adjoint a caller already holds goes to the private
+    # formula, not to an optional argument of the public function
+    params = inspect.signature(getattr(heatctrl.control, name)).parameters
+    assert list(params) == ["data", "ctrl", "stepper"]
 
 
 def test_the_data_owns_its_operators():
