@@ -11,7 +11,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+import warnings
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
 from .linalg import EigenError, SolverError
 from .mesh import SIDES, TimeGrid, build_rect_mesh
-from .state import ControlPair, ProblemData, Stepper
+from .state import VARIANTS, ControlPair, ProblemData, Stepper
 
 OPTIMIZERS = ("cg", "fixed_point", "both")
 
@@ -33,34 +34,12 @@ class ConfigError(Exception):
 
 # -- config file parsing -------------------------------------------------------
 
-def _parse_scalar(text):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _parse_value(text):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        return [] if not inner else [_parse_scalar(p) for p in inner.split(",")]
-    return _parse_scalar(text)
-
-
 def parse_config_text(text, origin="<config>") -> dict:
-    """Parse the sectioned key/value format into nested dicts."""
+    """Parse the sectioned key/value format into {section: {key: text}}.
+
+    Comments and surrounding quotes are stripped; every value stays text
+    until load_config types it.
+    """
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,8 +56,10 @@ def parse_config_text(text, origin="<config>") -> dict:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         if current is None:
             raise ConfigError(f"{origin}:{lineno}: key outside of any [section]")
-        key, value = line.split("=", 1)
-        current[key.strip()] = _parse_value(value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+            value = value[1:-1]
+        current[key] = value
     return sections
 
 
@@ -88,11 +69,9 @@ FIELD_CATALOG = ("zero", "constant", "linear", "bump", "csv")
 
 
 def _spec_args(args, count):
-    numbers = [float(a) for a in args.split(",")]
+    numbers = [_finite(a) for a in args.split(",")]
     if len(numbers) != count:
         raise ValueError(f"expected {count} numbers, got {len(numbers)}")
-    if not all(math.isfinite(v) for v in numbers):
-        raise ValueError("arguments must be finite")
     return numbers
 
 
@@ -101,7 +80,7 @@ def _spec_args(args, count):
 @np.errstate(all="ignore")
 def _field_values(spec, points, origin):
     """Evaluate a catalog field spec at an array of (x, y) points."""
-    spec = str(spec).strip()
+    spec = spec.strip()
     name, _, args = spec.partition(":")
     name = name.strip()
     x, y = points[:, 0], points[:, 1]
@@ -122,7 +101,10 @@ def _field_values(spec, points, origin):
             if not path.exists():
                 raise ConfigError(f"{origin}: field file not found: {path}")
             try:
-                values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+                # a file with no data rows is refused by the shape check below
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
             except OSError as exc:
                 raise ConfigError(f"{origin}: cannot read field file {path}: "
                                   f"{exc.strerror or exc}") from None
@@ -146,64 +128,90 @@ def _field_values(spec, points, origin):
 
 
 # -- run configuration -----------------------------------------------------------
+#
+# Each converter takes a value's text and returns the typed value, or raises
+# a ValueError that load_config prefixes with the key's [section] and name.
 
-@dataclass
-class RunConfig:
-    nx: int
-    ny: int
-    gamma1: tuple
-    T: float
-    n_steps: int
-    M1: float
-    M2: float
-    alpha: float | None
-    alphas: list
-    b_spec: str
-    v_b_spec: str
-    z_d_spec: str
-    tol: float
-    max_iter: int
-    optimizer: str
-    variant: str
-    out_dir: Path
-    formats: tuple
-
-
-def _require(section, key, sections, origin):
-    if section not in sections:
-        raise ConfigError(f"{origin}: missing [{section}] section")
-    if key not in sections[section]:
-        raise ConfigError(f"{origin}: missing key {key!r} in [{section}]")
-    return sections[section][key]
-
-
-def _finite(value, label, origin) -> float:
+def _finite(text) -> float:
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ConfigError(f"{origin}: {label} must be a number, got {value!r}")
+        number = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{origin}: {label} must be finite, got {value!r}")
+        raise ValueError(f"must be finite, got {text!r}")
     return number
 
 
-def _integer(value, label, origin) -> int:
-    number = _finite(value, label, origin)
+def _positive(text) -> float:
+    number = _finite(text)
+    if number <= 0:
+        raise ValueError(f"must be positive, got {text!r}")
+    return number
+
+
+def _positive_int(text) -> int:
+    number = _finite(text)
     if number != int(number) or number < 1:
-        raise ConfigError(f"{origin}: {label} must be a positive integer, got {value!r}")
+        raise ValueError(f"must be a positive integer, got {text!r}")
     return int(number)
 
 
-def _items(value) -> list:
-    """A list value as is, anything else split at commas."""
-    return value if isinstance(value, list) else str(value).split(",")
+def _choice(*names):
+    def convert(text):
+        if text not in names:
+            raise ValueError(f"must be one of {names}, got {text!r}")
+        return text
+    return convert
 
 
-def _names(value) -> tuple:
-    """The nonblank items of a list or comma-separated value, as stripped text."""
-    return tuple(name for name in (str(s).strip() for s in _items(value)) if name)
+def _comma_list(convert, container=tuple):
+    """A converter of comma lists, brackets optional; blank text is the empty list."""
+    def items(text):
+        if text.startswith("[") and text.endswith("]"):
+            text = text[1:-1]
+        if not text.strip():
+            return container()
+        return container(convert(s.strip()) for s in text.split(","))
+    return items
+
+
+def _key(section, convert, default=MISSING, name=None):
+    """A field's config key: its [section], converter and default text.
+
+    The key is named like the field unless name is given; a key without a
+    default is required, and a default of None is kept as None.
+    """
+    return field(metadata={"section": section, "convert": convert,
+                           "default": default, "name": name})
+
+
+@dataclass
+class RunConfig:
+    """One run, typed from a config file; each field is one config key."""
+
+    nx: int = _key("mesh", _positive_int)
+    ny: int = _key("mesh", _positive_int)
+    gamma1: tuple = _key("mesh", _comma_list(_choice(*SIDES)), "left")
+    T: float = _key("time", _finite)
+    n_steps: int = _key("time", _positive_int)
+    M1: float = _key("problem", _positive)
+    M2: float = _key("problem", _positive)
+    alpha: float | None = _key("problem", _finite, None)
+    alphas: list = _key("problem", _comma_list(_finite, list), "")
+    b_spec: str = _key("problem", str, "zero", "b")
+    v_b_spec: str = _key("problem", str, "zero", "v_b")
+    z_d_spec: str = _key("problem", str, "zero", "z_d")
+    tol: float = _key("solver", _positive, "1e-8")
+    max_iter: int = _key("solver", _positive_int, "500")
+    optimizer: str = _key("solver", _choice(*OPTIMIZERS), "cg")
+    variant: str = _key("solver", _choice(*VARIANTS), "P")
+    out_dir: Path = _key("output", Path, "out", "directory")
+    formats: tuple = _key("output", _comma_list(_choice("csv", "json")), "csv,json")
+
+
+# (section, key) -> the RunConfig field it fills
+_KEYS = {(f.metadata["section"], f.metadata["name"] or f.name): f
+         for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
@@ -216,62 +224,24 @@ def load_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{origin}: cannot read the config: {exc}") from None
     sections = parse_config_text(text, origin=origin)
+    for section, entries in sections.items():
+        for key in entries:
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"{origin}: unknown key {key!r} in [{section}]")
 
-    mesh_sec = sections.get("mesh", {})
-    nx = _integer(_require("mesh", "nx", sections, origin), "[mesh] nx", origin)
-    ny = _integer(_require("mesh", "ny", sections, origin), "[mesh] ny", origin)
-    gamma1 = _names(mesh_sec.get("gamma1", "left"))
-    for side in gamma1:
-        if side not in SIDES:
-            raise ConfigError(f"{origin}: unknown gamma1 side {side!r}")
-
-    T = _finite(_require("time", "T", sections, origin), "[time] T", origin)
-    n_steps = _integer(_require("time", "n_steps", sections, origin),
-                       "[time] n_steps", origin)
-
-    prob = sections.get("problem", {})
-    M1 = _finite(_require("problem", "M1", sections, origin), "[problem] M1", origin)
-    M2 = _finite(_require("problem", "M2", sections, origin), "[problem] M2", origin)
-    if M1 <= 0 or M2 <= 0:
-        raise ConfigError(f"{origin}: M1 and M2 must be positive")
-    alpha = prob.get("alpha")
-    alpha = None if alpha is None else _finite(alpha, "[problem] alpha", origin)
-    alphas_val = prob.get("alphas", [])
-    alphas = [_finite(a, "[problem] alphas", origin)
-              for a in _items(alphas_val)] if alphas_val else []
-
-    solver = sections.get("solver", {})
-    tol = _finite(solver.get("tol", 1e-8), "[solver] tol", origin)
-    if tol <= 0:
-        raise ConfigError(f"{origin}: solver tol must be positive, got {tol}")
-    max_iter = _integer(solver.get("max_iter", 500), "[solver] max_iter", origin)
-    optimizer = str(solver.get("optimizer", "cg"))
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(
-            f"{origin}: optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
-        )
-    variant = str(solver.get("variant", "P"))
-    if variant not in ("P", "Palpha"):
-        raise ConfigError(f"{origin}: variant must be 'P' or 'Palpha', got {variant!r}")
-    if variant == "Palpha" and (alpha is None or alpha <= 0):
+    values = {}
+    for (section, key), spec in _KEYS.items():
+        text = sections.get(section, {}).get(key, spec.metadata["default"])
+        if text is MISSING:
+            raise ConfigError(f"{origin}: missing key {key!r} in [{section}]")
+        try:
+            values[spec.name] = None if text is None else spec.metadata["convert"](text)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: [{section}] {key} {exc}") from None
+    config = RunConfig(**values)
+    if config.variant == "Palpha" and (config.alpha is None or config.alpha <= 0):
         raise ConfigError(f"{origin}: variant 'Palpha' needs problem.alpha > 0")
-
-    out = sections.get("output", {})
-    out_dir = Path(str(out.get("directory", "out")))
-    formats = _names(out.get("formats", "csv,json"))
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"{origin}: unknown output format {fmt!r}")
-
-    return RunConfig(
-        nx=nx, ny=ny, gamma1=gamma1, T=T, n_steps=n_steps,
-        M1=M1, M2=M2, alpha=alpha, alphas=alphas,
-        b_spec=str(prob.get("b", "zero")),
-        v_b_spec=str(prob.get("v_b", "zero")),
-        z_d_spec=str(prob.get("z_d", "zero")),
-        tol=tol, max_iter=max_iter, optimizer=optimizer, variant=variant,
-        out_dir=out_dir, formats=formats,
-    )
+    return config
 
 
 def build_problem(config: RunConfig):

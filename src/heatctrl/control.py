@@ -126,9 +126,10 @@ def _W(data, p) -> ControlPair:
     return ControlPair(-p_steps / data.M1, data.ops.trace2(p_steps) / data.M2)
 
 
-def _adjoint_at(data, ctrl, stepper):
-    """The adjoint at ctrl: one forward and one backward sweep."""
-    return solve_adjoint(data, solve_state(data, ctrl, stepper), stepper)
+def _pair(data, ctrl, stepper):
+    """The state and adjoint (u, p) at ctrl: one forward and one backward sweep."""
+    u = solve_state(data, ctrl, stepper)
+    return u, solve_adjoint(data, u, stepper)
 
 
 def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> float:
@@ -138,7 +139,7 @@ def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> float:
 
 def gradient_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
     """Weighted-space representative of the cost derivative at ctrl."""
-    return _gradient(data, ctrl, _adjoint_at(data, ctrl, stepper))
+    return _gradient(data, ctrl, _pair(data, ctrl, stepper)[1])
 
 
 def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
@@ -159,7 +160,7 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
 
 def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
     """Fixed-point map (-p/M1, p|gamma2/M2) built from the adjoint at ctrl."""
-    return _W(data, _adjoint_at(data, ctrl, stepper))
+    return _W(data, _pair(data, ctrl, stepper)[1])
 
 
 def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
@@ -194,10 +195,10 @@ def _hessian_apply(d: ControlPair, data, stepper) -> ControlPair:
     return _gradient(data, d, solve_adjoint_homogeneous(du, stepper))
 
 
-def _finalize(data, x, stepper, solver, tol, grad_norm0, iterations, history,
+def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
               converged_rule, hold_q=False):
-    u = solve_state(data, x, stepper)
-    p = solve_adjoint(data, u, stepper)
+    """The report at the control x, whose state and adjoint are pair = (u, p)."""
+    u, p = pair
     grad = _held(_gradient(data, x, p), hold_q)
     grad_norm = hq_norm(grad, data.ops, data.grid)
     return OptimalityReport(
@@ -272,7 +273,7 @@ def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
         # made afresh for each use, so no zero field stays alive through CG
         return ControlPair(np.zeros((grid.n_steps, ops.n_nodes)), q_start)
 
-    p = start_pass[1] if start_pass else _adjoint_at(data, start(), stepper)
+    p = start_pass[1] if start_pass else _pair(data, start(), stepper)[1]
     r = -1.0 * _held(_gradient(data, start(), p), hold_q)
     del p  # so the start adjoint does not stay alive through CG either
     grad_norm0 = hq_norm(r, ops, grid)
@@ -282,8 +283,8 @@ def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
         start(), r,
         lambda d: _held(_hessian_apply(d, data, stepper), hold_q),
         ops, grid, threshold, max_iter, history)
-    return _finalize(data, x, stepper, "cg", tol, grad_norm0, iterations,
-                     history, lambda gn: gn <= threshold, hold_q)
+    return _finalize(data, x, _pair(data, x, stepper), "cg", tol, grad_norm0,
+                     iterations, history, lambda gn: gn <= threshold, hold_q)
 
 
 def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
@@ -314,24 +315,25 @@ def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
         raise ValueError(f"tolerance must be positive, got {tol}")
     ops, grid = data.ops, data.grid
     x = ControlPair.zeros_like(ops, grid)
-    p = _adjoint_at(data, x, stepper)  # the adjoint at x at the start of each step
-    grad_norm0 = hq_norm(_gradient(data, x, p), ops, grid)
+    pair = _pair(data, x, stepper)  # (u, p) at x, solved once per iterate
+    grad_norm0 = hq_norm(_gradient(data, x, pair[1]), ops, grid)
     history = []
     converged = False
     iterations = 0
-    for it in range(1, max_iter + 1):
-        w = _W(data, p)
-        step_norm = hq_norm(w - x, ops, grid)
-        history.append((it, step_norm))
-        if not math.isfinite(step_norm):
-            break  # diverged past floating-point range; keep the last finite iterate
-        x = w
-        iterations = it
-        if step_norm <= tol:
-            converged = True
-            break
-        p = _adjoint_at(data, x, stepper)
-    return _finalize(data, x, stepper, "fixed_point", tol, grad_norm0,
+    # a divergent run overflows on its way to the non-finite step that stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            w = _W(data, pair[1])
+            step_norm = hq_norm(w - x, ops, grid)
+            history.append((it, step_norm))
+            if not math.isfinite(step_norm):
+                break  # diverged past floating-point range; keep the last finite iterate
+            x, iterations = w, it
+            pair = _pair(data, x, stepper)
+            if step_norm <= tol:
+                converged = True
+                break
+    return _finalize(data, x, pair, "fixed_point", tol, grad_norm0,
                      iterations, history, lambda gn: converged)
 
 

@@ -67,13 +67,13 @@ def test_parse_sections_and_values():
 [mesh]
 nx = 4          # trailing comment
 name = "unit"
+quoted = ' spaced '
 flag = true
 vals = [1, 2.5, x]
 """)
-    assert cfg["mesh"]["nx"] == 4
-    assert cfg["mesh"]["name"] == "unit"
-    assert cfg["mesh"]["flag"] is True
-    assert cfg["mesh"]["vals"] == [1, 2.5, "x"]
+    # every value stays text: load_config types each key
+    assert cfg == {"mesh": {"nx": "4", "name": "unit", "quoted": " spaced ",
+                            "flag": "true", "vals": "[1, 2.5, x]"}}
 
 
 def test_parse_errors_carry_location():
@@ -93,6 +93,32 @@ def test_missing_key_reported(tmp_path):
     path.write_text("[mesh]\nnx = 2\n")
     with pytest.raises(ConfigError, match="ny"):
         load_config(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "check", "constants"])
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "varient", "Palpha"),
+    ("solver", "optimiser", "both"),
+    ("solver", "tolerance", "1e-12"),
+    ("notes", "author", "someone"),
+])
+def test_unknown_key_is_refused(tmp_path, capsys, command, section, key, value):
+    # appended after [output]: [solver] is reopened, [notes] is new
+    path = write_config(tmp_path, extra=f"[{section}]\n{key} = {value}\n")
+    assert main([command, "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {path}: unknown key {key!r} in [{section}]\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["1e3", "true", "007", "1_000"])
+def test_output_directory_is_taken_as_written(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, out=name)
+    assert load_config(path).out_dir == Path(name)
+    assert main(["constants", "--config", str(path), "--quiet"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "run.cfg"])
+    assert (tmp_path / name / "constants.json").exists()
 
 
 def test_missing_csv_field_names_path(tmp_path):
@@ -523,6 +549,9 @@ def test_solve_writes_reports_without_resolving(tmp_path):
     ("tol = 1e-10", "tol = nan", "[solver] tol"),
     ("alpha = 10.0", "alpha = -inf", "[problem] alpha"),
     ("alphas = [10.0, 100.0, 1000.0]", "alphas = [10.0, nan]", "[problem] alphas"),
+    ("alphas = [10.0, 100.0, 1000.0]", "alphas = [10.0, , 1000.0]",
+     "[problem] alphas"),
+    ("gamma1 = left", "gamma1 = left,", "[mesh] gamma1"),
     ("M1 = 1.0", "M1 = heavy", "[problem] M1"),
     ("z_d = zero", "z_d = constant:inf", "[problem] z_d"),
     ("b = zero", "b = linear:0,nan,0", "[problem] b"),
@@ -537,6 +566,7 @@ def test_solve_writes_reports_without_resolving(tmp_path):
     ("nx = 4", "nx = true", "[mesh] nx"),
     ("T = 1.0", "T = true", "[time] T"),
     ("M1 = 1.0", "M1 = true", "[problem] M1"),
+    ("b = zero\nv_b", "b = constant:1\nv_b", "Dirichlet nodes must equal b"),
 ])
 def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)
@@ -552,20 +582,26 @@ def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
 
 def test_overflowing_field_prints_only_the_config_error(tmp_path):
     # a fresh interpreter with the default warning filters, so a numpy
-    # overflow warning would reach stderr as it does on the command line
-    path = write_config(tmp_path, z_d="linear:1e308,1e308,0")
+    # overflow or empty-file warning would reach stderr as it does on the
+    # command line
+    empty = tmp_path / "empty.csv"
+    empty.write_text("value\n")
     src = str(Path(heatctrl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from heatctrl.cli import main; "
-         "sys.exit(main())", "solve", "--config", str(path), "--quiet"],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr == ("configuration error: [problem] z_d: field "
-                           "'linear:1e308,1e308,0' has non-finite values\n")
-    assert not (tmp_path / "out").exists()
+    for z_d, message in (
+            ("linear:1e308,1e308,0",
+             "field 'linear:1e308,1e308,0' has non-finite values"),
+            (f"csv:{empty}", f"{empty} must hold 9 values, got shape (0,)")):
+        path = write_config(tmp_path, z_d=z_d)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from heatctrl.cli import main; "
+             "sys.exit(main())", "solve", "--config", str(path), "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == f"configuration error: [problem] z_d: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_csv_field_rejected(tmp_path, capsys):

@@ -233,6 +233,7 @@ def test_cg_trivial_optimum_zero_iterations():
     pytest.param("Palpha", "simultaneous", id="Palpha"),
     pytest.param("P", "distributed_only", id="distributed_only-P"),
     pytest.param("P", "fixed_point", id="fixed_point-P"),
+    pytest.param("P", "fixed_point_capped", id="fixed_point_capped-P"),
 ])
 def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatch):
     counts = {"forward": 0, "backward": 0, "factorization": 0}
@@ -257,14 +258,19 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
         q_fixed = np.random.default_rng(22).standard_normal(
             (data.grid.n_steps, len(ops.gamma2_nodes)))
         rep = solve_distributed_only(data, q_fixed, stepper, 1e-10)
-    else:
+    elif solver == "fixed_point":
         # large penalties make the map contract
         rep = solve_fixed_point(replace(data, M1=60.0, M2=60.0), stepper, 1e-10)
+    else:
+        rep = solve_fixed_point(replace(data, M1=1.0, M2=1.0), stepper, 1e-10,
+                                max_iter=5)
+        assert rep.iterations == 5
     k = rep.iterations
-    assert rep.converged and k > 0
+    assert rep.converged == (solver != "fixed_point_capped") and k > 0
     # gradient at zero, one state/adjoint pair per iteration, final report;
-    # the fixed-point map takes its first step from the pair at zero
-    pairs = k + 1 if solver == "fixed_point" else k + 2
+    # the fixed-point map takes its first step from the pair at zero, and
+    # its report reuses the pair at the last iterate, capped or not
+    pairs = k + 1 if solver.startswith("fixed_point") else k + 2
     assert counts == {"forward": pairs, "backward": pairs, "factorization": 1}
 
 
@@ -416,6 +422,19 @@ def test_fixed_point_reports_divergence():
     rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10, max_iter=25)
     assert not rep.converged
     assert measured_step_ratio(rep.history) > 1.0
+
+
+@pytest.mark.parametrize("M", [1e-2, 1e-4, 1e-8])
+def test_divergent_fixed_point_stops_quietly_at_a_non_finite_step(M):
+    # the RuntimeWarning filter of the test run turns any overflow warning
+    # into a failure
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21, M1=M, M2=M)
+    rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10)
+    steps = [norm for _, norm in rep.history]
+    assert not rep.converged and rep.iterations == len(steps) - 1
+    assert not math.isfinite(steps[-1])
+    assert all(math.isfinite(norm) for norm in steps[:-1])
+    assert math.isfinite(rep.cost) and math.isfinite(rep.grad_norm)
 
 
 def test_lipschitz_ratio_below_contraction_constant():

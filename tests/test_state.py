@@ -198,6 +198,16 @@ def test_mismatched_data_rejected():
         solve_state(bad, ctrl, stepper)
     with pytest.raises(ValueError, match="positive"):
         solve_state(replace(data, M1=-1.0), ctrl, stepper)
+    for name, message in (("v_b", "v_b must have shape"),
+                          ("b", "b must have one value per Dirichlet node"),
+                          ("z_d", "z_d must have shape")):
+        with pytest.raises(ValueError, match=message):
+            solve_state(replace(data, **{name: getattr(data, name)[:-1]}), ctrl,
+                        stepper)
+    for name, short in (("g", ControlPair(ctrl.g[:-1], ctrl.q)),
+                        ("q", ControlPair(ctrl.g, ctrl.q[:, :-1]))):
+        with pytest.raises(ValueError, match=f"{name} series must have shape"):
+            solve_state(data, short, stepper)
     z_d = data.z_d.copy()
     z_d[1, 2] = np.nan
     for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
