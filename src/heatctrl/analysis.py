@@ -8,6 +8,9 @@ sqrt(alpha - 1) * |u_alpha - b|_{L2(L2(gamma1))}.
 """
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +21,7 @@ from .control import (CG_MAX_ITER, _coercivity, _cost, _series_inner, apply_W,
                       contraction_constant, cost_J, gradient_J, h_inner,
                       hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
+from .linalg import SolverError
 from .state import (ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
 
@@ -30,7 +34,12 @@ class SolverNotConverged(RuntimeError):
             f"inner solve for {label} stopped at grad_norm={report.grad_norm:.3e} "
             f"after {report.iterations} iterations"
         )
+        self.label = label
         self.report = report
+
+    def __reduce__(self):
+        # args hold only the message; a sweep worker pickles the whole failure
+        return type(self), (self.label, self.report)
 
 
 @dataclass
@@ -114,49 +123,44 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
     """The fixed-control sweep at ctrl and, given tol, the optimal-control sweep.
 
     Both measure gaps against the pinned system: of the states and adjoints
-    at ctrl, and of the per-alpha optima.  One pass over the operators, the
-    pinned one and then the Robin one at each alpha: each is factorized once
-    (at most two factorizations alive at a time) and gets one state/adjoint
-    pass at ctrl, which gives its fixed-control record and, given tol,
-    starts its CG solve, so ctrl must then be zero controls.  Returns the
-    fixed-control report and the optimal-control report (None without tol).
+    at ctrl, and of the per-alpha optima.  Each operator, the pinned one and
+    then the Robin one at each alpha, is factorized once and gets one
+    state/adjoint pass at ctrl, which gives its fixed-control record and,
+    given tol, starts its CG solve, so ctrl must then be zero controls.  The
+    pinned operator is solved first, in this process; the alphas are then
+    spread over the CPUs this process may use (see _fork_map), and the
+    reports do not depend on how many there are.  Returns the fixed-control
+    report and the optimal-control report (None without tol).
     """
     alphas = check_alphas(alphas)
     if tol is not None and (np.any(ctrl.g) or np.any(ctrl.q)):
         raise ValueError("an optimal-control sweep (tol given) starts each CG solve "
                          "from its pass at ctrl, so ctrl must be zero controls")
     ops, grid = data.ops, data.grid
-    fixed, optimal = [], []
-    for alpha in (None, *alphas):
-        stepper = Stepper(ops, grid, "P" if alpha is None else "Palpha", alpha)
-        u = solve_state(data, ctrl, stepper)
-        p = solve_adjoint(data, u, stepper)
-        rep = None
-        if tol is not None:
-            rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_pass=(u, p))
-            if not rep.converged:
-                label = "P" if alpha is None else f"Palpha at alpha={alpha}"
-                raise SolverNotConverged(label, rep)
-        if alpha is None:
-            u_ref, p_ref, ref = u, p, rep
-            continue
-        fixed.append(SweepRecord(
+    u_ref, p_ref, ref = _operator_pass(data, ctrl, None, tol, max_iter)
+
+    def records(alpha):
+        u, p, rep = _operator_pass(data, ctrl, alpha, tol, max_iter)
+        fixed = SweepRecord(
             alpha=alpha,
             state_gap=state_gap_norm(u, u_ref, ops, grid),
             adjoint_gap=adjoint_gap_norm(p, p_ref, ops, grid),
             boundary_residual=boundary_residual_norm(u, data.b, alpha, ops, grid),
-        ))
-        if rep is not None:
-            optimal.append(SweepRecord(
-                alpha=alpha,
-                state_gap=state_gap_norm(rep.state, ref.state, ops, grid),
-                adjoint_gap=adjoint_gap_norm(rep.adjoint, ref.adjoint, ops, grid),
-                boundary_residual=boundary_residual_norm(rep.state, data.b, alpha,
-                                                         ops, grid),
-                control_gap=hq_norm(rep.control - ref.control, ops, grid),
-                cost_alpha=rep.cost,
-            ))
-    fixed_report = SweepReport(alphas=alphas, records=fixed,
+        )
+        if rep is None:
+            return fixed, None
+        return fixed, SweepRecord(
+            alpha=alpha,
+            state_gap=state_gap_norm(rep.state, ref.state, ops, grid),
+            adjoint_gap=adjoint_gap_norm(rep.adjoint, ref.adjoint, ops, grid),
+            boundary_residual=boundary_residual_norm(rep.state, data.b, alpha,
+                                                     ops, grid),
+            control_gap=hq_norm(rep.control - ref.control, ops, grid),
+            cost_alpha=rep.cost,
+        )
+
+    fixed, optimal = zip(*_fork_map(records, alphas))
+    fixed_report = SweepReport(alphas=alphas, records=list(fixed),
                                reference={"problem": "P"})
     if tol is None:
         return fixed_report, None
@@ -166,8 +170,103 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
         "grad_norm": ref.grad_norm,
         "iterations": ref.iterations,
     }
-    return fixed_report, SweepReport(alphas=alphas, records=optimal,
+    return fixed_report, SweepReport(alphas=alphas, records=list(optimal),
                                      reference=reference)
+
+
+def _operator_pass(data, ctrl, alpha, tol, max_iter):
+    """(u, p) at ctrl and, given tol, the CG optimum, for the pinned operator
+    (alpha None) or the Robin one at alpha; the factorization dies with the call."""
+    stepper = Stepper(data.ops, data.grid, "P" if alpha is None else "Palpha", alpha)
+    u = solve_state(data, ctrl, stepper)
+    p = solve_adjoint(data, u, stepper)
+    if tol is None:
+        return u, p, None
+    rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_pass=(u, p))
+    if not rep.converged:
+        label = "P" if alpha is None else f"Palpha at alpha={alpha}"
+        raise SolverNotConverged(label, rep)
+    return u, p, rep
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_map(fn, items):
+    """[fn(item) for item in items], item i computed in process i % n.
+
+    n is the number of CPUs this process may use, capped at len(items).
+    Process 0 is this one; the others are forked children, which pickle
+    their results back over a pipe and leave through os._exit.  With n = 1
+    nothing is forked.  Each process stops at its first exception; once
+    every pipe is read and every child reaped, the first failure in item
+    order is raised.  A child that dies without a result is a SolverError
+    naming its items.
+    """
+    n = min(len(items), _usable_cpus()) if hasattr(os, "fork") else 1
+    parent = os.getpid()
+    # a child must not write out what this process has buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    for rank in range(1, n):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                payload = pickle.dumps(_share(fn, items, rank, n, parent))
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(payload)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        children.append((pid, read_end))
+    payloads, codes = [], [0]
+    try:
+        outcomes = _share(fn, items, 0, n, parent)
+    finally:
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                payloads.append(pipe.read())
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for payload in payloads:
+        if payload:
+            outcomes.update(pickle.loads(payload))
+    results = []
+    for i in range(len(items)):
+        # a share ends at its first failure, which precedes its missing items
+        if i not in outcomes:
+            raise SolverError(f"a sweep worker for {items[i::n]} exited with "
+                              f"code {codes[i % n]} without a result")
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _share(fn, items, rank, n, parent):
+    """{i: (True, fn(items[i])) or (False, exception)} for i = rank, rank + n, ...
+
+    Stops after the first exception.  A child (rank > 0) whose parent has
+    gone exits before its next item.
+    """
+    outcomes = {}
+    for i in range(rank, len(items), n):
+        if rank and os.getppid() != parent:
+            os._exit(1)
+        try:
+            outcomes[i] = (True, fn(items[i]))
+        except Exception as exc:
+            outcomes[i] = (False, exc)
+            break
+    return outcomes
 
 
 # relative distance of the last sweep optimum's cost from the pinned one

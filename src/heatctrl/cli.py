@@ -38,7 +38,8 @@ def parse_config_text(text, origin="<config>") -> dict:
     """Parse the sectioned key/value format into {section: {key: text}}.
 
     Comments and surrounding quotes are stripped; every value stays text
-    until load_config types it.
+    until load_config types it.  A key given twice in a section, also in a
+    reopened one, is refused.
     """
     sections = {}
     current = None
@@ -57,6 +58,8 @@ def parse_config_text(text, origin="<config>") -> dict:
         if current is None:
             raise ConfigError(f"{origin}:{lineno}: key outside of any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in current:
+            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r} in [{name}]")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
         current[key] = value

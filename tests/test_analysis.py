@@ -1,5 +1,10 @@
 import ast
 import inspect
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,8 @@ from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, alpha_sweep,
 import heatctrl.analysis
 import heatctrl.cli
 import heatctrl.state
-from heatctrl.analysis import check_alphas
+from heatctrl.analysis import SolverNotConverged, check_alphas
+from heatctrl.linalg import SolverError
 
 from oracles import ALPHA, make_instance, random_control
 
@@ -54,15 +60,17 @@ def test_fixed_control_gaps_decay():
     assert max(res) <= 10.0 * res[0]
 
 
-def test_fixed_control_sweep_factorizes_each_operator_once(monkeypatch):
-    built = []
+def test_fixed_control_sweep_factorizes_each_operator_once(monkeypatch, fork_log):
+    # a file, not a list: the sweep's forked workers factorize too
+    log = fork_log("factorizations")
     factor = heatctrl.state.SpdFactor
     monkeypatch.setattr(heatctrl.state, "SpdFactor",
-                        lambda A: built.append(A) or factor(A))
+                        lambda A: log.append(A.shape[0]) or factor(A))
     ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=39)
     ctrl = ControlPair.zeros_like(ops, data.grid)
     alphas = [10.0, 100.0, 1000.0]
     alpha_sweep(data, alphas, ctrl)
+    built = log.lines()
     # one pinned factorization shared by the reference state and adjoint,
     # then one Robin factorization per coefficient
     assert len(built) == 1 + len(alphas)
@@ -219,3 +227,135 @@ def test_sweep_report_round_trip_dict():
     assert len(payload["records"]) == 2
     assert set(payload["records"][0]) >= {"alpha", "state_gap", "adjoint_gap",
                                           "boundary_residual"}
+
+
+def test_solver_not_converged_survives_pickling():
+    # a sweep worker sends its failure to the parent pickled
+    ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=50)
+    rep = solve_cg(data, Stepper(ops, data.grid, "P"), tol=1e-12, max_iter=1)
+    assert not rep.converged
+    exc = SolverNotConverged("Palpha at alpha=100.0", rep)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is SolverNotConverged
+    assert str(back) == str(exc) and back.args == exc.args
+    assert back.label == exc.label
+    assert back.report.grad_norm == rep.grad_norm
+    assert back.report.iterations == rep.iterations == 1
+
+
+def sweep_instance():
+    ops, data = make_instance(nx=4, ny=4, n_steps=4, seed=51)
+    return data, ControlPair.zeros_like(ops, data.grid)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 3, 4])
+def test_sweep_records_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    data, zero = sweep_instance()
+    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
+    serial = alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    monkeypatch.undo()
+    if cpus is not None:
+        monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+    parallel = alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    # repr of a float is exact, so equal reprs are equal bits
+    for one, other in zip(serial, parallel):
+        assert repr(one.to_dict()) == repr(other.to_dict())
+    assert_no_child_left()
+
+
+def capped_at(monkeypatch, failing):
+    """solve_cg, capped at one iteration for the Robin alphas in failing."""
+    solve = heatctrl.analysis.solve_cg
+
+    def capped(data, stepper, tol, **kwargs):
+        if stepper.alpha in failing:
+            kwargs["max_iter"] = 1
+        return solve(data, stepper, tol, **kwargs)
+
+    monkeypatch.setattr(heatctrl.analysis, "solve_cg", capped)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_first_failing_alpha_in_order_is_raised(monkeypatch, cpus):
+    # with two processes alpha 100 runs in the child and 1000 in the parent,
+    # with three each runs in its own child
+    data, zero = sweep_instance()
+    capped_at(monkeypatch, {100.0, 1000.0})
+    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
+    with pytest.raises(SolverNotConverged) as serial:
+        alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+    with pytest.raises(SolverNotConverged) as parallel:
+        alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    assert str(serial.value).startswith("inner solve for Palpha at alpha=100.0 ")
+    assert str(parallel.value) == str(serial.value)
+    for name in ("grad_norm", "iterations", "cost"):
+        assert getattr(parallel.value.report, name) == getattr(serial.value.report, name)
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_a_solver_error(monkeypatch):
+    data, zero = sweep_instance()
+    parent = os.getpid()
+    solve = heatctrl.analysis.solve_cg
+
+    def dying(data, stepper, tol, **kwargs):
+        if os.getpid() != parent and stepper.alpha == 100.0:
+            os._exit(3)
+        return solve(data, stepper, tol, **kwargs)
+
+    monkeypatch.setattr(heatctrl.analysis, "solve_cg", dying)
+    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 2)
+    with pytest.raises(SolverError, match=r"worker for \[100\.0, 10000\.0\] exited with code 3 "):
+        alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    assert_no_child_left()
+
+
+ORPHAN_SCRIPT = """
+import os, sys, time
+import heatctrl.analysis as analysis
+from heatctrl import ControlPair, alpha_sweep
+from conftest import ForkSafeLog
+from oracles import make_instance
+
+log = ForkSafeLog(__import__("pathlib").Path(sys.argv[1]))
+parent = os.getpid()
+solve = analysis.solve_cg
+
+def hooked(data, stepper, tol, **kwargs):
+    if stepper.alpha is not None:
+        if os.getpid() == parent:
+            while not log.lines():  # until the child has started its first alpha
+                time.sleep(0.01)
+            os._exit(0)
+        log.append(stepper.alpha)
+        while os.getppid() == parent:
+            time.sleep(0.01)
+    return solve(data, stepper, tol, **kwargs)
+
+analysis.solve_cg = hooked
+analysis._usable_cpus = lambda: 2
+ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=52)
+alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0],
+            ControlPair.zeros_like(ops, data.grid), tol=1e-10)
+"""
+
+
+def test_an_orphaned_worker_stops_before_its_next_alpha(fork_log):
+    # the parent dies at its first alpha, once its child has started alpha
+    # 100; the child finishes that alpha and exits before alpha 10000
+    log = fork_log("started")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # the pipes close, and run returns, only once the child has exited too
+    proc = subprocess.run([sys.executable, "-c", ORPHAN_SCRIPT, str(log.path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert log.lines() == ["100.0"]

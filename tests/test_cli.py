@@ -111,6 +111,22 @@ def test_unknown_key_is_refused(tmp_path, capsys, command, section, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, repeated", [
+    ("ny = 2\n", "ny = 2\nnx = 3\n", "nx = 3"),  # in one section
+    ("[output]\n", "[mesh]\nny = 5\n[output]\n", "ny = 5"),  # in a reopened one
+])
+def test_repeated_key_is_refused(tmp_path, capsys, old, new, repeated):
+    path = write_config(tmp_path)
+    text = path.read_text().replace(old, new)
+    path.write_text(text)
+    line = text.splitlines().index(repeated) + 1
+    key = repeated.split()[0]
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {path}:{line}: duplicate key {key!r} in [mesh]\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["1e3", "true", "007", "1_000"])
 def test_output_directory_is_taken_as_written(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
@@ -300,8 +316,10 @@ def test_mesh_without_free_node_is_a_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, count", [("check", 5), ("solve", 4),
                                             ("constants", 3), ("sweep", 4)])
-def test_each_operator_is_factorized_once(tmp_path, monkeypatch, command, count):
-    digests = []
+def test_each_operator_is_factorized_once(tmp_path, monkeypatch, fork_log, command,
+                                          count):
+    # a file, not a list: the sweep's forked workers factorize too
+    log = fork_log("digests")
     init = SpdFactor.__init__
 
     def recording(self, A):
@@ -309,7 +327,7 @@ def test_each_operator_is_factorized_once(tmp_path, monkeypatch, command, count)
         digest = hashlib.sha1(repr(B.shape).encode())
         for part in (B.indptr, B.indices, B.data):
             digest.update(part.tobytes())
-        digests.append(digest.hexdigest())
+        log.append(digest.hexdigest())
         init(self, A)
 
     monkeypatch.setattr(SpdFactor, "__init__", recording)
@@ -317,24 +335,26 @@ def test_each_operator_is_factorized_once(tmp_path, monkeypatch, command, count)
     text = path.read_text().replace("M1 = 1.0", "M1 = 60.0").replace("M2 = 1.0", "M2 = 60.0")
     path.write_text(text)
     assert main([command, "--config", str(path), "--quiet"]) == 0
+    digests = log.lines()
     assert len(digests) == count
     assert len(set(digests)) == count
 
 
-def test_sweep_costs_two_sweeps_per_cg_iteration_plus_four(tmp_path, monkeypatch):
-    counts = {"forward": 0, "backward": 0}
-    iterations = []
+def test_sweep_costs_two_sweeps_per_cg_iteration_plus_four(tmp_path, monkeypatch,
+                                                           fork_log):
+    # files, not counters: the sweep's forked workers solve too
+    sweeps, solves = fork_log("sweeps"), fork_log("solves")
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            sweeps.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
     def recorded(fn):
         def wrapper(*args, **kwargs):
             rep = fn(*args, **kwargs)
-            iterations.append(rep.iterations)
+            solves.append(rep.iterations)
             return rep
         return wrapper
 
@@ -346,12 +366,50 @@ def test_sweep_costs_two_sweeps_per_cg_iteration_plus_four(tmp_path, monkeypatch
                         recorded(heatctrl.analysis.solve_cg))
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
     assert main(["sweep", "--config", str(path), "--quiet"]) == 0
+    counts = {name: sweeps.lines().count(name) for name in ("forward", "backward")}
+    iterations = [int(k) for k in solves.lines()]
     # one CG solve per operator: the pinned one and three Robin coefficients
     assert len(iterations) == 4 and all(k > 0 for k in iterations)
     # per solve: the zero-control pass, which also gives the fixed-control
     # record, one state/adjoint pair per iteration and the final report
     total = sum(k + 2 for k in iterations)
     assert counts == {"forward": total, "backward": total}
+
+
+SWEEP_SCRIPT = """
+import sys
+import heatctrl.analysis
+from heatctrl.cli import main
+heatctrl.analysis._usable_cpus = lambda: int(sys.argv[1])
+print("before the sweep")
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_sweep_prints_the_same_bytes_on_any_cpu_count(tmp_path):
+    # stdout is a pipe, so the first line is still buffered when the
+    # workers fork; it must be written once, by this process
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    runs = {}
+    for cpus in (1, 3):
+        out = tmp_path / f"out{cpus}"
+        proc = subprocess.run(
+            [sys.executable, "-c", SWEEP_SCRIPT, str(cpus), "sweep",
+             "--config", str(path), "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        runs[cpus] = proc
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == b"before the sweep"
+        assert len(lines) == len(set(lines)) > 3
+    assert runs[3].stdout == runs[1].stdout
+    assert runs[3].stderr == runs[1].stderr == b""
+    for name in ("sweep_report.json", "sweep.csv", "sweep_fixed.csv"):
+        assert (tmp_path / "out3" / name).read_bytes() == \
+            (tmp_path / "out1" / name).read_bytes(), name
 
 
 CRITERION_9_CONFIG = """
@@ -391,6 +449,30 @@ def test_sweep_obeys_the_iteration_cap(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("solver failure: inner solve for P stopped")
     assert "after 1 iterations" in captured.err
+
+
+def test_failing_alpha_in_a_worker_fails_the_sweep_as_in_process(tmp_path, capsys,
+                                                                 monkeypatch):
+    solve = heatctrl.analysis.solve_cg
+
+    def capped(data, stepper, tol, **kwargs):
+        if stepper.alpha == 100.0:  # the second alpha: a worker's, given 2 CPUs
+            kwargs["max_iter"] = 1
+        return solve(data, stepper, tol, **kwargs)
+
+    monkeypatch.setattr(heatctrl.analysis, "solve_cg", capped)
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    errs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+        assert main(["sweep", "--config", str(path), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0].startswith("solver failure: inner solve for Palpha at alpha=100.0 ")
+    assert errs[1] == errs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_check_small_instance_passes(tmp_path, capsys):
