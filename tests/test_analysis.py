@@ -318,12 +318,13 @@ def test_a_worker_that_dies_is_a_solver_error(monkeypatch):
 
 ORPHAN_SCRIPT = """
 import os, sys, time
+from pathlib import Path
 import heatctrl.analysis as analysis
 from heatctrl import ControlPair, alpha_sweep
 from conftest import ForkSafeLog
 from oracles import make_instance
 
-log = ForkSafeLog(__import__("pathlib").Path(sys.argv[1]))
+log = ForkSafeLog(Path(sys.argv[1]))
 parent = os.getpid()
 solve = analysis.solve_cg
 

@@ -464,7 +464,7 @@ def test_failing_alpha_in_a_worker_fails_the_sweep_as_in_process(tmp_path, capsy
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
     errs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda n=cpus: n)
         assert main(["sweep", "--config", str(path), "--quiet"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
