@@ -26,7 +26,7 @@ from .state import (ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
 
 
-class SolverNotConverged(RuntimeError):
+class SolverNotConverged(SolverError):
     """An inner optimization of a sweep stopped short of its tolerance."""
 
     def __init__(self, label, report):
@@ -331,11 +331,18 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
     stepper = steppers[variant]
     checks = []
 
+    def finite(name, quantity, value):
+        """value, or a failure naming the check and its quantity out of float range."""
+        if not math.isfinite(value):
+            raise SolverError(f"check {name}: {quantity} is {value} at M1 = {data.M1:g}, "
+                              f"M2 = {data.M2:g}, beyond the float range")
+        return value
+
     def add(name, measured, bound, passed):
         checks.append({
             "name": name,
-            "measured": float(measured),
-            "bound": float(bound),
+            "measured": float(finite(name, "the measured value", measured)),
+            "bound": float(finite(name, "the bound", bound)),
             "passed": bool(passed),
         })
 
@@ -409,7 +416,9 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
         du = full.state[1:] - dist.state[1:]
-        rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / (lam * data.M1)
+        weight = lam * data.M1  # 0.0 once the product underflows
+        rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / weight if weight \
+            else math.inf
         # With the flux frozen at the simultaneous optimum the two optima
         # coincide exactly, so both sides are solver noise; the gradient
         # residuals over the penalty weights certify that noise level.
@@ -422,8 +431,10 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         add(f"cost_ordering{suffix}", full.cost, dist.cost,
             full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)
 
-        c0 = contraction_constant(constants, data.M1, data.M2, name,
-                                  variant_stepper.alpha)
+        # checked before the samples, whose squared norms overflow with it
+        c0 = finite(f"fixed_point_lipschitz{suffix}", "the contraction bound C0",
+                    contraction_constant(constants, data.M1, data.M2, name,
+                                         variant_stepper.alpha))
         worst = 0.0
         for _ in range(n_pairs):
             c_a, c_b = random_ctrl(rng), random_ctrl(rng)

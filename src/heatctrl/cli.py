@@ -17,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (SolverNotConverged, alpha_sweep, check_alphas, check_suite,
-                       sweep_flags)
+from .analysis import alpha_sweep, check_alphas, check_suite, sweep_flags
 from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
-from .linalg import EigenError, SolverError
+from .linalg import SolverError
 from .mesh import SIDES, TimeGrid, build_rect_mesh
 from .state import VARIANTS, ControlPair, ProblemData, Stepper
 
@@ -37,9 +36,10 @@ class ConfigError(Exception):
 def parse_config_text(text, origin="<config>") -> dict:
     """Parse the sectioned key/value format into {section: {key: text}}.
 
-    Comments and surrounding quotes are stripped; every value stays text
-    until load_config types it.  A key given twice in a section, also in a
-    reopened one, is refused.
+    Comments, then surrounding quotes, are stripped; every value stays text
+    until load_config types it.  A quote that is not half of a pair around
+    the value, and a key given twice in a section, also in a reopened one,
+    are refused.
     """
     sections = {}
     current = None
@@ -62,6 +62,9 @@ def parse_config_text(text, origin="<config>") -> dict:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r} in [{name}]")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
+        elif value[:1] in ("'", '"') or value[-1:] in ("'", '"'):
+            raise ConfigError(f"{origin}:{lineno}: unmatched quote in {key} = {value} "
+                              "('#' starts a comment, also inside quotes)")
         current[key] = value
     return sections
 
@@ -346,61 +349,58 @@ def summarize_sweep(payload) -> str:
 
 
 # -- subcommands -----------------------------------------------------------------
+#
+# Each subcommand computes on the built problem and returns a Result; main
+# alone writes the reports, prints the summary and picks the exit code.
 
-def run_solve(config: RunConfig, quiet=False) -> int:
-    data = build_problem(config)
-    constants = compute_constants(data.ops)
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    runs = {}
-    reports = {}
+@dataclass
+class Result:
+    """A finished command: its JSON report, CSV tables, stdout summary and verdict.
+
+    tables maps a CSV file name to (writer, *arguments after the path), in
+    the order the files are written.
+    """
+
+    report: str
+    payload: dict
+    summary: str
+    passed: bool = True
+    tables: dict = field(default_factory=dict)
+
+
+def run_solve(config: RunConfig, data: ProblemData) -> Result:
+    runs, tables = {}, {}
+    payload = {"command": "solve", "variant": config.variant,
+               "constants": compute_constants(data.ops).to_dict(), "runs": runs}
     optimizers = ("cg", "fixed_point") if config.optimizer == "both" \
         else (config.optimizer,)
     stepper = Stepper(data.ops, data.grid, config.variant, config.alpha)
     for name in optimizers:
-        if name == "cg":
-            rep = solve_cg(data, stepper, config.tol, max_iter=config.max_iter)
-        else:
-            rep = solve_fixed_point(data, stepper, config.tol,
-                                    max_iter=config.max_iter)
-        reports[name] = rep
+        solve = solve_cg if name == "cg" else solve_fixed_point
+        rep = solve(data, stepper, config.tol, max_iter=config.max_iter)
         runs[name] = rep.summary_dict()
-
-    payload = {
-        "command": "solve",
-        "variant": config.variant,
-        "constants": constants.to_dict(),
-        "runs": runs,
-    }
-    if "json" in config.formats:
-        write_json(out / "solve_report.json", payload)
-    if "csv" in config.formats:
-        for name, rep in reports.items():
-            write_csv(out / f"history_{name}.csv",
-                      ("iteration", "residual_norm"), rep.history)
-            write_csv_series(out / f"state_{name}.csv", rep.state)
-            write_csv_series(out / f"adjoint_{name}.csv", rep.adjoint)
-            write_csv_series(out / f"control_g_{name}.csv", rep.control.g, step0=1)
-            write_csv_series(out / f"control_q_{name}.csv", rep.control.q, step0=1,
-                             node_ids=data.ops.gamma2_nodes)
-    if not quiet:
-        print(summarize_solve(payload))
-    return 0 if all(r["converged"] for r in runs.values()) else 2
+        tables.update({
+            f"history_{name}.csv": (write_csv, ("iteration", "residual_norm"),
+                                    rep.history),
+            f"state_{name}.csv": (write_csv_series, rep.state),
+            f"adjoint_{name}.csv": (write_csv_series, rep.adjoint),
+            f"control_g_{name}.csv": (write_csv_series, rep.control.g, 1),
+            f"control_q_{name}.csv": (write_csv_series, rep.control.q, 1,
+                                      data.ops.gamma2_nodes),
+        })
+    return Result("solve_report.json", payload, summarize_solve(payload),
+                  all(r["converged"] for r in runs.values()), tables)
 
 
-def run_sweep(config: RunConfig, quiet=False) -> int:
-    data = build_problem(config)
+def run_sweep(config: RunConfig, data: ProblemData) -> Result:
     try:
         alphas = check_alphas(config.alphas)
     except ValueError as exc:
         raise ConfigError(f"[problem] alphas: {exc}") from None
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     zero = ControlPair.zeros_like(data.ops, data.grid)
     fixed, report = alpha_sweep(data, alphas, zero, tol=config.tol,
                                 max_iter=config.max_iter)
-    fixed_flags = sweep_flags(fixed)
-    flags = sweep_flags(report)
+    flags, fixed_flags = sweep_flags(report), sweep_flags(fixed)
     payload = {
         "command": "sweep",
         "report": report.to_dict(),
@@ -408,58 +408,37 @@ def run_sweep(config: RunConfig, quiet=False) -> int:
         "fixed_control_report": fixed.to_dict(),
         "fixed_control_flags": fixed_flags,
     }
-    if "json" in config.formats:
-        write_json(out / "sweep_report.json", payload)
-    if "csv" in config.formats:
-        header = ("alpha", "state_gap", "adjoint_gap", "control_gap",
-                  "boundary_residual", "cost_alpha")
-        rows = [
-            (rec.alpha, rec.state_gap, rec.adjoint_gap, rec.control_gap,
-             rec.boundary_residual, rec.cost_alpha)
-            for rec in report.records
-        ]
-        write_csv(out / "sweep.csv", header, rows)
-        fixed_rows = [
-            (rec.alpha, rec.state_gap, rec.adjoint_gap, rec.boundary_residual)
-            for rec in fixed.records
-        ]
-        write_csv(out / "sweep_fixed.csv",
-                  ("alpha", "state_gap", "adjoint_gap", "boundary_residual"),
-                  fixed_rows)
-    if not quiet:
-        print(summarize_sweep(payload))
-    return 0 if all(flags.values()) and all(fixed_flags.values()) else 2
+    # each CSV column is the SweepRecord field of its name
+    tables = {
+        name: (write_csv, columns,
+               [[getattr(rec, c) for c in columns] for rec in sweep.records])
+        for name, sweep, columns in (
+            ("sweep.csv", report, ("alpha", "state_gap", "adjoint_gap", "control_gap",
+                                   "boundary_residual", "cost_alpha")),
+            ("sweep_fixed.csv", fixed, ("alpha", "state_gap", "adjoint_gap",
+                                        "boundary_residual")))
+    }
+    return Result("sweep_report.json", payload, summarize_sweep(payload),
+                  all(flags.values()) and all(fixed_flags.values()), tables)
 
 
-def run_checks(config: RunConfig, quiet=False) -> int:
-    data = build_problem(config)
+def run_checks(config: RunConfig, data: ProblemData) -> Result:
     if config.alpha is None or config.alpha <= 1.0:
         raise ConfigError("checks need problem.alpha > 1")
     checks = check_suite(data, config.alpha, config.variant, config.tol,
                          max_iter=config.max_iter,
                          fixed_point=config.optimizer in ("fixed_point", "both"))
-    payload = {"command": "check", "checks": checks}
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in config.formats:
-        write_json(out / "checks.json", payload)
-    if not quiet:
-        for c in checks:
-            status = "pass" if c["passed"] else "FAIL"
-            print(f"check {c['name']}: {status} "
-                  f"(measured={c['measured']:.6e}, bound={c['bound']:.6e})")
-    return 0 if all(c["passed"] for c in checks) else 2
+    summary = "\n".join(
+        f"check {c['name']}: {'pass' if c['passed'] else 'FAIL'} "
+        f"(measured={c['measured']:.6e}, bound={c['bound']:.6e})" for c in checks)
+    return Result("checks.json", {"command": "check", "checks": checks}, summary,
+                  all(c["passed"] for c in checks))
 
 
-def run_constants(config: RunConfig, quiet=False) -> int:
-    constants = compute_constants(build_problem(config).ops)
-    payload = {"command": "constants", "constants": constants.to_dict()}
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    if "json" in config.formats:
-        write_json(config.out_dir / "constants.json", payload)
-    if not quiet:
-        print(_json_text(payload))
-    return 0
+def run_constants(config: RunConfig, data: ProblemData) -> Result:
+    payload = {"command": "constants",
+               "constants": compute_constants(data.ops).to_dict()}
+    return Result("constants.json", payload, _json_text(payload))
 
 
 def main(argv=None) -> int:
@@ -477,19 +456,28 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.out is not None:
             config.out_dir = Path(args.out)
-        handler = {
-            "solve": run_solve,
-            "sweep": run_sweep,
-            "check": run_checks,
-            "constants": run_constants,
-        }[args.command]
-        return handler(config, quiet=args.quiet)
+        command = {"solve": run_solve, "sweep": run_sweep, "check": run_checks,
+                   "constants": run_constants}[args.command]
+        result = command(config, build_problem(config))
+        # a report that cannot be written fails before any output exists
+        if "json" in config.formats:
+            _json_text(result.payload)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, EigenError, SolverNotConverged) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    if "json" in config.formats:
+        write_json(out / result.report, result.payload)
+    if "csv" in config.formats:
+        for name, (writer, *writer_args) in result.tables.items():
+            writer(out / name, *writer_args)
+    if not args.quiet:
+        print(result.summary)
+    return 0 if result.passed else 2
 
 
 if __name__ == "__main__":

@@ -176,10 +176,16 @@ def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
 
 def contraction_constant(constants: ConstantsReport, M1, M2, variant="P",
                          alpha=None) -> float:
-    """Lipschitz bound of the fixed-point map from the discrete constants."""
+    """Lipschitz bound of the fixed-point map from the discrete constants.
+
+    inf when the bound is beyond the float range (tiny M1 or M2).
+    """
     gamma = constants.trace_norm
     lam = _coercivity(constants, variant, alpha)
-    return (2.0 / lam**2) * math.sqrt(1.0 / M1**2 + gamma**2 / M2**2) * (1.0 + gamma)
+    try:
+        return (2.0 / lam**2) * math.sqrt(1.0 / M1**2 + gamma**2 / M2**2) * (1.0 + gamma)
+    except ZeroDivisionError:  # a squared weight underflowed to zero
+        return math.inf
 
 
 # -- optimizers ----------------------------------------------------------------

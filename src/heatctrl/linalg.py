@@ -11,20 +11,22 @@ import scipy.sparse.linalg as spla
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed; carries the last relative residual."""
+    """A solve failed; carries the last relative residual when there is one.
+
+    Every solver failure the command line reports with exit code 2 is one.
+    """
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
 
 
-class EigenError(RuntimeError):
+class EigenError(SolverError):
     """Eigen-iteration did not converge; carries the last Rayleigh quotient."""
 
     def __init__(self, message, rayleigh=None, residual=None):
-        super().__init__(message)
+        super().__init__(message, residual)
         self.rayleigh = rayleigh
-        self.residual = residual
 
 
 class SpdFactor:

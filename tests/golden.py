@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -131,4 +130,4 @@ def main_script():
 
 
 if __name__ == "__main__":
-    sys.exit(main_script())
+    main_script()

@@ -17,7 +17,7 @@ import heatctrl.analysis
 import heatctrl.cli
 import heatctrl.state
 from heatctrl.analysis import SolverNotConverged, check_alphas
-from heatctrl.linalg import SolverError
+from heatctrl.linalg import EigenError, SolverError
 
 from oracles import ALPHA, make_instance, random_control
 
@@ -241,6 +241,13 @@ def test_solver_not_converged_survives_pickling():
     assert back.label == exc.label
     assert back.report.grad_norm == rep.grad_norm
     assert back.report.iterations == rep.iterations == 1
+
+
+def test_every_solver_failure_is_a_solver_error():
+    # the command line maps this one family to exit code 2
+    assert issubclass(SolverNotConverged, SolverError)
+    assert issubclass(EigenError, SolverError)
+    assert EigenError("stalled", rayleigh=2.0, residual=0.1).residual == 0.1
 
 
 def sweep_instance():

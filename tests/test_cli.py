@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from heatctrl import cli
 from heatctrl.cli import (ConfigError, load_config, main, parse_config_text,
                           summarize_solve, summarize_sweep, write_csv,
                           write_csv_series, write_json)
-from heatctrl.linalg import SolverError, SpdFactor
+from heatctrl.analysis import SolverNotConverged
+from heatctrl.linalg import EigenError, SolverError, SpdFactor
 
 BASE_CONFIG = """
 [mesh]
@@ -81,6 +83,23 @@ def test_parse_errors_carry_location():
         parse_config_text("[s]\nnot a pair\n")
     with pytest.raises(ConfigError, match="outside"):
         parse_config_text("a = 1\n")
+
+
+@pytest.mark.parametrize("key, value, left", [
+    ("directory", '"run#1"', '"run'),
+    ("z_d", '"csv:data#2.csv"', '"csv:data'),
+])
+def test_quoted_value_holding_a_comment_sign_is_refused(tmp_path, capsys, monkeypatch,
+                                                         key, value, left):
+    # '#' starts a comment also inside quotes, so the value keeps one quote
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, **{"out" if key == "directory" else key: value})
+    line = path.read_text().splitlines().index(f"{key} = {value}") + 1
+    assert main(["solve", "--config", "run.cfg", "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: run.cfg:{line}: unmatched quote in {key} = {left} "
+        "('#' starts a comment, also inside quotes)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -253,6 +272,35 @@ def test_solve_exits_two_when_not_converged(tmp_path):
     assert code == 2
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["runs"]["cg"]["converged"] is False
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+NOT_CONVERGED = SolverNotConverged("P", SimpleNamespace(grad_norm=0.5, iterations=3))
+
+
+@pytest.mark.parametrize("command, module, name, error", [
+    ("solve", cli, "solve_cg", SolverError("factorization failed: singular")),
+    ("solve", cli, "solve_fixed_point", NOT_CONVERGED),
+    ("sweep", heatctrl.analysis, "solve_cg", SolverError("factorization failed")),
+    ("sweep", cli, "alpha_sweep", NOT_CONVERGED),
+    ("check", heatctrl.analysis, "solve_distributed_only", SolverError("no descent")),
+    ("constants", cli, "compute_constants", EigenError("iteration collapsed")),
+])
+def test_raised_failure_leaves_no_output_directory(tmp_path, capsys, monkeypatch,
+                                                   command, module, name, error):
+    # reports are written only once a command has finished
+    monkeypatch.setattr(module, name, _raising(error))
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solver failure: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_trivial_target_reports_zero_distance(tmp_path):
@@ -692,6 +740,28 @@ def test_non_finite_csv_field_rejected(tmp_path, capsys):
     path = write_config(tmp_path, z_d=f"csv:{field_file}")
     assert main(["solve", "--config", str(path), "--quiet"]) == 1
     assert "[problem] z_d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["M1", "M2"])
+def test_tiny_penalty_check_names_the_overflowing_bound(tmp_path, key):
+    # a fresh interpreter with the default warning filters, as on the
+    # command line: at 1e-170 the squared weight underflows to zero
+    src = str(Path(heatctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONWARNINGS", None)
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    path.write_text(path.read_text().replace(f"{key} = 1.0", f"{key} = 1e-170"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from heatctrl.cli import main; "
+         "sys.exit(main())", "check", "--config", str(path), "--quiet"],
+        env=env, capture_output=True, text=True)
+    weights = "M1 = 1e-170, M2 = 1" if key == "M1" else "M1 = 1, M2 = 1e-170"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "solver failure: check fixed_point_lipschitz: the contraction bound C0 is "
+        f"inf at {weights}, beyond the float range\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_report_refuses_non_finite_numbers(tmp_path):
