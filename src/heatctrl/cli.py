@@ -370,6 +370,8 @@ class Result:
 
 def run_solve(config: RunConfig, data: ProblemData) -> Result:
     runs, tables = {}, {}
+    # the constants before the stepper's factorization: the other order
+    # raised the peak RSS of a 128x128 solve by about 1 MiB
     payload = {"command": "solve", "variant": config.variant,
                "constants": compute_constants(data.ops).to_dict(), "runs": runs}
     optimizers = ("cg", "fixed_point") if config.optimizer == "both" \
