@@ -60,6 +60,8 @@ RUNS = {
     "check": ("check", {**LINEAR, "optimizer": "both"}),
     "check-Palpha": ("check", {"optimizer": "fixed_point", "variant": "Palpha"}),
     "constants": ("constants", {}),
+    # v_b (zero) differs from b on gamma1: a configuration error, no files
+    "solve-bad-v_b": ("solve", {"b": "constant:1"}),
 }
 
 
