@@ -338,6 +338,8 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                               f"M2 = {data.M2:g}, beyond the float range")
         return value
 
+    # each worst-of loop below keeps its worst sample with np.maximum, which,
+    # unlike max, keeps a NaN sample, so that finite() refuses it
     def add(name, measured, bound, passed):
         checks.append({
             "name": name,
@@ -364,7 +366,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
             lhs = h_inner(cu[1:], u[1:] - data.z_d, ops, grid)
             rhs = h_inner(d.g, p[:-1], ops, grid) \
                 - q_inner(d.q, ops.trace2(p[:-1]), ops, grid)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+            worst = np.maximum(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
         add(f"adjoint_identity_{name}", worst, 1e-10, worst <= 1e-10)
 
     worst = 0.0
@@ -378,7 +380,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         jp = cost_J(data, ctrl + h * d, stepper)
         jm = cost_J(data, ctrl - h * d, stepper)
         fd = (jp - jm) / (2.0 * h)
-        worst = max(worst, abs(directional - fd) / max(abs(fd), 1e-300))
+        worst = np.maximum(worst, abs(directional - fd) / max(abs(fd), 1e-300))
     add("gradient_finite_difference", worst, 1e-6, worst <= 1e-6)
 
     worst = 0.0
@@ -397,7 +399,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                 + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
                 + data.M2 * q_inner(c2.q - c1.q, c2.q - c1.q, ops, grid)
             )
-            worst = max(worst, abs(gap - expect) / max(abs(expect), 1e-300))
+            worst = np.maximum(worst, abs(gap - expect) / max(abs(expect), 1e-300))
     add("convexity_identity", worst, 1e-10, worst <= 1e-10)
 
     constants = compute_constants(ops)
@@ -441,7 +443,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
             wa = apply_W(data, c_a, variant_stepper)
             wb = apply_W(data, c_b, variant_stepper)
             ratio = hq_norm(wb - wa, ops, grid) / hq_norm(c_b - c_a, ops, grid)
-            worst = max(worst, ratio)
+            worst = np.maximum(worst, ratio)
         add(f"fixed_point_lipschitz{suffix}", worst, c0, worst <= c0)
 
     if fixed_point:

@@ -124,8 +124,6 @@ def _field_values(spec, points, origin):
             raise ConfigError(
                 f"{origin}: unknown field {name!r}, expected one of {FIELD_CATALOG}"
             )
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad field spec {spec!r}: {exc}") from None
     if not np.all(np.isfinite(values)):
@@ -267,13 +265,11 @@ def build_problem(config: RunConfig):
     v_b = _field_values(config.v_b_spec, mesh.nodes, "[problem] v_b")
     z_node = _field_values(config.z_d_spec, mesh.nodes, "[problem] z_d")
     z_d = np.tile(z_node, (grid.n_steps, 1))
-    data = ProblemData(ops=ops, b=b, v_b=v_b, z_d=z_d, M1=config.M1, M2=config.M2,
-                       grid=grid)
     try:
-        data.validate()
+        return ProblemData(ops=ops, b=b, v_b=v_b, z_d=z_d, M1=config.M1,
+                           M2=config.M2, grid=grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return data
 
 
 # -- report writers --------------------------------------------------------------
@@ -443,6 +439,9 @@ def run_constants(config: RunConfig, data: ProblemData) -> Result:
     return Result("constants.json", payload, _json_text(payload))
 
 
+# an overflow is not worth a numpy warning: a non-finite result ends in
+# one failure line
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="heatctrl",

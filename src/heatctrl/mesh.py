@@ -73,17 +73,6 @@ class Mesh:
     def edges_with_tag(self, tag):
         return self.boundary_edges[self.boundary_tags == tag]
 
-    def validate(self):
-        """Check the structural invariants; raises ValueError on violation."""
-        if np.any(signed_areas(self) <= 0):
-            bad = int(np.argmin(signed_areas(self)))
-            raise ValueError(f"triangle {bad} is not counterclockwise")
-        tags = set(self.boundary_tags.tolist())
-        if not tags <= {GAMMA1, GAMMA2}:
-            raise ValueError(f"unknown boundary tags: {tags - {GAMMA1, GAMMA2}}")
-        if len(self.edges_with_tag(GAMMA1)) == 0 or len(self.edges_with_tag(GAMMA2)) == 0:
-            raise ValueError("both boundary portions must own at least one edge")
-
 
 def signed_areas(mesh) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
@@ -158,7 +147,7 @@ def build_rect_mesh(nx: int, ny: int, gamma1_spec="left") -> Mesh:
             edges.append(e)
             tags.append(tag)
 
-    mesh = Mesh(
+    return Mesh(
         nodes=nodes,
         triangles=triangles,
         boundary_edges=np.asarray(edges, dtype=np.intp),
@@ -166,8 +155,6 @@ def build_rect_mesh(nx: int, ny: int, gamma1_spec="left") -> Mesh:
         nx=nx,
         ny=ny,
     )
-    mesh.validate()
-    return mesh
 
 
 def dof_partition(mesh):

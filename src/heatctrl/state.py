@@ -34,6 +34,11 @@ class ProblemData:
     v_b : initial nodal field; must equal b on the Dirichlet nodes.
     z_d : target, one nodal field per time step, shape (n_steps, n_nodes).
     M1, M2 : positive weights of the distributed / boundary control penalty.
+
+    The data checks itself when it is made, also through
+    dataclasses.replace, and raises ValueError when it is invalid; the
+    solvers do not check it again.  Its arrays must not be changed in
+    place: validate() re-checks them.
     """
 
     ops: DiscreteOperators
@@ -43,6 +48,9 @@ class ProblemData:
     M1: float
     M2: float
     grid: TimeGrid
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         ops, n = self.ops, self.ops.n_nodes
@@ -154,7 +162,7 @@ class Stepper:
 
 
 def _check(data: ProblemData, stepper: Stepper):
-    """Validate data, and refuse a stepper built for another time grid or mesh."""
+    """Refuse a stepper built for another time grid or mesh than the data's."""
     if stepper.grid != data.grid:
         raise ValueError(
             f"stepper was built for {stepper.grid}, the data is on {data.grid}")
@@ -165,7 +173,6 @@ def _check(data: ProblemData, stepper: Stepper):
             f"stepper was built on other mesh operators (a mesh of "
             f"{stepper.ops.n_nodes} nodes) than the data's (nodal fields of shape "
             f"({data.ops.n_nodes},))")
-    data.validate()
 
 
 def _check_ctrl(ctrl, stepper):

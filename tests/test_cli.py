@@ -23,6 +23,8 @@ from heatctrl.cli import (ConfigError, load_config, main, parse_config_text,
 from heatctrl.analysis import SolverNotConverged
 from heatctrl.linalg import EigenError, SolverError, SpdFactor
 
+import golden
+
 BASE_CONFIG = """
 [mesh]
 nx = 2
@@ -761,6 +763,37 @@ def test_tiny_penalty_check_names_the_overflowing_bound(tmp_path, key):
     assert proc.stderr == (
         "solver failure: check fixed_point_lipschitz: the contraction bound C0 is "
         f"inf at {weights}, beyond the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_refuses_a_nan_lipschitz_sample(tmp_path, capsys, monkeypatch):
+    # NaN samples alone must fail the check, not read measured 0.0
+    from heatctrl import analysis
+    monkeypatch.setattr(analysis, "apply_W", lambda data, ctrl, stepper:
+                        analysis.ControlPair(np.full_like(ctrl.g, np.nan),
+                                             np.full_like(ctrl.q, np.nan)))
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("n_steps = 2", "n_steps = 3"))
+    assert main(["check", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "solver failure: check fixed_point_lipschitz: the measured value is nan "
+        "at M1 = 1, M2 = 1, beyond the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "check"])
+def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, command):
+    # criterion 9's instance with a target of amplitude 1e290: its squared
+    # norms overflow, which the suite's RuntimeWarning filter would turn
+    # into an exception and the command line would print as numpy warnings
+    path = tmp_path / "run.cfg"
+    path.write_text(golden.config_text({"z_d": "bump:0.6,0.5,0.2,1e290"},
+                                       tmp_path / "out"))
+    assert main([command, "--config", str(path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("solver failure:")
     assert not (tmp_path / "out").exists()
 
 

@@ -191,11 +191,10 @@ def test_sweep_matches_the_two_product_loop(variant):
 
 def test_mismatched_data_rejected():
     ops, data = make_instance()
-    bad = replace(data, v_b=data.v_b + 1.0)
     ctrl = ControlPair.zeros_like(ops, data.grid)
     stepper = Stepper(ops, data.grid, "P")
     with pytest.raises(ValueError, match="Dirichlet"):
-        solve_state(bad, ctrl, stepper)
+        solve_state(replace(data, v_b=data.v_b + 1.0), ctrl, stepper)
     with pytest.raises(ValueError, match="positive"):
         solve_state(replace(data, M1=-1.0), ctrl, stepper)
     for name, message in (("v_b", "v_b must have shape"),
@@ -212,7 +211,7 @@ def test_mismatched_data_rejected():
     z_d[1, 2] = np.nan
     for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
                         ("M2", np.nan)):
-        # cost_J refuses through its own state solve
+        # the data refuses itself when it is made, before either solve runs
         for solve in (solve_state, cost_J):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 solve(replace(data, **{name: value}), ctrl, stepper)

@@ -1,8 +1,9 @@
 """The stepper is the operator a solver runs: ops, grid, variant and alpha.
 
-The data owns its mesh operators.  Every solver entry point takes one
-stepper and refuses one that does not fit its data (another time grid, or
-operators other than the data's), and validates the data before any sweep.
+The data owns its mesh operators and checks itself once, when it is made.
+Every solver entry point takes one stepper and refuses one that does not
+fit its data (another time grid, or operators other than the data's); it
+does not check the data again.
 """
 
 import inspect
@@ -19,6 +20,7 @@ import heatctrl.state
 from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, cost_J,
                       solve_adjoint, solve_cg, solve_state)
 
+import golden
 from oracles import ALPHA, make_instance
 
 # the entry points that read ops, grid, variant and alpha from the stepper
@@ -71,13 +73,13 @@ def nan_target_instance():
     u = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
     z_d = data.z_d.copy()
     z_d[1, 4] = np.nan
-    return replace(data, z_d=z_d), stepper, u
+    return data, z_d, stepper, u
 
 
 def test_adjoint_refuses_a_non_finite_target():
-    data, stepper, u = nan_target_instance()
+    data, z_d, stepper, u = nan_target_instance()
     with pytest.raises(ValueError, match="z_d must be finite"):
-        solve_adjoint(data, u, stepper)
+        solve_adjoint(replace(data, z_d=z_d), u, stepper)
 
 
 def public_functions(module):
@@ -135,3 +137,50 @@ def test_the_data_owns_its_operators():
         for name, fn in public_functions(module).items():
             params = inspect.signature(fn).parameters
             assert not {"data", "ops"} <= set(params), f"{module.__name__}.{name}"
+
+
+def count_validations(monkeypatch):
+    """Count the ProblemData.validate calls from now on, in this process."""
+    calls = []
+    validate = ProblemData.validate
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+    monkeypatch.setattr(ProblemData, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["solve-P", "sweep", "check"])
+def test_a_command_validates_its_data_once(tmp_path, monkeypatch, name):
+    command, changes = golden.RUNS[name]
+    path = tmp_path / "run.cfg"
+    path.write_text(golden.config_text(changes, tmp_path / "out"))
+    calls = count_validations(monkeypatch)
+    assert heatctrl.cli.main([command, "--config", str(path), "--quiet"]) == 0
+    assert len(calls) == 1
+
+
+def test_the_solvers_do_not_validate_the_data_again(monkeypatch):
+    ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=5)
+    stepper = Stepper(ops, data.grid, "P")
+    calls = count_validations(monkeypatch)
+    u = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    solve_adjoint(data, u, stepper)
+    solve_cg(data, stepper, 1e-10)
+    heatctrl.analysis.check_suite(data, ALPHA, "P", 1e-10)
+    assert calls == []
+
+
+def test_the_data_is_refused_when_it_is_made():
+    _, data = make_instance(nx=3, ny=3, n_steps=3, seed=6)
+    z_d = data.z_d.copy()
+    z_d[0, 0] = np.nan
+    for changes, message in (
+            ({"z_d": z_d}, "z_d must be finite"),
+            ({"v_b": data.v_b + 1.0},
+             "v_b restricted to the Dirichlet nodes must equal b exactly"),
+            ({"M1": -1.0}, "cost weights must be positive, got -1.0, 1.0")):
+        with pytest.raises(ValueError) as err:
+            replace(data, **changes)
+        assert str(err.value) == message
