@@ -47,6 +47,8 @@ BASE = {
 }
 # boundary data that makes the fixed-control sweep gaps nonzero
 LINEAR = {"b": "linear:1,0,1", "v_b": "linear:1,0,1"}
+# a tracking target whose squares leave the float range
+OVERFLOW = {"z_d": "bump:0.6,0.5,0.2,1e290"}
 
 # run name -> (command, the keys that differ from BASE)
 RUNS = {
@@ -62,6 +64,9 @@ RUNS = {
     "constants": ("constants", {}),
     # v_b (zero) differs from b on gamma1: a configuration error, no files
     "solve-bad-v_b": ("solve", {"b": "constant:1"}),
+    # a target of huge amplitude overflows the cost: a solver failure, no files
+    "solve-overflow": ("solve", OVERFLOW),
+    "sweep-overflow": ("sweep", OVERFLOW),
 }
 
 
