@@ -8,8 +8,7 @@ the Robin-to-pinned limit and the fixed-point characterization of optima.
 """
 
 from .adjoint import solve_adjoint
-from .analysis import (SweepRecord, SweepReport, alpha_sweep, check_suite,
-                       sweep_flags)
+from .analysis import alpha_sweep, check_suite, sweep_flags
 from .assembly import (AssemblyError, ConstantsReport, DiscreteOperators,
                        assemble, compute_constants)
 from .control import (OptimalityReport, apply_W, contraction_constant,
@@ -32,8 +31,6 @@ __all__ = [
     "SolverError",
     "SpdFactor",
     "Stepper",
-    "SweepRecord",
-    "SweepReport",
     "TimeGrid",
     "alpha_sweep",
     "apply_W",

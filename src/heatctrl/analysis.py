@@ -11,7 +11,6 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,46 +41,6 @@ class SolverNotConverged(SolverError):
         return type(self), (self.label, self.report)
 
 
-@dataclass
-class SweepRecord:
-    alpha: float
-    state_gap: float
-    adjoint_gap: float
-    boundary_residual: float
-    control_gap: float | None = None
-    cost_alpha: float | None = None
-
-    def to_dict(self):
-        out = {
-            "alpha": self.alpha,
-            "state_gap": self.state_gap,
-            "adjoint_gap": self.adjoint_gap,
-            "boundary_residual": self.boundary_residual,
-        }
-        if self.control_gap is not None:
-            out["control_gap"] = self.control_gap
-        if self.cost_alpha is not None:
-            out["cost_alpha"] = self.cost_alpha
-        return out
-
-
-@dataclass
-class SweepReport:
-    alphas: list
-    records: list
-    reference: dict = field(default_factory=dict)
-
-    def gaps(self, name):
-        return [getattr(r, name) for r in self.records]
-
-    def to_dict(self):
-        return {
-            "alphas": list(self.alphas),
-            "records": [r.to_dict() for r in self.records],
-            "reference": dict(self.reference),
-        }
-
-
 def check_alphas(alphas):
     """The sweep coefficients as floats: nonempty, finite, > 1, strictly increasing."""
     alphas = [float(a) for a in alphas]
@@ -99,14 +58,6 @@ def check_alphas(alphas):
 def l2v_series_norm(series, ops, grid) -> float:
     """Discrete L2(0,T; H1) norm of an (n_steps, n_nodes) slice series."""
     return math.sqrt(max(_series_inner(series, series, ops.K + ops.M, grid.tau), 0.0))
-
-
-def state_gap_norm(ua, u, ops, grid) -> float:
-    return l2v_series_norm(ua[1:] - u[1:], ops, grid)
-
-
-def adjoint_gap_norm(pa, p, ops, grid) -> float:
-    return l2v_series_norm(pa[:-1] - p[:-1], ops, grid)
 
 
 def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
@@ -129,8 +80,14 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
     given tol, starts its CG solve, so ctrl must then be zero controls.  The
     pinned operator is solved first, in this process; the alphas are then
     spread over the CPUs this process may use (see _fork_map), and the
-    reports do not depend on how many there are.  Returns the fixed-control
-    report and the optimal-control report (None without tol).
+    reports do not depend on how many there are.
+
+    Returns the fixed-control and the optimal-control report (None without
+    tol), each {"alphas": [...], "records": [...], "reference": {...}}.  A
+    record holds alpha, state_gap, adjoint_gap and boundary_residual; an
+    optimal-control record adds control_gap and cost_alpha, and its report's
+    reference adds the pinned optimum's cost, grad_norm and iterations to
+    {"problem": "P"}.
     """
     alphas = check_alphas(alphas)
     if tol is not None and (np.any(ctrl.g) or np.any(ctrl.q)):
@@ -139,29 +96,28 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
     ops, grid = data.ops, data.grid
     u_ref, p_ref, ref = _operator_pass(data, ctrl, None, tol, max_iter)
 
+    def record(alpha, u, p, u0, p0):
+        """The entries both kinds of record share: u, p at alpha against u0, p0."""
+        return {
+            "alpha": alpha,
+            "state_gap": l2v_series_norm(u[1:] - u0[1:], ops, grid),
+            "adjoint_gap": l2v_series_norm(p[:-1] - p0[:-1], ops, grid),
+            "boundary_residual": boundary_residual_norm(u, data.b, alpha, ops, grid),
+        }
+
     def records(alpha):
         u, p, rep = _operator_pass(data, ctrl, alpha, tol, max_iter)
-        fixed = SweepRecord(
-            alpha=alpha,
-            state_gap=state_gap_norm(u, u_ref, ops, grid),
-            adjoint_gap=adjoint_gap_norm(p, p_ref, ops, grid),
-            boundary_residual=boundary_residual_norm(u, data.b, alpha, ops, grid),
-        )
+        fixed = record(alpha, u, p, u_ref, p_ref)
         if rep is None:
             return fixed, None
-        return fixed, SweepRecord(
-            alpha=alpha,
-            state_gap=state_gap_norm(rep.state, ref.state, ops, grid),
-            adjoint_gap=adjoint_gap_norm(rep.adjoint, ref.adjoint, ops, grid),
-            boundary_residual=boundary_residual_norm(rep.state, data.b, alpha,
-                                                     ops, grid),
-            control_gap=hq_norm(rep.control - ref.control, ops, grid),
-            cost_alpha=rep.cost,
-        )
+        optimal = record(alpha, rep.state, rep.adjoint, ref.state, ref.adjoint)
+        optimal["control_gap"] = hq_norm(rep.control - ref.control, ops, grid)
+        optimal["cost_alpha"] = rep.cost
+        return fixed, optimal
 
     fixed, optimal = zip(*_fork_map(records, alphas))
-    fixed_report = SweepReport(alphas=alphas, records=list(fixed),
-                               reference={"problem": "P"})
+    fixed_report = {"alphas": list(alphas), "records": list(fixed),
+                    "reference": {"problem": "P"}}
     if tol is None:
         return fixed_report, None
     reference = {
@@ -170,8 +126,8 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
         "grad_norm": ref.grad_norm,
         "iterations": ref.iterations,
     }
-    return fixed_report, SweepReport(alphas=alphas, records=list(optimal),
-                                     reference=reference)
+    return fixed_report, {"alphas": list(alphas), "records": list(optimal),
+                          "reference": reference}
 
 
 def _operator_pass(data, ctrl, alpha, tol, max_iter):
@@ -273,15 +229,20 @@ def _share(fn, items, rank, n, parent):
 COST_TOLERANCE = 0.05
 
 
-def sweep_flags(report: SweepReport) -> dict:
-    """Pass/fail flags of the convergence trends in a sweep report.
+def sweep_flags(report: dict) -> dict:
+    """Pass/fail flags of the convergence trends in a report of alpha_sweep.
 
     Checks strict decay of each recorded gap, the 10x boundedness of the
     penalized boundary mismatch against its value at the smallest
-    coefficient, and (for optimizer sweeps) that the final cost lands within
-    COST_TOLERANCE of the pinned optimum's cost.
+    coefficient, and, for an optimal-control report (its records hold
+    "control_gap"), that the final cost lands within COST_TOLERANCE of the
+    pinned optimum's cost.
     """
     flags = {}
+    records = report["records"]
+
+    def column(name):
+        return [r[name] for r in records]
 
     def decreasing(values):
         # an already-converged (all-zero) sequence has nothing left to decay
@@ -289,21 +250,19 @@ def sweep_flags(report: SweepReport) -> dict:
             return True
         return all(b < a for a, b in zip(values, values[1:]))
 
-    flags["state_gap_decreasing"] = decreasing(report.gaps("state_gap"))
-    flags["adjoint_gap_decreasing"] = decreasing(report.gaps("adjoint_gap"))
-    res = report.gaps("boundary_residual")
+    flags["state_gap_decreasing"] = decreasing(column("state_gap"))
+    flags["adjoint_gap_decreasing"] = decreasing(column("adjoint_gap"))
+    res = column("boundary_residual")
     flags["boundary_residual_bounded"] = (
         max(res) <= 10.0 * res[0] + 1e-30 or max(res) <= 1e-12
     )
-    if report.records and report.records[0].control_gap is not None:
-        flags["control_gap_decreasing"] = decreasing(report.gaps("control_gap"))
-        ref_cost = report.reference.get("cost")
-        if ref_cost is not None:
-            final_cost = report.records[-1].cost_alpha
-            flags["cost_chain"] = (
-                abs(final_cost - ref_cost)
-                <= COST_TOLERANCE * abs(ref_cost) + 1e-15
-            )
+    if "control_gap" in records[0]:
+        flags["control_gap_decreasing"] = decreasing(column("control_gap"))
+        ref_cost = report["reference"]["cost"]
+        flags["cost_chain"] = (
+            abs(records[-1]["cost_alpha"] - ref_cost)
+            <= COST_TOLERANCE * abs(ref_cost) + 1e-15
+        )
     return flags
 
 

@@ -401,15 +401,15 @@ def run_sweep(config: RunConfig, data: ProblemData) -> Result:
     flags, fixed_flags = sweep_flags(report), sweep_flags(fixed)
     payload = {
         "command": "sweep",
-        "report": report.to_dict(),
+        "report": report,
         "flags": flags,
-        "fixed_control_report": fixed.to_dict(),
+        "fixed_control_report": fixed,
         "fixed_control_flags": fixed_flags,
     }
-    # each CSV column is the SweepRecord field of its name
+    # each CSV column is the record entry of its name
     tables = {
         name: (write_csv, columns,
-               [[getattr(rec, c) for c in columns] for rec in sweep.records])
+               [[rec[c] for c in columns] for rec in sweep["records"]])
         for name, sweep, columns in (
             ("sweep.csv", report, ("alpha", "state_gap", "adjoint_gap", "control_gap",
                                    "boundary_residual", "cost_alpha")),

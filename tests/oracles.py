@@ -400,3 +400,8 @@ def default_instance(seed=42):
         grid=grid,
     )
     return ops, data
+
+
+def gaps(report, name):
+    """One entry of every record of an alpha_sweep report, in ladder order."""
+    return [rec[name] for rec in report["records"]]

@@ -19,7 +19,7 @@ import heatctrl.state
 from heatctrl.analysis import SolverNotConverged, check_alphas
 from heatctrl.linalg import EigenError, SolverError
 
-from oracles import ALPHA, make_instance, random_control
+from oracles import ALPHA, gaps, make_instance, random_control
 
 ALPHAS = [10.0, 100.0, 1000.0, 10000.0]
 
@@ -42,9 +42,9 @@ def test_compatible_instance_has_zero_gaps():
     ops, data = compatible_constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
     report, _ = alpha_sweep(data, ALPHAS, ctrl)
-    assert max(report.gaps("state_gap")) <= 1e-12
-    assert max(report.gaps("adjoint_gap")) <= 1e-12
-    assert max(report.gaps("boundary_residual")) <= 1e-12
+    assert max(gaps(report, "state_gap")) <= 1e-12
+    assert max(gaps(report, "adjoint_gap")) <= 1e-12
+    assert max(gaps(report, "boundary_residual")) <= 1e-12
 
 
 def test_fixed_control_gaps_decay():
@@ -52,11 +52,11 @@ def test_fixed_control_gaps_decay():
     rng = np.random.default_rng(41)
     ctrl = random_control(ops, data.grid, rng)
     report, _ = alpha_sweep(data, [10.0, 100.0, 1000.0], ctrl)
-    gaps = report.gaps("state_gap")
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    adj = report.gaps("adjoint_gap")
+    state = gaps(report, "state_gap")
+    assert all(b < a for a, b in zip(state, state[1:]))
+    adj = gaps(report, "adjoint_gap")
     assert all(b < a for a, b in zip(adj, adj[1:]))
-    res = report.gaps("boundary_residual")
+    res = gaps(report, "boundary_residual")
     assert max(res) <= 10.0 * res[0]
 
 
@@ -104,10 +104,10 @@ def test_optimal_sweep_trivial_instance():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=43, zero_data=True)
     _, report = alpha_sweep(data, ALPHAS, ControlPair.zeros_like(ops, data.grid),
                             tol=1e-10)
-    assert max(report.gaps("state_gap")) == 0.0
-    assert max(report.gaps("adjoint_gap")) == 0.0
-    assert max(report.gaps("control_gap")) == 0.0
-    assert report.reference["cost"] == 0.0
+    assert max(gaps(report, "state_gap")) == 0.0
+    assert max(gaps(report, "adjoint_gap")) == 0.0
+    assert max(gaps(report, "control_gap")) == 0.0
+    assert report["reference"]["cost"] == 0.0
 
 
 def test_optimal_sweep_converges_to_pinned_problem():
@@ -115,9 +115,9 @@ def test_optimal_sweep_converges_to_pinned_problem():
     _, report = alpha_sweep(data, ALPHAS, ControlPair.zeros_like(ops, data.grid),
                             tol=1e-10)
     for name in ("state_gap", "adjoint_gap", "control_gap"):
-        gaps = report.gaps(name)
-        assert all(b < a for a, b in zip(gaps, gaps[1:])), name
-        assert gaps[-1] < 0.2 * gaps[0], name
+        values = gaps(report, name)
+        assert all(b < a for a, b in zip(values, values[1:])), name
+        assert values[-1] < 0.2 * values[0], name
     flags = sweep_flags(report)
     assert all(flags.values()), flags
 
@@ -130,15 +130,15 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
     zero = ControlPair.zeros_like(ops, data.grid)
     fixed, optimal = alpha_sweep(data, alphas, zero, tol=1e-10)
     alone, none = alpha_sweep(data, alphas, zero)
-    assert fixed.to_dict() == alone.to_dict() and none is None
+    assert fixed == alone and none is None
     ref = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
-    assert optimal.reference == {"problem": "P", "cost": ref.cost,
+    assert optimal["reference"] == {"problem": "P", "cost": ref.cost,
                                  "grad_norm": ref.grad_norm,
                                  "iterations": ref.iterations}
-    for alpha, rec in zip(alphas, optimal.records):
+    for alpha, rec in zip(alphas, optimal["records"]):
         rep = solve_cg(data, Stepper(ops, data.grid, "Palpha", alpha), 1e-10)
-        assert rec.cost_alpha == rep.cost
-        assert rec.control_gap == hq_norm(rep.control - ref.control, ops, data.grid)
+        assert rec["cost_alpha"] == rep.cost
+        assert rec["control_gap"] == hq_norm(rep.control - ref.control, ops, data.grid)
 
 
 def test_optimal_sweep_refuses_a_nonzero_start_control(monkeypatch):
@@ -153,7 +153,7 @@ def test_optimal_sweep_refuses_a_nonzero_start_control(monkeypatch):
         alpha_sweep(data, ALPHAS, ctrl, tol=1e-10)
     assert built == []
     fixed, optimal = alpha_sweep(data, ALPHAS, ctrl)
-    assert len(fixed.records) == len(ALPHAS) and optimal is None
+    assert len(fixed["records"]) == len(ALPHAS) and optimal is None
 
 
 def test_one_public_sweep():
@@ -217,16 +217,24 @@ def test_section5_requires_alpha_above_one():
             check_suite(data, alpha, "P", tol=1e-10)
 
 
-def test_sweep_report_round_trip_dict():
+def test_sweep_reports_are_plain_records_of_fixed_keys():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=48)
-    rng = np.random.default_rng(49)
-    ctrl = random_control(ops, data.grid, rng)
-    report, _ = alpha_sweep(data, [10.0, 100.0], ctrl)
-    payload = report.to_dict()
-    assert payload["alphas"] == [10.0, 100.0]
-    assert len(payload["records"]) == 2
-    assert set(payload["records"][0]) >= {"alpha", "state_gap", "adjoint_gap",
-                                          "boundary_residual"}
+    fixed, optimal = alpha_sweep(data, [10.0, 100.0],
+                                 ControlPair.zeros_like(ops, data.grid), tol=1e-10)
+    shared = {"alpha", "state_gap", "adjoint_gap", "boundary_residual"}
+    for report, keys in ((fixed, shared),
+                         (optimal, shared | {"control_gap", "cost_alpha"})):
+        assert set(report) == {"alphas", "records", "reference"}
+        assert report["alphas"] == [10.0, 100.0]
+        assert [rec["alpha"] for rec in report["records"]] == [10.0, 100.0]
+        for rec in report["records"]:
+            assert set(rec) == keys, rec
+    assert fixed["reference"] == {"problem": "P"}
+    assert set(optimal["reference"]) == {"problem", "cost", "grad_norm", "iterations"}
+    # each report owns its list of alphas
+    assert fixed["alphas"] is not optimal["alphas"]
+    fixed["alphas"].append(1e5)
+    assert optimal["alphas"] == [10.0, 100.0]
 
 
 def test_solver_not_converged_survives_pickling():
@@ -271,7 +279,7 @@ def test_sweep_records_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     parallel = alpha_sweep(data, ALPHAS, zero, tol=1e-10)
     # repr of a float is exact, so equal reprs are equal bits
     for one, other in zip(serial, parallel):
-        assert repr(one.to_dict()) == repr(other.to_dict())
+        assert repr(one) == repr(other)
     assert_no_child_left()
 
 

@@ -202,6 +202,14 @@ def test_descriptor_names_mesh(ops44):
     assert "left" in rep.mesh_descriptor
 
 
+@pytest.mark.parametrize("spec, sides", [("right", "right"), ("bottom", "bottom"),
+                                         ("top", "top"), ("top,left", "left,top")])
+def test_descriptor_names_each_gamma1_side(spec, sides):
+    # 3x2 cells, so no side of the square is confused with another
+    rep = compute_constants(assemble(build_rect_mesh(3, 2, spec)))
+    assert rep.mesh_descriptor == f"3x2 unit square, gamma1={sides}"
+
+
 CONSTANTS_SCRIPT = """
 from heatctrl import assemble, build_rect_mesh, compute_constants
 rep = compute_constants(assemble(build_rect_mesh(101, 101, "left")))

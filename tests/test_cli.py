@@ -305,6 +305,16 @@ def test_raised_failure_leaves_no_output_directory(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha", ["1.0", "0.5"])
+def test_check_refuses_alpha_at_most_one(tmp_path, capsys, alpha):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("alpha = 10.0", f"alpha = {alpha}"))
+    assert main(["check", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: checks need problem.alpha > 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_trivial_target_reports_zero_distance(tmp_path):
     # zero data makes the zero-control trajectory the target, so both sides
     # of the distributed-distance estimate vanish
