@@ -278,12 +278,31 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _non_finite(value, where=""):
+    """(path, number) of the first nan or inf in value, in sorted-key order, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (where, value)
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else key, value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for path, item in items:
+        found = _non_finite(item, path)
+        if found:
+            return found
+    return None
+
+
 def _json_text(payload) -> str:
-    """Sorted, indented, standards-valid JSON; a nan or inf is an error."""
+    """Sorted, indented, standards-valid JSON; a nan or inf is an error naming its place."""
     try:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise SolverError(f"report holds a non-finite number: {exc}") from None
+    except ValueError:
+        where, number = _non_finite(payload)
+        raise SolverError(f"report holds a non-finite number at {where}: {number}") \
+            from None
 
 
 def write_json(path, payload):

@@ -791,6 +791,16 @@ def test_check_refuses_a_nan_lipschitz_sample(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+# the failure line of each command on the overflowing target below
+OVERFLOW_FAILURES = {
+    "solve": "report holds a non-finite number at runs.cg.cost: inf",
+    "sweep": "report holds a non-finite number at "
+             "fixed_control_report.records[0].adjoint_gap: nan",
+    "check": "check gradient_finite_difference: the measured value is nan "
+             "at M1 = 1, M2 = 1, beyond the float range",
+}
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep", "check"])
 def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, command):
     # criterion 9's instance with a target of amplitude 1e290: its squared
@@ -804,13 +814,22 @@ def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, comma
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("solver failure:")
+    assert captured.err == f"solver failure: {OVERFLOW_FAILURES[command]}\n"
     assert not (tmp_path / "out").exists()
 
 
 def test_json_report_refuses_non_finite_numbers(tmp_path):
-    with pytest.raises(SolverError, match="non-finite"):
+    with pytest.raises(SolverError, match="non-finite number at cost: nan"):
         write_json(tmp_path / "report.json", {"cost": float("nan")})
     assert not (tmp_path / "report.json").exists()
+
+
+def test_non_finite_number_is_named_by_its_first_place_in_the_json():
+    # keys in the JSON's sorted order, so "a" before "b" whatever the dict order
+    payload = {"b": float("nan"), "a": [1.0, {"y": 2, "x": (0.5, float("-inf"))}]}
+    with pytest.raises(SolverError) as failure:
+        cli._json_text(payload)
+    assert str(failure.value) == "report holds a non-finite number at a[1].x[1]: -inf"
 
 
 def test_check_reuses_constants_and_simultaneous_solves(tmp_path, monkeypatch):
