@@ -80,14 +80,12 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
     given tol, starts its CG solve, so ctrl must then be zero controls.  The
     pinned operator is solved first, in this process; the alphas are then
     spread over the CPUs this process may use (see _fork_map), and the
-    reports do not depend on how many there are.
-
-    Returns the fixed-control and the optimal-control report (None without
-    tol), each {"alphas": [...], "records": [...], "reference": {...}}.  A
-    record holds alpha, state_gap, adjoint_gap and boundary_residual; an
-    optimal-control record adds control_gap and cost_alpha, and its report's
-    reference adds the pinned optimum's cost, grad_norm and iterations to
-    {"problem": "P"}.
+    reports do not depend on how many there are.  Returns the fixed-control
+    and the optimal-control report (None without tol), each {"alphas",
+    "records", "reference"}: a record holds alpha, state_gap, adjoint_gap and
+    boundary_residual, and the optimal-control report adds control_gap and
+    cost_alpha to each record and the pinned optimum's cost, grad_norm and
+    iterations to its reference {"problem": "P"}.
     """
     alphas = check_alphas(alphas)
     if tol is not None and (np.any(ctrl.g) or np.any(ctrl.q)):
@@ -97,7 +95,7 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
     u_ref, p_ref, ref = _operator_pass(data, ctrl, None, tol, max_iter)
 
     def record(alpha, u, p, u0, p0):
-        """The entries both kinds of record share: u, p at alpha against u0, p0."""
+        # the entries both kinds of record share: u, p at alpha against u0, p0
         return {
             "alpha": alpha,
             "state_gap": l2v_series_norm(u[1:] - u0[1:], ops, grid),
@@ -240,9 +238,7 @@ def sweep_flags(report: dict) -> dict:
     """
     flags = {}
     records = report["records"]
-
-    def column(name):
-        return [r[name] for r in records]
+    column = {name: [r[name] for r in records] for name in records[0]}
 
     def decreasing(values):
         # an already-converged (all-zero) sequence has nothing left to decay
@@ -250,17 +246,17 @@ def sweep_flags(report: dict) -> dict:
             return True
         return all(b < a for a, b in zip(values, values[1:]))
 
-    flags["state_gap_decreasing"] = decreasing(column("state_gap"))
-    flags["adjoint_gap_decreasing"] = decreasing(column("adjoint_gap"))
-    res = column("boundary_residual")
+    flags["state_gap_decreasing"] = decreasing(column["state_gap"])
+    flags["adjoint_gap_decreasing"] = decreasing(column["adjoint_gap"])
+    res = column["boundary_residual"]
     flags["boundary_residual_bounded"] = (
         max(res) <= 10.0 * res[0] + 1e-30 or max(res) <= 1e-12
     )
-    if "control_gap" in records[0]:
-        flags["control_gap_decreasing"] = decreasing(column("control_gap"))
+    if "control_gap" in column:
+        flags["control_gap_decreasing"] = decreasing(column["control_gap"])
         ref_cost = report["reference"]["cost"]
         flags["cost_chain"] = (
-            abs(records[-1]["cost_alpha"] - ref_cost)
+            abs(column["cost_alpha"][-1] - ref_cost)
             <= COST_TOLERANCE * abs(ref_cost) + 1e-15
         )
     return flags

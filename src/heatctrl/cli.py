@@ -278,29 +278,26 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _non_finite(value, where=""):
-    """(path, number) of the first nan or inf in value, in sorted-key order, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else (where, value)
+def _leaves(value, where=""):
+    """(place, value) of every leaf of a payload, in its JSON's sorted-key order."""
     if isinstance(value, dict):
-        items = ((f"{where}.{key}" if where else key, value[key]) for key in sorted(value))
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{where}.{key}" if where else key)
     elif isinstance(value, (list, tuple)):
-        items = ((f"{where}[{i}]", item) for i, item in enumerate(value))
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{where}[{i}]")
     else:
-        return None
-    for path, item in items:
-        found = _non_finite(item, path)
-        if found:
-            return found
-    return None
+        yield where, value
 
 
 def _json_text(payload) -> str:
-    """Sorted, indented, standards-valid JSON; a nan or inf is an error naming its place."""
+    """Sorted, indented, standards-valid JSON; a nan or inf is an error naming
+    its place in the payload."""
     try:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        where, number = _non_finite(payload)
+        where, number = next((place, x) for place, x in _leaves(payload)
+                             if isinstance(x, float) and not math.isfinite(x))
         raise SolverError(f"report holds a non-finite number at {where}: {number}") \
             from None
 
@@ -346,20 +343,14 @@ def summarize_solve(payload) -> str:
 
 
 def summarize_sweep(payload) -> str:
-    lines = []
-    for rec in payload["report"]["records"]:
-        parts = [f"alpha={rec['alpha']:g}",
-                 f"state_gap={rec['state_gap']:.12e}",
-                 f"adjoint_gap={rec['adjoint_gap']:.12e}"]
-        if "control_gap" in rec:
-            parts.append(f"control_gap={rec['control_gap']:.12e}")
-        parts.append(f"boundary_residual={rec['boundary_residual']:.12e}")
-        lines.append(" ".join(parts))
-    for name in sorted(payload["flags"]):
-        lines.append(f"check {name}: {'pass' if payload['flags'][name] else 'FAIL'}")
-    for name in sorted(payload.get("fixed_control_flags", {})):
-        ok = payload["fixed_control_flags"][name]
-        lines.append(f"check fixed_control.{name}: {'pass' if ok else 'FAIL'}")
+    gaps = ("state_gap", "adjoint_gap", "control_gap", "boundary_residual")
+    lines = [" ".join([f"alpha={rec['alpha']:g}"]
+                      + [f"{name}={rec[name]:.12e}" for name in gaps])
+             for rec in payload["report"]["records"]]
+    for prefix, flags in (("", payload["flags"]),
+                          ("fixed_control.", payload["fixed_control_flags"])):
+        lines += [f"check {prefix}{name}: {'pass' if flags[name] else 'FAIL'}"
+                  for name in sorted(flags)]
     return "\n".join(lines)
 
 
