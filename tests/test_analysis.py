@@ -133,8 +133,8 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
     assert fixed == alone and none is None
     ref = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert optimal["reference"] == {"problem": "P", "cost": ref.cost,
-                                 "grad_norm": ref.grad_norm,
-                                 "iterations": ref.iterations}
+                                    "grad_norm": ref.grad_norm,
+                                    "iterations": ref.iterations}
     for alpha, rec in zip(alphas, optimal["records"]):
         rep = solve_cg(data, Stepper(ops, data.grid, "Palpha", alpha), 1e-10)
         assert rec["cost_alpha"] == rep.cost

@@ -205,7 +205,7 @@ def test_descriptor_names_mesh(ops44):
 @pytest.mark.parametrize("spec, sides", [("right", "right"), ("bottom", "bottom"),
                                          ("top", "top"), ("top,left", "left,top")])
 def test_descriptor_names_each_gamma1_side(spec, sides):
-    # 3x2 cells, so no side of the square is confused with another
+    # each side's branch of assembly._side_of_edge; two sides come out sorted
     rep = compute_constants(assemble(build_rect_mesh(3, 2, spec)))
     assert rep.mesh_descriptor == f"3x2 unit square, gamma1={sides}"
 
