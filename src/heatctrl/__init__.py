@@ -9,8 +9,8 @@ the Robin-to-pinned limit and the fixed-point characterization of optima.
 
 from .adjoint import solve_adjoint
 from .analysis import alpha_sweep, check_suite, sweep_flags
-from .assembly import (AssemblyError, ConstantsReport, DiscreteOperators,
-                       assemble, compute_constants)
+from .assembly import (AssemblyError, DiscreteOperators, assemble,
+                       compute_constants)
 from .control import (OptimalityReport, apply_W, contraction_constant,
                       convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
                       hq_norm, measured_step_ratio, q_inner, solve_cg,
@@ -21,7 +21,6 @@ from .state import ControlPair, ProblemData, Stepper, solve_state
 
 __all__ = [
     "AssemblyError",
-    "ConstantsReport",
     "ControlPair",
     "DiscreteOperators",
     "EigenError",

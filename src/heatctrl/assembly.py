@@ -53,30 +53,6 @@ class DiscreteOperators:
         return np.asarray(values)[..., self.gamma2_nodes]
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
-    """Discrete coercivity and trace constants of one assembled mesh.
-
-    lambda0 : coercivity of the stiffness form against the full H1 norm on
-        the subspace vanishing at Dirichlet nodes.
-    lambda1 : coercivity of stiffness plus gamma1 boundary mass on all nodes.
-    trace_norm : operator norm of the restriction H1 -> L2(gamma2).
-    """
-
-    lambda0: float
-    lambda1: float
-    trace_norm: float
-    mesh_descriptor: str
-
-    def to_dict(self):
-        return {
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "trace_norm": self.trace_norm,
-            "mesh": self.mesh_descriptor,
-        }
-
-
 def _sparse(elements, local, n):
     """Sum the (n_elements, k, k) local matrices of the k-node elements.
 
@@ -139,11 +115,16 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     )
 
 
-def compute_constants(ops: DiscreteOperators) -> ConstantsReport:
+def compute_constants(ops: DiscreteOperators) -> dict:
     """Discrete coercivity/trace constants via generalized eigen-extremes.
 
-    The discrete H1 norm is v^T (K + M) v throughout; lambda0 is computed on
-    the free-node block, lambda1 and the trace norm on all nodes.
+    Returns the record the reports write:
+    lambda0 : coercivity of the stiffness form against the full H1 norm on
+        the subspace vanishing at Dirichlet nodes (the free-node block).
+    lambda1 : coercivity of stiffness plus gamma1 boundary mass on all nodes.
+    trace_norm : operator norm of the restriction H1 -> L2(gamma2).
+    mesh : the mesh size and its gamma1 sides, as text.
+    The discrete H1 norm is v^T (K + M) v throughout.
     """
     F = ops.free_nodes
     if len(F) == 0:
@@ -161,13 +142,9 @@ def compute_constants(ops: DiscreteOperators) -> ConstantsReport:
     g1 = ",".join(sorted(set(
         _side_of_edge(mesh, e) for e in mesh.edges_with_tag(GAMMA1)
     )))
-    descriptor = f"{mesh.nx}x{mesh.ny} unit square, gamma1={g1}"
-    return ConstantsReport(
-        lambda0=float(lambda0),
-        lambda1=float(lambda1),
-        trace_norm=float(np.sqrt(mu_max)),
-        mesh_descriptor=descriptor,
-    )
+    return {"lambda0": float(lambda0), "lambda1": float(lambda1),
+            "trace_norm": float(np.sqrt(mu_max)),
+            "mesh": f"{mesh.nx}x{mesh.ny} unit square, gamma1={g1}"}
 
 
 def _side_of_edge(mesh, edge):

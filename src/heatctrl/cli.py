@@ -101,7 +101,12 @@ def _field_values(spec, points, origin):
             values = c0 + cx * x + cy * y
         elif name == "bump":
             cx, cy, width, amp = _spec_args(args, 4)
-            values = amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+            # in numpy floats a huge width overflows to a flat field
+            spread = 2.0 * np.float64(width) ** 2
+            if width <= 0 or spread == 0.0:
+                raise ValueError(f"width must be positive and 2 W^2 must not "
+                                 f"underflow, got {width!r}")
+            values = amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / spread)
         elif name == "csv":
             path = Path(args.strip())
             if not path.exists():
@@ -302,8 +307,8 @@ def _json_text(payload) -> str:
             from None
 
 
-def write_json(path, payload):
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+def write_json(path, text):
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path, header, rows):
@@ -379,7 +384,7 @@ def run_solve(config: RunConfig, data: ProblemData) -> Result:
     # the constants before the stepper's factorization: the other order
     # raised the peak RSS of a 128x128 solve by about 1 MiB
     payload = {"command": "solve", "variant": config.variant,
-               "constants": compute_constants(data.ops).to_dict(), "runs": runs}
+               "constants": compute_constants(data.ops), "runs": runs}
     optimizers = ("cg", "fixed_point") if config.optimizer == "both" \
         else (config.optimizer,)
     stepper = Stepper(data.ops, data.grid, config.variant, config.alpha)
@@ -445,7 +450,7 @@ def run_checks(config: RunConfig, data: ProblemData) -> Result:
 
 def run_constants(config: RunConfig, data: ProblemData) -> Result:
     payload = {"command": "constants",
-               "constants": compute_constants(data.ops).to_dict()}
+               "constants": compute_constants(data.ops)}
     return Result("constants.json", payload, _json_text(payload))
 
 
@@ -471,8 +476,7 @@ def main(argv=None) -> int:
                    "constants": run_constants}[args.command]
         result = command(config, build_problem(config))
         # a report that cannot be written fails before any output exists
-        if "json" in config.formats:
-            _json_text(result.payload)
+        report_text = _json_text(result.payload) if "json" in config.formats else None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -481,8 +485,8 @@ def main(argv=None) -> int:
         return 2
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    if "json" in config.formats:
-        write_json(out / result.report, result.payload)
+    if report_text is not None:
+        write_json(out / result.report, report_text)
     if "csv" in config.formats:
         for name, (writer, *writer_args) in result.tables.items():
             writer(out / name, *writer_args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
-from .assembly import ConstantsReport, DiscreteOperators
+from .assembly import DiscreteOperators
 from .linalg import SolverError
 from .state import (ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
@@ -163,24 +163,23 @@ def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPa
     return _W(data, _pair(data, ctrl, stepper)[1])
 
 
-def _coercivity(constants: ConstantsReport, variant, alpha) -> float:
+def _coercivity(constants: dict, variant, alpha) -> float:
     """Coercivity constant of the state form: lambda0 for P, lambda1 min(1, alpha)."""
     if variant == "P":
-        return constants.lambda0
+        return constants["lambda0"]
     if variant == "Palpha":
         if alpha is None or alpha <= 0:
             raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
-        return constants.lambda1 * min(1.0, alpha)
+        return constants["lambda1"] * min(1.0, alpha)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def contraction_constant(constants: ConstantsReport, M1, M2, variant="P",
-                         alpha=None) -> float:
+def contraction_constant(constants: dict, M1, M2, variant="P", alpha=None) -> float:
     """Lipschitz bound of the fixed-point map from the discrete constants.
 
     inf when the bound is beyond the float range (tiny M1 or M2).
     """
-    gamma = constants.trace_norm
+    gamma = constants["trace_norm"]
     lam = _coercivity(constants, variant, alpha)
     try:
         return (2.0 / lam**2) * math.sqrt(1.0 / M1**2 + gamma**2 / M2**2) * (1.0 + gamma)

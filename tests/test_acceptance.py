@@ -111,8 +111,8 @@ def test_criterion_4_dense_kkt_oracle_equivalence():
 def test_criterion_5_fixed_point_characterization():
     ops, data = small_instance(seed=5)
     consts = compute_constants(ops)
-    gamma = consts.trace_norm
-    M = (2.0 / consts.lambda0**2) * math.sqrt(1 + gamma**2) * (1 + gamma) / 0.7
+    gamma = consts["trace_norm"]
+    M = (2.0 / consts["lambda0"]**2) * math.sqrt(1 + gamma**2) * (1 + gamma) / 0.7
     data = replace(data, M1=M, M2=M)
     c0 = contraction_constant(consts, M, M, "P")
     assert c0 < 0.8
@@ -164,7 +164,7 @@ def test_criterion_7_section5_inequalities():
         lhs = math.sqrt(max(h_inner(dg, dg, ops, data.grid), 0.0))
         du = u_full[1:] - u_dist[1:]
         rhs = math.sqrt(max(h_inner(du, du, ops, data.grid), 0.0)) \
-            / (consts.lambda0 * data.M1)
+            / (consts["lambda0"] * data.M1)
         noise = full.grad_norm / min(data.M1, data.M2) + dist.grad_norm / data.M1
         all_ok = all_ok and lhs <= rhs + noise
         worst_gap = max(worst_gap, lhs - rhs)

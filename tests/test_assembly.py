@@ -152,9 +152,9 @@ def test_trace2_roundtrip(ops44):
 
 def test_constants_positive_and_ordered(ops44):
     rep = compute_constants(ops44)
-    assert 0 < rep.lambda0 <= 1.0  # stiffness never exceeds the full H1 form
-    assert rep.lambda1 > 0
-    assert rep.trace_norm > 0
+    assert 0 < rep["lambda0"] <= 1.0  # stiffness never exceeds the full H1 form
+    assert rep["lambda1"] > 0
+    assert rep["trace_norm"] > 0
 
 
 def test_constants_match_dense_eigensolves(ops44):
@@ -166,9 +166,9 @@ def test_constants_match_dense_eigensolves(ops44):
     lam0 = sla.eigh(K[np.ix_(F, F)], KM[np.ix_(F, F)], eigvals_only=True)[0]
     lam1 = sla.eigh(K + ops44.B1.toarray(), KM, eigvals_only=True)[0]
     mu = sla.eigh(ops44.B2.toarray(), KM, eigvals_only=True)[-1]
-    assert rep.lambda0 == pytest.approx(lam0, rel=1e-8)
-    assert rep.lambda1 == pytest.approx(lam1, rel=1e-8)
-    assert rep.trace_norm == pytest.approx(np.sqrt(mu), rel=1e-8)
+    assert rep["lambda0"] == pytest.approx(lam0, rel=1e-8)
+    assert rep["lambda1"] == pytest.approx(lam1, rel=1e-8)
+    assert rep["trace_norm"] == pytest.approx(np.sqrt(mu), rel=1e-8)
 
 
 def test_rayleigh_bound_on_free_subspace(ops44):
@@ -178,7 +178,7 @@ def test_rayleigh_bound_on_free_subspace(ops44):
     for _ in range(100):
         v = np.zeros(ops44.n_nodes)
         v[ops44.free_nodes] = rng.standard_normal(len(ops44.free_nodes))
-        assert v @ (ops44.K @ v) >= rep.lambda0 * (v @ (KM @ v)) - 1e-8
+        assert v @ (ops44.K @ v) >= rep["lambda0"] * (v @ (KM @ v)) - 1e-8
 
 
 def test_trace_bound(ops44):
@@ -187,7 +187,7 @@ def test_trace_bound(ops44):
     rng = np.random.default_rng(10)
     for _ in range(100):
         v = rng.standard_normal(ops44.n_nodes)
-        assert v @ (ops44.B2 @ v) <= rep.trace_norm**2 * (v @ (KM @ v)) + 1e-8
+        assert v @ (ops44.B2 @ v) <= rep["trace_norm"]**2 * (v @ (KM @ v)) + 1e-8
 
 
 def test_constants_rejected_without_free_nodes():
@@ -198,8 +198,8 @@ def test_constants_rejected_without_free_nodes():
 
 def test_descriptor_names_mesh(ops44):
     rep = compute_constants(ops44)
-    assert "4x4" in rep.mesh_descriptor
-    assert "left" in rep.mesh_descriptor
+    assert "4x4" in rep["mesh"]
+    assert "left" in rep["mesh"]
 
 
 @pytest.mark.parametrize("spec, sides", [("right", "right"), ("bottom", "bottom"),
@@ -207,13 +207,13 @@ def test_descriptor_names_mesh(ops44):
 def test_descriptor_names_each_gamma1_side(spec, sides):
     # each side's branch of assembly._side_of_edge; two sides come out sorted
     rep = compute_constants(assemble(build_rect_mesh(3, 2, spec)))
-    assert rep.mesh_descriptor == f"3x2 unit square, gamma1={sides}"
+    assert rep["mesh"] == f"3x2 unit square, gamma1={sides}"
 
 
 CONSTANTS_SCRIPT = """
 from heatctrl import assemble, build_rect_mesh, compute_constants
 rep = compute_constants(assemble(build_rect_mesh(101, 101, "left")))
-print(rep.lambda0.hex(), rep.lambda1.hex(), rep.trace_norm.hex())
+print(rep["lambda0"].hex(), rep["lambda1"].hex(), rep["trace_norm"].hex())
 """
 
 

@@ -19,7 +19,7 @@ from heatctrl import (ProblemData, Stepper, TimeGrid, assemble, build_rect_mesh,
 from heatctrl import cli
 from heatctrl.cli import (ConfigError, load_config, main, parse_config_text,
                           summarize_solve, summarize_sweep, write_csv,
-                          write_csv_series, write_json)
+                          write_csv_series)
 from heatctrl.analysis import SolverNotConverged
 from heatctrl.linalg import EigenError, SolverError, SpdFactor
 
@@ -709,6 +709,23 @@ def test_solve_writes_reports_without_resolving(tmp_path):
     ("T = 1.0", "T = true", "[time] T"),
     ("M1 = 1.0", "M1 = true", "[problem] M1"),
     ("b = zero\nv_b", "b = constant:1\nv_b", "Dirichlet nodes must equal b"),
+    ("[mesh]", "[ ]", "run.cfg:2: empty section name"),
+    ("z_d = zero", "z_d = bump:1,2", "'bump:1,2': expected 4 numbers, got 2"),
+    ("z_d = zero", "z_d = sine:1", "[problem] z_d: unknown field 'sine'"),
+    ("M1 = 1.0", "M1 = 0", "[problem] M1 must be positive"),
+    ("tol = 1e-10", "tol = -1e-3", "[solver] tol must be positive"),
+    ("z_d = zero", "z_d = bump:0.4,0.4,0,1.0",
+     "[problem] z_d: bad field spec 'bump:0.4,0.4,0,1.0': width must be positive and "
+     "2 W^2 must not underflow, got 0.0"),
+    ("z_d = zero", "z_d = bump:0.4,0.4,1e-200,1.0",
+     "[problem] z_d: bad field spec 'bump:0.4,0.4,1e-200,1.0': width must be positive and "
+     "2 W^2 must not underflow, got 1e-200"),
+    ("z_d = zero", "z_d = bump:0.5,0.5,0,1.0",
+     "[problem] z_d: bad field spec 'bump:0.5,0.5,0,1.0': width must be positive and "
+     "2 W^2 must not underflow, got 0.0"),
+    ("z_d = zero", "z_d = bump:0.5,0.5,-0.15,1.0",
+     "[problem] z_d: bad field spec 'bump:0.5,0.5,-0.15,1.0': width must be positive and "
+     "2 W^2 must not underflow, got -0.15"),
 ])
 def test_non_finite_input_fails_fast(tmp_path, capsys, old, new, key):
     path = write_config(tmp_path)
@@ -752,6 +769,24 @@ def test_non_finite_csv_field_rejected(tmp_path, capsys):
     path = write_config(tmp_path, z_d=f"csv:{field_file}")
     assert main(["solve", "--config", str(path), "--quiet"]) == 1
     assert "[problem] z_d" in capsys.readouterr().err
+
+
+def test_csv_field_of_the_wrong_length_is_refused(tmp_path, capsys):
+    field_file = tmp_path / "field.csv"
+    field_file.write_text("value\n0.5\n0.5\n")
+    path = write_config(tmp_path, z_d=f"csv:{field_file}")
+    path.write_text(path.read_text().replace("nx = 2", "nx = 4").replace("ny = 2", "ny = 4"))
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == (f"configuration error: [problem] z_d: "
+                                       f"{field_file} must hold 25 values, got shape (2,)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bump_wider_than_the_float_range_is_flat():
+    # 2 W^2 overflows to inf, so every exponent is -0.0
+    points = build_rect_mesh(2, 2, "left").nodes
+    values = cli._field_values("bump:0.5,0.5,1e200,2.0", points, "[problem] z_d")
+    assert np.array_equal(values, np.full(len(points), 2.0))
 
 
 @pytest.mark.parametrize("key", ["M1", "M2"])
@@ -818,10 +853,21 @@ def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
-def test_json_report_refuses_non_finite_numbers(tmp_path):
+def test_json_report_refuses_non_finite_numbers():
     with pytest.raises(SolverError, match="non-finite number at cost: nan"):
-        write_json(tmp_path / "report.json", {"cost": float("nan")})
-    assert not (tmp_path / "report.json").exists()
+        cli._json_text({"cost": float("nan")})
+
+
+@pytest.mark.parametrize("command, count", [("solve", 1), ("sweep", 1), ("check", 1),
+                                            ("constants", 2)])
+def test_each_json_report_is_formed_once(tmp_path, monkeypatch, command, count):
+    # constants prints its report, so its summary forms the text a second time
+    calls = []
+    inner = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda payload: calls.append(1) or inner(payload))
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    assert main([command, "--config", str(path), "--quiet"]) == 0
+    assert len(calls) == count
 
 
 def test_non_finite_number_is_named_by_its_first_place_in_the_json():

@@ -35,8 +35,8 @@ def contractive_instance(seed=50, target_c0=0.5):
     """Instance whose fixed-point map contracts at the requested bound."""
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=seed)
     consts = compute_constants(ops)
-    gamma = consts.trace_norm
-    M = (2.0 / consts.lambda0**2) * math.sqrt(1 + gamma**2) * (1 + gamma) / target_c0
+    gamma = consts["trace_norm"]
+    M = (2.0 / consts["lambda0"]**2) * math.sqrt(1 + gamma**2) * (1 + gamma) / target_c0
     data = replace(data, M1=M, M2=M)
     return ops, data, consts
 
@@ -377,10 +377,16 @@ def test_W_matches_dense_adjoint_scaling():
     assert np.max(np.abs(w.q - p[:, ops.gamma2_nodes] / data.M2)) <= 1e-10
 
 
+@pytest.mark.parametrize("variant, message", [("Palpha", "needs alpha > 0, got None"),
+                                              ("Q", "unknown variant 'Q'")])
+def test_contraction_constant_refuses_a_bad_variant(variant, message):
+    consts = {"lambda0": 1.0, "lambda1": 1.0, "trace_norm": 1.0, "mesh": "synthetic"}
+    with pytest.raises(ValueError, match=message):
+        contraction_constant(consts, 1.0, 1.0, variant)
+
+
 def test_contraction_constant_formula():
-    from heatctrl.assembly import ConstantsReport
-    consts = ConstantsReport(lambda0=1.0, lambda1=1.0, trace_norm=1.0,
-                             mesh_descriptor="synthetic")
+    consts = {"lambda0": 1.0, "lambda1": 1.0, "trace_norm": 1.0, "mesh": "synthetic"}
     # frozen values computed from the closed-form bound
     assert contraction_constant(consts, 4.0, 4.0, "P") \
         == pytest.approx(1.4142135623730951, rel=1e-12)

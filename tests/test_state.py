@@ -224,6 +224,12 @@ def test_robin_variant_needs_alpha():
                     Stepper(ops, data.grid, "Palpha"))
 
 
+def test_stepper_refuses_an_unknown_variant():
+    ops, data = make_instance()
+    with pytest.raises(ValueError, match="variant must be one of"):
+        Stepper(ops, data.grid, "Q")
+
+
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
 def test_robin_stepper_refuses_a_bad_alpha_by_name(alpha):
     ops, data = make_instance()
