@@ -377,14 +377,6 @@ def test_W_matches_dense_adjoint_scaling():
     assert np.max(np.abs(w.q - p[:, ops.gamma2_nodes] / data.M2)) <= 1e-10
 
 
-@pytest.mark.parametrize("variant, message", [("Palpha", "needs alpha > 0, got None"),
-                                              ("Q", "unknown variant 'Q'")])
-def test_contraction_constant_refuses_a_bad_variant(variant, message):
-    consts = {"lambda0": 1.0, "lambda1": 1.0, "trace_norm": 1.0, "mesh": "synthetic"}
-    with pytest.raises(ValueError, match=message):
-        contraction_constant(consts, 1.0, 1.0, variant)
-
-
 def test_contraction_constant_formula():
     consts = {"lambda0": 1.0, "lambda1": 1.0, "trace_norm": 1.0, "mesh": "synthetic"}
     # frozen values computed from the closed-form bound
@@ -397,6 +389,11 @@ def test_contraction_constant_formula():
     assert big == contraction_constant(consts, 4.0, 4.0, "Palpha", alpha=1.0)
     assert contraction_constant(consts, 4.0, 4.0, "Palpha", alpha=0.5) \
         == pytest.approx(big / 0.25, rel=1e-12)
+    # the Robin bound needs an alpha, and no other variant has one
+    with pytest.raises(ValueError, match="needs alpha > 0, got None"):
+        contraction_constant(consts, 1.0, 1.0, "Palpha")
+    with pytest.raises(ValueError, match="unknown variant 'Q'"):
+        contraction_constant(consts, 1.0, 1.0, "Q")
 
 
 def test_fixed_point_trivial_instance_converges_in_one_step():
