@@ -368,13 +368,13 @@ def summarize_sweep(payload) -> str:
 class Result:
     """A finished command: its JSON report, CSV tables, stdout summary and verdict.
 
-    tables maps a CSV file name to (writer, *arguments after the path), in
-    the order the files are written.
+    A summary of None prints the report text; tables maps a CSV file name to
+    (writer, *arguments after the path), in the order the files are written.
     """
 
     report: str
     payload: dict
-    summary: str
+    summary: str | None = None
     passed: bool = True
     tables: dict = field(default_factory=dict)
 
@@ -451,7 +451,7 @@ def run_checks(config: RunConfig, data: ProblemData) -> Result:
 def run_constants(config: RunConfig, data: ProblemData) -> Result:
     payload = {"command": "constants",
                "constants": compute_constants(data.ops)}
-    return Result("constants.json", payload, _json_text(payload))
+    return Result("constants.json", payload)
 
 
 # an overflow is not worth a numpy warning: a non-finite result ends in
@@ -475,8 +475,9 @@ def main(argv=None) -> int:
         command = {"solve": run_solve, "sweep": run_sweep, "check": run_checks,
                    "constants": run_constants}[args.command]
         result = command(config, build_problem(config))
-        # a report that cannot be written fails before any output exists
-        report_text = _json_text(result.payload) if "json" in config.formats else None
+        # whatever the formats, a report that cannot be written fails the
+        # run before any output exists
+        report_text = _json_text(result.payload)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -485,13 +486,13 @@ def main(argv=None) -> int:
         return 2
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    if report_text is not None:
+    if "json" in config.formats:
         write_json(out / result.report, report_text)
     if "csv" in config.formats:
         for name, (writer, *writer_args) in result.tables.items():
             writer(out / name, *writer_args)
     if not args.quiet:
-        print(result.summary)
+        print(report_text if result.summary is None else result.summary)
     return 0 if result.passed else 2
 
 

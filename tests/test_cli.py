@@ -836,14 +836,17 @@ OVERFLOW_FAILURES = {
 }
 
 
+@pytest.mark.parametrize("formats", ["csv,json", "csv"])
 @pytest.mark.parametrize("command", ["solve", "sweep", "check"])
-def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, command):
+def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, command,
+                                                         formats):
     # criterion 9's instance with a target of amplitude 1e290: its squared
     # norms overflow, which the suite's RuntimeWarning filter would turn
-    # into an exception and the command line would print as numpy warnings
+    # into an exception and the command line would print as numpy warnings;
+    # the run fails alike whether or not a JSON report is asked for
     path = tmp_path / "run.cfg"
-    path.write_text(golden.config_text({"z_d": "bump:0.6,0.5,0.2,1e290"},
-                                       tmp_path / "out"))
+    path.write_text(golden.config_text({"z_d": "bump:0.6,0.5,0.2,1e290",
+                                        "formats": formats}, tmp_path / "out"))
     assert main([command, "--config", str(path), "--quiet"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -858,14 +861,17 @@ def test_json_report_refuses_non_finite_numbers():
         cli._json_text({"cost": float("nan")})
 
 
-@pytest.mark.parametrize("command, count", [("solve", 1), ("sweep", 1), ("check", 1),
-                                            ("constants", 2)])
-def test_each_json_report_is_formed_once(tmp_path, monkeypatch, command, count):
-    # constants prints its report, so its summary forms the text a second time
+@pytest.mark.parametrize("command, formats, count", [
+    ("solve", "csv,json", 1), ("sweep", "csv,json", 1), ("check", "csv,json", 1),
+    ("constants", "csv,json", 1), ("solve", "csv", 1)])
+def test_each_json_report_is_formed_once(tmp_path, monkeypatch, command, formats, count):
+    # the one text gates the run, is the JSON file and is what constants
+    # prints; it is formed also when no JSON file is asked for
     calls = []
     inner = cli._json_text
     monkeypatch.setattr(cli, "_json_text", lambda payload: calls.append(1) or inner(payload))
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    path.write_text(path.read_text().replace("formats = csv,json", f"formats = {formats}"))
     assert main([command, "--config", str(path), "--quiet"]) == 0
     assert len(calls) == count
 
