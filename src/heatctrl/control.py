@@ -288,8 +288,9 @@ def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
         start(), r,
         lambda d: _held(_hessian_apply(d, data, stepper), hold_q),
         ops, grid, threshold, max_iter, history)
+    # an overflowed start gradient makes the threshold inf: nothing converges
     return _finalize(data, x, _pair(data, x, stepper), "cg", tol, grad_norm0,
-                     iterations, history, lambda gn: gn <= threshold, hold_q)
+                     iterations, history, lambda gn: gn <= threshold < math.inf, hold_q)
 
 
 def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
