@@ -104,9 +104,14 @@ def test_quoted_value_holding_a_comment_sign_is_refused(tmp_path, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
-def test_missing_file_is_config_error(tmp_path):
-    code = main(["solve", "--config", str(tmp_path / "nope.cfg")])
-    assert code == 1
+def test_missing_file_is_config_error(tmp_path, capsys, monkeypatch):
+    # the default output directory is relative: run where it would appear
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "nope.cfg"
+    assert main(["solve", "--config", str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: config file not found: {missing}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_key_reported(tmp_path):
@@ -158,11 +163,13 @@ def test_output_directory_is_taken_as_written(tmp_path, monkeypatch, name):
     assert (tmp_path / name / "constants.json").exists()
 
 
-def test_missing_csv_field_names_path(tmp_path):
+def test_missing_csv_field_names_path(tmp_path, capsys):
     missing = tmp_path / "no_such_field.csv"
     path = write_config(tmp_path, z_d=f"csv:{missing}")
-    code = main(["solve", "--config", str(path), "--quiet"])
-    assert code == 1
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: [problem] z_d: field file not found: {missing}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "check", "constants"])

@@ -389,6 +389,10 @@ def test_contraction_constant_formula():
     assert big == contraction_constant(consts, 4.0, 4.0, "Palpha", alpha=1.0)
     assert contraction_constant(consts, 4.0, 4.0, "Palpha", alpha=0.5) \
         == pytest.approx(big / 0.25, rel=1e-12)
+    # a squared weight of 1e-170 underflows to zero: the bound reads inf
+    # (1e-160 squares to a subnormal and the bound overflows to inf itself)
+    assert contraction_constant(consts, 1e-170, 1.0, "P") == math.inf
+    assert contraction_constant(consts, 1.0, 1e-170, "P") == math.inf
     # the Robin bound needs an alpha, and no other variant has one
     with pytest.raises(ValueError, match="needs alpha > 0, got None"):
         contraction_constant(consts, 1.0, 1.0, "Palpha")
