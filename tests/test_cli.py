@@ -842,8 +842,10 @@ OVERFLOW_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("formats", ["csv,json", "csv"])
-@pytest.mark.parametrize("command", ["solve", "sweep", "check"])
+@pytest.mark.parametrize("command, formats", [
+    ("solve", "csv,json"), ("sweep", "csv,json"), ("check", "csv,json"),
+    ("solve", "csv"), ("sweep", "csv"), ("check", "csv")],
+    ids=["solve", "sweep", "check", "solve-csv", "sweep-csv", "check-csv"])
 def test_overflowing_target_prints_only_the_failure_line(tmp_path, capsys, command,
                                                          formats):
     # criterion 9's instance with a target of amplitude 1e290: its squared
@@ -869,7 +871,8 @@ def test_json_report_refuses_non_finite_numbers():
 
 @pytest.mark.parametrize("command, formats, count", [
     ("solve", "csv,json", 1), ("sweep", "csv,json", 1), ("check", "csv,json", 1),
-    ("constants", "csv,json", 1), ("solve", "csv", 1)])
+    ("constants", "csv,json", 1), ("solve", "csv", 1)],
+    ids=["solve-1", "sweep-1", "check-1", "constants-1", "solve-csv-1"])
 def test_each_json_report_is_formed_once(tmp_path, monkeypatch, command, formats, count):
     # the one text gates the run, is the JSON file and is what constants
     # prints; it is formed also when no JSON file is asked for
