@@ -7,6 +7,7 @@ weighted control norm, and the penalized boundary mismatch as
 sqrt(alpha - 1) * |u_alpha - b|_{L2(L2(gamma1))}.
 """
 
+import functools
 import math
 import os
 import pickle
@@ -16,9 +17,9 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .assembly import compute_constants
-from .control import (CG_MAX_ITER, _coercivity, _cost, _series_inner, apply_W,
-                      contraction_constant, cost_J, gradient_J, h_inner,
-                      hq_inner, hq_norm, q_inner, solve_cg,
+from .control import (CG_MAX_ITER, _coercivity, _convexity_gap, _cost,
+                      _series_inner, apply_W, contraction_constant, cost_J,
+                      gradient_J, h_inner, hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
 from .linalg import SolverError
 from .state import (ControlPair, ProblemData, Stepper, solve_state,
@@ -266,17 +267,18 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                 fixed_point=False, n_pairs=10) -> list:
     """Every check of `heatctrl check`, as {name, measured, bound, passed} records.
 
-    The identity checks come first, on random controls drawn from a
-    generator seeded 7: the adjoint identity for both variants, then the
-    gradient against central differences and the convexity identity for
-    `variant`.  Then, for the pinned and the Robin variant at alpha,
-    the inter-problem estimates: the simultaneous optimum against the
-    distributed-only optimum with its flux frozen (distance estimate and
+    Four groups of checks, in this order.  The identities, on random
+    controls drawn from a generator seeded 7: the adjoint identity for both
+    variants, then the gradient against central differences and the
+    convexity identity for `variant`.  Then the estimates for the pinned
+    and for the Robin variant at alpha: the simultaneous optimum against
+    the distributed-only optimum with its flux frozen (distance estimate and
     cost ordering), and the measured Lipschitz ratio of the fixed-point map
-    over n_pairs random control pairs, drawn from a generator seeded 20240,
-    against its computed bound.  With fixed_point, the fixed-point iterate
-    for `variant` must match the CG optimum, or its divergence must agree
-    with a contraction constant of at least one.
+    over n_pairs random control pairs, drawn from a generator seeded 20240
+    (the pinned group's draws first), against its computed bound.  With
+    fixed_point, the fixed-point run: its iterate for `variant` must match
+    the CG optimum, or its divergence must agree with a contraction constant
+    of at least one.
     """
     if alpha is None or not 1.0 < alpha < math.inf:
         raise ValueError(f"the checks need a finite alpha > 1, got {alpha}")
@@ -284,7 +286,6 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
     steppers = {"P": Stepper(ops, grid, "P"),
                 "Palpha": Stepper(ops, grid, "Palpha", alpha)}
     stepper = steppers[variant]
-    checks = []
 
     def finite(name, quantity, value):
         """value, or a failure naming the check and its quantity out of float range."""
@@ -293,88 +294,82 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                               f"M2 = {data.M2:g}, beyond the float range")
         return value
 
-    # each worst-of loop below keeps its worst sample with np.maximum, which,
-    # unlike max, keeps a NaN sample, so that finite() refuses it
-    def add(name, measured, bound, passed):
-        checks.append({
-            "name": name,
-            "measured": float(finite(name, "the measured value", measured)),
-            "bound": float(finite(name, "the bound", bound)),
-            "passed": bool(passed),
-        })
+    def record(name, measured, bound, passed):
+        return {"name": name,
+                "measured": float(finite(name, "the measured value", measured)),
+                "bound": float(finite(name, "the bound", bound)), "passed": bool(passed)}
+
+    # every worst-of-samples check: np.maximum, unlike max, keeps a NaN
+    # sample, so that finite() refuses it
+    def worst(name, samples, bound):
+        measured = functools.reduce(np.maximum, samples, 0.0)
+        return record(name, measured, bound, measured <= bound)
 
     def random_ctrl(rng):
-        return ControlPair(
-            rng.standard_normal((grid.n_steps, ops.n_nodes)),
-            rng.standard_normal((grid.n_steps, len(ops.gamma2_nodes))),
-        )
+        return ControlPair(rng.standard_normal((grid.n_steps, ops.n_nodes)),
+                           rng.standard_normal((grid.n_steps, len(ops.gamma2_nodes))))
 
-    rng = np.random.default_rng(7)
-    for name, variant_stepper in steppers.items():
-        base = random_ctrl(rng)
-        u = solve_state(data, base, variant_stepper)
-        p = solve_adjoint(data, u, variant_stepper)
-        worst = 0.0
+    def adjoint_samples(rng, s):
+        u = solve_state(data, random_ctrl(rng), s)
+        p = solve_adjoint(data, u, s)
         for _ in range(5):
             d = random_ctrl(rng)
-            cu = solve_state_homogeneous(d, variant_stepper)
+            cu = solve_state_homogeneous(d, s)
             lhs = h_inner(cu[1:], u[1:] - data.z_d, ops, grid)
             rhs = h_inner(d.g, p[:-1], ops, grid) \
                 - q_inner(d.q, ops.trace2(p[:-1]), ops, grid)
-            worst = np.maximum(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-        add(f"adjoint_identity_{name}", worst, 1e-10, worst <= 1e-10)
+            yield abs(lhs - rhs) / (1.0 + abs(lhs))
 
-    worst = 0.0
-    for _ in range(5):
-        ctrl = random_ctrl(rng)
-        d = random_ctrl(rng)
-        d = (1.0 / hq_norm(d, ops, grid)) * d
-        grad = gradient_J(data, ctrl, stepper)
-        directional = hq_inner(grad, d, ops, grid)
-        h = 1e-5
-        jp = cost_J(data, ctrl + h * d, stepper)
-        jm = cost_J(data, ctrl - h * d, stepper)
-        fd = (jp - jm) / (2.0 * h)
-        worst = np.maximum(worst, abs(directional - fd) / max(abs(fd), 1e-300))
-    add("gradient_finite_difference", worst, 1e-6, worst <= 1e-6)
+    def gradient_samples(rng, h=1e-5):
+        for _ in range(5):
+            ctrl, d = random_ctrl(rng), random_ctrl(rng)
+            d = (1.0 / hq_norm(d, ops, grid)) * d
+            directional = hq_inner(gradient_J(data, ctrl, stepper), d, ops, grid)
+            fd = (cost_J(data, ctrl + h * d, stepper)
+                  - cost_J(data, ctrl - h * d, stepper)) / (2.0 * h)
+            yield abs(directional - fd) / max(abs(fd), 1e-300)
 
-    worst = 0.0
-    for _ in range(3):
-        c1, c2 = random_ctrl(rng), random_ctrl(rng)
-        u1 = solve_state(data, c1, stepper)
-        u2 = solve_state(data, c2, stepper)
-        j1, j2 = _cost(data, c1, u1), _cost(data, c2, u2)
-        for t in (0.25, 0.5, 0.75):
-            # convexity_gap's formula, on the costs the states above give
-            j_blend = cost_J(data, (1.0 - t) * c2 + t * c1, stepper)
-            gap = (1.0 - t) * j2 + t * j1 - j_blend
+    def convexity_samples(rng):
+        for _ in range(3):
+            c1, c2 = random_ctrl(rng), random_ctrl(rng)
+            u1 = solve_state(data, c1, stepper)
+            u2 = solve_state(data, c2, stepper)
+            j1, j2 = _cost(data, c1, u1), _cost(data, c2, u2)
             dmis = u2[1:] - u1[1:]
-            expect = 0.5 * t * (1.0 - t) * (
-                h_inner(dmis, dmis, ops, grid)
-                + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
-                + data.M2 * q_inner(c2.q - c1.q, c2.q - c1.q, ops, grid)
-            )
-            worst = np.maximum(worst, abs(gap - expect) / max(abs(expect), 1e-300))
-    add("convexity_identity", worst, 1e-10, worst <= 1e-10)
+            spread = (h_inner(dmis, dmis, ops, grid)
+                      + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
+                      + data.M2 * q_inner(c2.q - c1.q, c2.q - c1.q, ops, grid))
+            for t in (0.25, 0.5, 0.75):
+                gap = _convexity_gap(data, c1, c2, t, stepper, j1, j2)
+                expect = 0.5 * t * (1.0 - t) * spread
+                yield abs(gap - expect) / max(abs(expect), 1e-300)
 
-    constants = compute_constants(ops)
-    solutions = {
-        name: solve_cg(data, variant_stepper, tol, max_iter=max_iter)
-        for name, variant_stepper in steppers.items()
-    }
-    rng = np.random.default_rng(20240)
-    c0s = {}  # the contraction bound C0 of each variant
-    for name, variant_stepper in steppers.items():
-        lam = _coercivity(constants, name, variant_stepper.alpha)
+    def lipschitz_samples(rng, s):
+        for _ in range(n_pairs):
+            c_a, c_b = random_ctrl(rng), random_ctrl(rng)
+            wa = apply_W(data, c_a, s)
+            wb = apply_W(data, c_b, s)
+            yield hq_norm(wb - wa, ops, grid) / hq_norm(c_b - c_a, ops, grid)
+
+    def identity_checks():
+        rng = np.random.default_rng(7)
+        adjoint = [worst(f"adjoint_identity_{name}", adjoint_samples(rng, s), 1e-10)
+                   for name, s in steppers.items()]
+        return adjoint + [worst("gradient_finite_difference", gradient_samples(rng), 1e-6),
+                          worst("convexity_identity", convexity_samples(rng), 1e-10)]
+
+    def estimate_checks(name, constants, rng):
+        """The records of one variant's estimates, its CG optimum and its C0."""
+        s = steppers[name]
         suffix = "" if name == "P" else "_alpha"
-        full = solutions[name]
-        dist = solve_distributed_only(data, full.control.q, variant_stepper, tol,
-                                      max_iter=max_iter)
+        full = solve_cg(data, s, tol, max_iter=max_iter)
+        dist = solve_distributed_only(data, full.control.q, s, tol, max_iter=max_iter)
 
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
         du = full.state[1:] - dist.state[1:]
-        weight = lam * data.M1  # 0.0 once the product underflows
+        # 0.0 once the product underflows
+        weight = _coercivity(constants, name, s.alpha) * data.M1
         rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / weight if weight \
             else math.inf
         # With the flux frozen at the simultaneous optimum the two optima
@@ -382,35 +377,34 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         # residuals over the penalty weights certify that noise level.
         noise = full.grad_norm / min(data.M1, data.M2) + dist.grad_norm / data.M1
         threshold = rhs * (1.0 + 1e-9) + noise + 1e-14
-        add(f"distributed_distance_estimate{suffix}", lhs, threshold,
-            lhs <= threshold)
-
-        # the simultaneous optimum cannot exceed the frozen-flux optimum
-        add(f"cost_ordering{suffix}", full.cost, dist.cost,
-            full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)
-
+        records = [
+            record(f"distributed_distance_estimate{suffix}", lhs, threshold,
+                   lhs <= threshold),
+            # the simultaneous optimum cannot exceed the frozen-flux optimum
+            record(f"cost_ordering{suffix}", full.cost, dist.cost,
+                   full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)]
         # checked before the samples, whose squared norms overflow with it
-        c0 = c0s[name] = finite(
-            f"fixed_point_lipschitz{suffix}", "the contraction bound C0",
-            contraction_constant(constants, data.M1, data.M2, name, variant_stepper.alpha))
-        worst = 0.0
-        for _ in range(n_pairs):
-            c_a, c_b = random_ctrl(rng), random_ctrl(rng)
-            wa = apply_W(data, c_a, variant_stepper)
-            wb = apply_W(data, c_b, variant_stepper)
-            ratio = hq_norm(wb - wa, ops, grid) / hq_norm(c_b - c_a, ops, grid)
-            worst = np.maximum(worst, ratio)
-        add(f"fixed_point_lipschitz{suffix}", worst, c0, worst <= c0)
+        c0 = finite(f"fixed_point_lipschitz{suffix}", "the contraction bound C0",
+                    contraction_constant(constants, data.M1, data.M2, name, s.alpha))
+        records.append(worst(f"fixed_point_lipschitz{suffix}",
+                             lipschitz_samples(rng, s), c0))
+        return records, full, c0
 
-    if fixed_point:
+    def fixed_point_check(optimum, c0):
         fp = solve_fixed_point(data, stepper, tol, max_iter=max_iter)
         if fp.converged:
-            gap = hq_norm(fp.control - solutions[variant].control, ops, grid)
-            add("fixed_point_vs_cg", gap, 10.0 * tol, gap <= 10.0 * tol)
-        else:
-            # divergence is the documented outcome when the bound is not a
-            # contraction, so it only fails this check when C0 < 1
-            add("fixed_point_divergence_consistent", c0s[variant], 1.0,
-                c0s[variant] >= 1.0)
+            gap = hq_norm(fp.control - optimum.control, ops, grid)
+            return [record("fixed_point_vs_cg", gap, 10.0 * tol, gap <= 10.0 * tol)]
+        # divergence is the documented outcome when the bound is not a
+        # contraction, so it only fails this check when C0 < 1
+        return [record("fixed_point_divergence_consistent", c0, 1.0, c0 >= 1.0)]
 
+    checks = identity_checks()
+    constants = compute_constants(ops)
+    rng = np.random.default_rng(20240)  # drawn by the P group, then by Palpha's
+    estimates = {name: estimate_checks(name, constants, rng) for name in steppers}
+    checks += [r for records, _, _ in estimates.values() for r in records]
+    if fixed_point:
+        _, optimum, c0 = estimates[variant]
+        checks += fixed_point_check(optimum, c0)
     return checks

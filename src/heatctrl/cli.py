@@ -472,6 +472,13 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.out is not None:
             config.out_dir = Path(args.out)
+        out = config.out_dir
+        # refused before any work: a file (or a dangling link) where the
+        # directory or a parent goes
+        blocked = [p for p in (out, *out.parents)
+                   if (p.exists() or p.is_symlink()) and not p.is_dir()]
+        if blocked:
+            raise ConfigError(f"output directory {out}: {blocked[0]} is not a directory")
         command = {"solve": run_solve, "sweep": run_sweep, "check": run_checks,
                    "constants": run_constants}[args.command]
         result = command(config, build_problem(config))
@@ -484,13 +491,15 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in config.formats:
-        write_json(out / result.report, report_text)
-    if "csv" in config.formats:
-        for name, (writer, *writer_args) in result.tables.items():
-            writer(out / name, *writer_args)
+    # the files of the formats asked for, JSON report first; a run that
+    # writes none makes no directory
+    files = {name: spec for name, spec in
+             {result.report: (write_json, report_text), **result.tables}.items()
+             if Path(name).suffix[1:] in config.formats}
+    if files:
+        out.mkdir(parents=True, exist_ok=True)
+    for name, (writer, *writer_args) in files.items():
+        writer(out / name, *writer_args)
     if not args.quiet:
         print(report_text if result.summary is None else result.summary)
     return 0 if result.passed else 2

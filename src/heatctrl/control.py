@@ -99,7 +99,8 @@ def hq_norm(c: ControlPair, ops, grid) -> float:
 #
 # Each public function is the sweeps it needs plus one private formula of
 # their results; the formulas run no sweep and no check, so the optimizers
-# call them on the sweeps they already hold.
+# call them on the sweeps they already hold.  _convexity_gap takes the end
+# costs the same way and runs only the blend's sweep.
 
 def _cost(data, ctrl, u) -> float:
     """The cost formula for the state u at ctrl."""
@@ -151,11 +152,13 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    j2 = cost_J(data, c2, stepper)
-    j1 = cost_J(data, c1, stepper)
-    blend = (1.0 - t) * c2 + t * c1
-    j_blend = cost_J(data, blend, stepper)
-    return (1.0 - t) * j2 + t * j1 - j_blend
+    return _convexity_gap(data, c1, c2, t, stepper, cost_J(data, c1, stepper),
+                          cost_J(data, c2, stepper))
+
+
+def _convexity_gap(data, c1, c2, t, stepper, j1, j2) -> float:
+    """convexity_gap from the end costs j1 at c1 and j2 at c2: one sweep, the blend's."""
+    return (1.0 - t) * j2 + t * j1 - cost_J(data, (1.0 - t) * c2 + t * c1, stepper)
 
 
 def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:

@@ -11,7 +11,9 @@ Regenerate the file from the root of a checkout with
 
     PYTHONPATH=src python tests/golden.py
 
-and list every output that changed in CHANGES.md as drift, with its reason.
+Before it overwrites the file, the script prints each run whose outputs
+changed and what changed in it: the exit code, stdout, stderr or a named
+file.  List that drift in CHANGES.md, with its reason.
 """
 
 import contextlib
@@ -129,8 +131,34 @@ def run_all() -> dict:
         return {name: run(name, work_dir) for name in RUNS}
 
 
+def drift(old, new) -> list:
+    """One line per run whose recorded outputs differ between two sets of runs.
+
+    A line names the run and what changed: exit_code, stdout, stderr and
+    each file written on one side only or with another hash.  A run on one
+    side only is added or removed.
+    """
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: {'added' if name in new else 'removed'}")
+            continue
+        was, now = old[name], new[name]
+        changed = [key for key in ("exit_code", "stdout", "stderr") if was[key] != now[key]]
+        changed += [file for file in sorted(was["files"].keys() | now["files"].keys())
+                    if was["files"].get(file) != now["files"].get(file)]
+        if changed:
+            lines.append(f"{name}: {', '.join(changed)}")
+    return lines
+
+
 def main_script():
     golden = {"environment": environment_stamp(), "runs": run_all()}
+    if GOLDEN.exists():
+        old = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        if old["environment"] != golden["environment"]:
+            print("environment changed: every hash may differ")
+        print("\n".join(drift(old["runs"], golden["runs"])) or "no run changed")
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {GOLDEN}: {len(golden['runs'])} runs")

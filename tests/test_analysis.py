@@ -13,8 +13,10 @@ from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, alpha_sweep,
                       assemble, build_rect_mesh, check_suite, hq_norm, solve_cg,
                       sweep_flags)
 
+import heatctrl.adjoint
 import heatctrl.analysis
 import heatctrl.cli
+import heatctrl.linalg
 import heatctrl.state
 from heatctrl.analysis import SolverNotConverged, check_alphas
 from heatctrl.linalg import EigenError, SolverError
@@ -200,6 +202,30 @@ def test_identity_checks_solve_each_state_once(monkeypatch):
     # identity solves 1 + 5 states, each gradient sample 3, and each of the
     # 3 convexity pairs its 2 end states and one blend per t (15 in all)
     assert at_constants == [2 * (1 + 5) + 5 * 3 + 3 * (2 + 3)]
+
+
+@pytest.mark.parametrize("fixed_point, counts", [(True, (101, 66, 5)),
+                                                 (False, (76, 41, 5))],
+                         ids=["fixed_point", "no_fixed_point"])
+def test_the_whole_check_suite_does_fixed_work(monkeypatch, fixed_point, counts):
+    # forward sweeps, backward sweeps and factorizations of one full run
+    calls = {"forward": 0, "backward": 0, "factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(heatctrl.state, "_forward",
+                        counted("forward", heatctrl.state._forward))
+    monkeypatch.setattr(heatctrl.adjoint, "_backward",
+                        counted("backward", heatctrl.adjoint._backward))
+    monkeypatch.setattr(heatctrl.linalg.SpdFactor, "__init__",
+                        counted("factor", heatctrl.linalg.SpdFactor.__init__))
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=1, fixed_point=fixed_point)
+    assert (calls["forward"], calls["backward"], calls["factor"]) == counts
 
 
 def test_section5_trivial_instance_has_zero_sides():

@@ -869,6 +869,38 @@ def test_json_report_refuses_non_finite_numbers():
         cli._json_text({"cost": float("nan")})
 
 
+@pytest.mark.parametrize("command, formats", [
+    ("check", "csv"), ("constants", "csv"), ("solve", "")],
+    ids=["check-csv", "constants-csv", "solve-none"])
+def test_a_run_that_writes_no_file_makes_no_directory(tmp_path, command, formats):
+    # check and constants have no CSV table, and no format writes nothing
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
+    path.write_text(path.read_text().replace("formats = csv,json", f"formats = {formats}"))
+    assert main([command, "--config", str(path), "--quiet"]) == 0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below, dangling", [("", False), ("sub", False), ("", True)],
+                         ids=["file", "below-a-file", "dangling-link"])
+def test_an_output_path_blocked_by_a_file_is_refused_first(tmp_path, capsys,
+                                                            monkeypatch, below, dangling):
+    afile = tmp_path / "afile"
+    if dangling:
+        afile.symlink_to(tmp_path / "nowhere")
+    else:
+        afile.write_text("kept\n")
+    out = afile / below if below else afile
+    built = []
+    monkeypatch.setattr(cli, "build_problem", lambda config: built.append(config))
+    path = write_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"configuration error: output directory {out}: {afile} is not a directory\n")
+    assert built == []
+    assert dangling or afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+
+
 @pytest.mark.parametrize("command, formats, count", [
     ("solve", "csv,json", 1), ("sweep", "csv,json", 1), ("check", "csv,json", 1),
     ("constants", "csv,json", 1), ("solve", "csv", 1)],

@@ -61,3 +61,28 @@ def test_number_comparison_tells_drift_from_rounding():
                     {"cost": 0.125, "converged": True, "iterations": 7},
                     {"cost": 0.125, "converged": True}):
         assert numbers_differ(report, {"runs": [changed]}), changed
+
+
+RUN = {"exit_code": 0, "stdout": "a", "stderr": "b",
+       "files": {"checks.json": "1", "sweep.csv": "2"}, "reports": {}}
+
+
+def test_drift_names_each_changed_output():
+    assert golden.drift({"r": RUN}, {"r": RUN}) == []
+    changed = {**RUN, "exit_code": 2, "stderr": "c",
+               "files": {"checks.json": "1", "sweep.csv": "3", "new.csv": "4"}}
+    assert golden.drift({"r": RUN, "gone": RUN}, {"r": changed, "new": RUN}) == [
+        "gone: removed", "new: added", "r: exit_code, stderr, new.csv, sweep.csv"]
+
+
+def test_regeneration_prints_the_drift_before_writing(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"environment": golden.environment_stamp(),
+                                "runs": {"r": RUN}}))
+    monkeypatch.setattr(golden, "GOLDEN", path)
+    monkeypatch.setattr(golden, "run_all", lambda: {"r": {**RUN, "stdout": "z"}})
+    golden.main_script()
+    assert capsys.readouterr().out == f"r: stdout\nwrote {path}: 1 runs\n"
+    assert json.loads(path.read_text())["runs"]["r"]["stdout"] == "z"
+    golden.main_script()
+    assert capsys.readouterr().out == f"no run changed\nwrote {path}: 1 runs\n"
