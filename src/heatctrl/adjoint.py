@@ -9,39 +9,32 @@ pairing
 
     (C(h,eta), u - z_d)_H  =  (h, p)_H - (eta, p)_Q
 
-holds to machine precision for both variants.
+holds to machine precision for both variants.  Every matrix of a step is
+symmetric, so the transpose is the state's implicit-Euler recurrence run
+backward in time: the sweep is state._forward on the time-reversed
+residual, and the adjoint is its reversed trajectory.
 """
 
 import numpy as np
 
-from .state import ProblemData, Stepper, _check
+from .state import ControlPair, ProblemData, Stepper, _check, _forward
 
 
 def _check_state(data, u):
     expected = (data.grid.n_steps + 1, data.ops.n_nodes)
     if u.shape != expected:
-        raise ValueError(
-            f"state trajectory has shape {u.shape}, expected {expected}"
-        )
+        raise ValueError(f"state trajectory has shape {u.shape}, expected {expected}")
 
 
 def _backward(stepper, residual):
-    """The backward time loop on the stepper's solved nodes.
+    """The backward time loop, as the forward loop on the reversed residual.
 
     residual[k] is the nodal residual of step k+1; step k solves
-    A_SS x = M_S (p_{k+1} / tau + residual[k]).  Rows off the solved nodes
-    and the last slice stay zero.
+    A_SS x = M_S (p_{k+1} / tau + residual[k]).  The adjoint is the reversed
+    trajectory, a view; rows off the solved nodes and the last slice are zero.
     """
-    ops, grid = stepper.ops, stepper.grid
-    S = stepper.nodes
-    tau = grid.tau
-    p = np.zeros((grid.n_steps + 1, ops.n_nodes))
-    field = np.empty(ops.n_nodes)
-    for k in range(grid.n_steps - 1, -1, -1):
-        np.divide(p[k + 1], tau, out=field)
-        field += residual[k]
-        p[k][S] = stepper.factor.solve(stepper.mass @ field)
-    return p
+    no_flux = np.broadcast_to(0.0, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
+    return _forward(stepper, ControlPair(residual[::-1], no_flux), None, None, 0.0)[::-1]
 
 
 def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndarray:

@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-from .adjoint import solve_adjoint
 from .assembly import compute_constants
-from .control import (CG_MAX_ITER, _coercivity, _convexity_gap, _cost,
+from .control import (CG_MAX_ITER, _coercivity, _convexity_gap, _cost, _pair,
                       _series_inner, apply_W, contraction_constant, cost_J,
                       gradient_J, h_inner, hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
@@ -133,8 +132,7 @@ def _operator_pass(data, ctrl, alpha, tol, max_iter):
     """(u, p) at ctrl and, given tol, the CG optimum, for the pinned operator
     (alpha None) or the Robin one at alpha; the factorization dies with the call."""
     stepper = Stepper(data.ops, data.grid, "P" if alpha is None else "Palpha", alpha)
-    u = solve_state(data, ctrl, stepper)
-    p = solve_adjoint(data, u, stepper)
+    u, p = _pair(data, ctrl, stepper)
     if tol is None:
         return u, p, None
     rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_pass=(u, p))
@@ -310,8 +308,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                            rng.standard_normal((grid.n_steps, len(ops.gamma2_nodes))))
 
     def adjoint_samples(rng, s):
-        u = solve_state(data, random_ctrl(rng), s)
-        p = solve_adjoint(data, u, s)
+        u, p = _pair(data, random_ctrl(rng), s)
         for _ in range(5):
             d = random_ctrl(rng)
             cu = solve_state_homogeneous(d, s)

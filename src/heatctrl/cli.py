@@ -184,6 +184,13 @@ def _comma_list(convert, container=tuple):
     return items
 
 
+# Path("") is the working directory: an empty output directory is refused
+def _directory(text) -> Path:
+    if not text:
+        raise ValueError("must name a directory, got ''")
+    return Path(text)
+
+
 def _key(section, convert, default=MISSING, name=None):
     """A field's config key: its [section], converter and default text.
 
@@ -214,7 +221,7 @@ class RunConfig:
     max_iter: int = _key("solver", _positive_int, "500")
     optimizer: str = _key("solver", _choice(*OPTIMIZERS), "cg")
     variant: str = _key("solver", _choice(*VARIANTS), "P")
-    out_dir: Path = _key("output", Path, "out", "directory")
+    out_dir: Path = _key("output", _directory, "out", "directory")
     formats: tuple = _key("output", _comma_list(_choice("csv", "json")), "csv,json")
 
 
@@ -229,7 +236,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     origin = str(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors save
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{origin}: cannot read the config: {exc}") from None
     sections = parse_config_text(text, origin=origin)
@@ -471,6 +479,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out must name a directory, got ''")
             config.out_dir = Path(args.out)
         out = config.out_dir
         # refused before any work: a file (or a dangling link) where the

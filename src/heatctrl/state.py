@@ -106,9 +106,9 @@ class Stepper:
     nodes S (the free nodes for "P", all nodes for "Palpha"), the factorized
     step matrix A_SS, the rows S of the mass matrix and of the gamma2
     columns of B2 (the flux load), and for the pinned variant the Dirichlet
-    block A_FD of the step matrix.  The same factorization serves the
-    forward and the backward sweeps because every matrix involved is
-    symmetric.
+    block A_FD of the step matrix.  Every matrix involved is symmetric, so
+    the same factorization, and the same time loop, serve the forward and
+    the backward sweeps.
     """
 
     def __init__(self, ops: DiscreteOperators, grid: TimeGrid, variant="P", alpha=None):
@@ -152,8 +152,9 @@ class Stepper:
 
         The result has one entry per solved node (len(free_nodes) for the
         pinned variant, n_nodes for the Robin one), not one per mesh node.
-        One forward step passes u_k / tau + g_k as the field, so a single
-        sparse product covers the mass term and the distributed control.
+        A step passes u_k / tau + g_k (backward: p_{k+1} / tau + r_k) as the
+        field, so one sparse product covers the mass term and the control;
+        the flux product is skipped when q is zero, as in every backward step.
         """
         out = self.mass @ field
         if np.any(q_slice):
@@ -191,16 +192,18 @@ def _check_ctrl(ctrl, stepper):
 def _forward(stepper, ctrl, start, source, pinned):
     """The implicit-Euler time loop on the stepper's solved nodes.
 
-    start is the nodal field at t_0, source an optional constant load on the
-    solved nodes, and pinned the value of the Dirichlet rows of every later
-    slice (the Robin variant solves those rows too).  Step k solves
-    A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + source.
+    start is the nodal field at t_0 or None for a zero one, source an
+    optional constant load on the solved nodes, and pinned the value of the
+    Dirichlet rows of every later slice (the Robin variant solves those rows
+    too).  Step k solves A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + source.
     """
     ops, grid = stepper.ops, stepper.grid
     S = stepper.nodes
     tau = grid.tau
-    u = np.empty((grid.n_steps + 1, ops.n_nodes))
-    u[0] = start
+    # a zero start slice is never written: a fresh array keeps its pages unmapped
+    u = np.zeros((grid.n_steps + 1, ops.n_nodes))
+    if start is not None:
+        u[0] = start
     u[1:, ops.dirichlet_nodes] = pinned
     field = np.empty(ops.n_nodes)
     for k in range(grid.n_steps):
@@ -227,4 +230,4 @@ def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
     variant keeps the Dirichlet rows at zero.
     """
     _check_ctrl(ctrl, stepper)
-    return _forward(stepper, ctrl, np.zeros(stepper.ops.n_nodes), None, 0.0)
+    return _forward(stepper, ctrl, None, None, 0.0)

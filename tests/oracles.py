@@ -298,6 +298,24 @@ def two_product_adjoint(data, u, ops, variant):
     return p
 
 
+def explicit_backward(stepper, residual):
+    """The backward sweep as its own explicit loop over the time steps.
+
+    Step k solves A_SS x = M_S (p_{k+1} / tau + residual[k]): the loop the
+    package ran before the adjoint became the forward loop on the reversed
+    residual, kept as its bit-for-bit reference.
+    """
+    ops, grid = stepper.ops, stepper.grid
+    S = stepper.nodes
+    p = np.zeros((grid.n_steps + 1, ops.n_nodes))
+    field = np.empty(ops.n_nodes)
+    for k in range(grid.n_steps - 1, -1, -1):
+        np.divide(p[k + 1], grid.tau, out=field)
+        field += residual[k]
+        p[k][S] = stepper.factor.solve(stepper.mass @ field)
+    return p
+
+
 def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
     """The distributed-only optimum by conjugate gradients on g alone.
 

@@ -5,10 +5,11 @@ import pytest
 
 from heatctrl import (ControlPair, Stepper, h_inner, q_inner, solve_adjoint,
                       solve_state)
+from heatctrl.adjoint import solve_adjoint_homogeneous
 from heatctrl.state import solve_state_homogeneous
 
-from oracles import (ALPHA, SpaceTimeSystem, make_instance, random_control,
-                     two_product_adjoint)
+from oracles import (ALPHA, SpaceTimeSystem, explicit_backward, make_instance,
+                     random_control, two_product_adjoint)
 
 
 def test_state_equal_to_target_gives_zero_adjoint():
@@ -103,6 +104,24 @@ def test_sweep_matches_the_two_product_loop(variant):
     assert np.max(np.abs(p - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_sweep_is_bit_for_bit_the_explicit_backward_loop(variant):
+    ops, data = make_instance(nx=4, ny=3, n_steps=6, seed=65)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    rng = np.random.default_rng(66)
+    u = rng.standard_normal((data.grid.n_steps + 1, ops.n_nodes))
+    # the last two residual slices are exactly zero, so the first two
+    # backward steps take the zero-rhs shortcut of the factor's solve
+    u[-2:] = data.z_d[-2:]
+    residual = u[1:] - data.z_d
+    assert np.any(residual[:, ops.dirichlet_nodes])
+    assert not np.any(residual[-2:])
+    reference = explicit_backward(stepper, residual)
+    assert solve_adjoint(data, u, stepper).tobytes() == reference.tobytes()
+    assert solve_adjoint_homogeneous(u, stepper).tobytes() \
+        == explicit_backward(stepper, u[1:]).tobytes()
+
+
 def test_residual_to_adjoint_map_is_linear():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=11)
     stepper = Stepper(ops, data.grid, "P")
@@ -111,7 +130,6 @@ def test_residual_to_adjoint_map_is_linear():
     d1 = rng.standard_normal(shape)
     d2 = rng.standard_normal(shape)
     both = d1 + d2
-    from heatctrl.adjoint import solve_adjoint_homogeneous
     p1 = solve_adjoint_homogeneous(d1, stepper)
     p2 = solve_adjoint_homogeneous(d2, stepper)
     p12 = solve_adjoint_homogeneous(both, stepper)
@@ -123,3 +141,12 @@ def test_wrong_trajectory_length_rejected():
     short = np.zeros((2, ops.n_nodes))
     with pytest.raises(ValueError, match="shape"):
         solve_adjoint(data, short, Stepper(ops, data.grid, "P"))
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (4, 8)], ids=["one_slice_short", "wrong_node_count"])
+def test_state_of_the_wrong_shape_is_refused_by_name(shape):
+    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=13)
+    assert (data.grid.n_steps + 1, ops.n_nodes) == (4, 9)
+    with pytest.raises(ValueError, match=rf"^state trajectory has shape \({shape[0]}, "
+                                         rf"{shape[1]}\), expected \(4, 9\)$"):
+        solve_adjoint(data, np.zeros(shape), Stepper(ops, data.grid, "P"))

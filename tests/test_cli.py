@@ -163,6 +163,41 @@ def test_output_directory_is_taken_as_written(tmp_path, monkeypatch, name):
     assert (tmp_path / name / "constants.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "constants"])
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_empty_output_directory_is_refused(tmp_path, capsys, monkeypatch, command, form):
+    # an empty path would write the reports into the working directory
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path)
+    if form == "config":
+        path.write_text(path.read_text().replace(f"directory = {tmp_path / 'out'}",
+                                                 "directory ="))
+        assert main([command, "--config", str(path), "--quiet"]) == 1
+        err = f"configuration error: {path}: [output] directory must name a directory, got ''\n"
+    else:
+        assert main([command, "--config", str(path), "--quiet", "--out", ""]) == 1
+        err = "configuration error: --out must name a directory, got ''\n"
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_dot_output_directory_is_the_working_directory(tmp_path, monkeypatch, form):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, out="." if form == "config" else None)
+    flag = ["--out", "."] if form == "flag" else []
+    assert main(["constants", "--config", str(path), "--quiet", *flag]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["constants.json", "run.cfg"]
+
+
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    path = write_config(tmp_path)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert bom.read_text(encoding="utf-8").startswith("\ufeff")
+    assert load_config(bom) == load_config(path)
+
+
 def test_missing_csv_field_names_path(tmp_path, capsys):
     missing = tmp_path / "no_such_field.csv"
     path = write_config(tmp_path, z_d=f"csv:{missing}")
