@@ -26,7 +26,7 @@ from .state import (ControlPair, ProblemData, Stepper, solve_state,
 
 
 class SolverNotConverged(SolverError):
-    """An inner optimization of a sweep stopped short of its tolerance."""
+    """An inner CG solve of a sweep or of the checks stopped short of its tolerance."""
 
     def __init__(self, label, report):
         super().__init__(
@@ -136,10 +136,16 @@ def _operator_pass(data, ctrl, alpha, tol, max_iter):
     if tol is None:
         return u, p, None
     rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_pass=(u, p))
+    return u, p, _converged(rep, stepper)
+
+
+def _converged(rep, stepper, problem=""):
+    """rep, or SolverNotConverged naming the problem, the variant and its
+    alpha, such as "Palpha at alpha=10.0", when that CG solve stopped short."""
     if not rep.converged:
-        label = "P" if alpha is None else f"Palpha at alpha={alpha}"
-        raise SolverNotConverged(label, rep)
-    return u, p, rep
+        at = "" if stepper.alpha is None else f" at alpha={stepper.alpha}"
+        raise SolverNotConverged(f"{problem}{stepper.variant}{at}", rep)
+    return rep
 
 
 def _usable_cpus():
@@ -272,11 +278,13 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
     and for the Robin variant at alpha: the simultaneous optimum against
     the distributed-only optimum with its flux frozen (distance estimate and
     cost ordering), and the measured Lipschitz ratio of the fixed-point map
-    over n_pairs random control pairs, drawn from a generator seeded 20240
-    (the pinned group's draws first), against its computed bound.  With
-    fixed_point, the fixed-point run: its iterate for `variant` must match
-    the CG optimum, or its divergence must agree with a contraction constant
-    of at least one.
+    over n_pairs random control pairs, drawn from the group's own generator
+    seeded 20240 (so both variants see the same pairs), against its
+    computed bound.  Either CG solve of an estimate group that stops short
+    of tol raises SolverNotConverged.  With fixed_point, the fixed-point
+    run: its iterate for `variant` must match the CG optimum its estimate
+    group returned, or its divergence must agree with a contraction
+    constant of at least one.
     """
     if alpha is None or not 1.0 < alpha < math.inf:
         raise ValueError(f"the checks need a finite alpha > 1, got {alpha}")
@@ -355,12 +363,13 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         return adjoint + [worst("gradient_finite_difference", gradient_samples(rng), 1e-6),
                           worst("convexity_identity", convexity_samples(rng), 1e-10)]
 
-    def estimate_checks(name, constants, rng):
+    def estimate_checks(name, constants):
         """The records of one variant's estimates, its CG optimum and its C0."""
         s = steppers[name]
         suffix = "" if name == "P" else "_alpha"
-        full = solve_cg(data, s, tol, max_iter=max_iter)
+        full = _converged(solve_cg(data, s, tol, max_iter=max_iter), s)
         dist = solve_distributed_only(data, full.control.q, s, tol, max_iter=max_iter)
+        _converged(dist, s, "distributed-only ")
 
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
@@ -384,7 +393,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         c0 = finite(f"fixed_point_lipschitz{suffix}", "the contraction bound C0",
                     contraction_constant(constants, data.M1, data.M2, name, s.alpha))
         records.append(worst(f"fixed_point_lipschitz{suffix}",
-                             lipschitz_samples(rng, s), c0))
+                             lipschitz_samples(np.random.default_rng(20240), s), c0))
         return records, full, c0
 
     def fixed_point_check(optimum, c0):
@@ -398,8 +407,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
 
     checks = identity_checks()
     constants = compute_constants(ops)
-    rng = np.random.default_rng(20240)  # drawn by the P group, then by Palpha's
-    estimates = {name: estimate_checks(name, constants, rng) for name in steppers}
+    estimates = {name: estimate_checks(name, constants) for name in steppers}
     checks += [r for records, _, _ in estimates.values() for r in records]
     if fixed_point:
         _, optimum, c0 = estimates[variant]

@@ -228,6 +228,50 @@ def test_the_whole_check_suite_does_fixed_work(monkeypatch, fixed_point, counts)
     assert (calls["forward"], calls["backward"], calls["factor"]) == counts
 
 
+def test_both_lipschitz_checks_draw_the_same_control_pairs(monkeypatch):
+    # each estimate group seeds its own generator: the Robin group's pairs
+    # do not depend on the pinned group having drawn first
+    seen = {"P": [], "Palpha": []}
+    inner = heatctrl.analysis.apply_W
+
+    def recorded(data, ctrl, stepper):
+        seen[stepper.variant].append(ctrl.g.tobytes() + ctrl.q.tobytes())
+        return inner(data, ctrl, stepper)
+
+    monkeypatch.setattr(heatctrl.analysis, "apply_W", recorded)
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=3)
+    assert len(seen["P"]) == 2 * 3
+    assert seen["Palpha"] == seen["P"]
+
+
+@pytest.mark.parametrize("solver, variant, label", [
+    ("solve_cg", "P", "P"),
+    ("solve_cg", "Palpha", f"Palpha at alpha={ALPHA}"),
+    ("solve_distributed_only", "P", "distributed-only P"),
+    ("solve_distributed_only", "Palpha", f"distributed-only Palpha at alpha={ALPHA}"),
+])
+def test_an_estimate_solve_that_stops_short_is_refused(monkeypatch, solver, variant,
+                                                       label):
+    # the estimates hold only at an optimum: one CG iteration is not one
+    inner = getattr(heatctrl.analysis, solver)
+
+    def capped(*args, **kwargs):
+        stepper = next(a for a in args if isinstance(a, Stepper))
+        if stepper.variant == variant:
+            kwargs["max_iter"] = 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(heatctrl.analysis, solver, capped)
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    with pytest.raises(SolverNotConverged) as err:
+        check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=1)
+    assert err.value.label == label
+    assert err.value.report.iterations == 1
+    assert str(err.value) == (f"inner solve for {label} stopped at grad_norm="
+                              f"{err.value.report.grad_norm:.3e} after 1 iterations")
+
+
 def test_section5_trivial_instance_has_zero_sides():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=46, zero_data=True)
     checks = check_suite(data, ALPHA, "P", tol=1e-11, n_pairs=5)
@@ -292,6 +336,14 @@ def sweep_instance():
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_call(monkeypatch, count, usable):
+    # where os.sched_getaffinity is missing, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert heatctrl.analysis._usable_cpus() == usable
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 3, 4])

@@ -478,6 +478,18 @@ def test_sweep_costs_two_sweeps_per_cg_iteration_plus_four(tmp_path, monkeypatch
     assert counts == {"forward": total, "backward": total}
 
 
+def test_module_entry_point_runs_the_command_line(tmp_path):
+    path = write_config(tmp_path)
+    src = str(Path(heatctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatctrl.cli", "constants", "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == (tmp_path / "out" / "constants.json").read_text()
+
+
 SWEEP_SCRIPT = """
 import sys
 import heatctrl.analysis
@@ -551,6 +563,23 @@ def test_sweep_obeys_the_iteration_cap(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("solver failure: inner solve for P stopped")
     assert "after 1 iterations" in captured.err
+
+
+def test_check_refuses_a_cg_solve_that_stopped_short(tmp_path, capsys):
+    # the Section-5 estimates hold at the optimum, not at one CG iteration
+    path = tmp_path / "run.cfg"
+    path.write_text(CRITERION_9_CONFIG.format(out=tmp_path / "out")
+                    .replace("optimizer = cg", "optimizer = both"))
+    assert main(["sweep", "--config", str(path), "--quiet"]) == 2
+    sweep = capsys.readouterr()
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == sweep.err
+    assert captured.err.startswith("solver failure: inner solve for P stopped at ")
+    assert captured.err.endswith(" after 1 iterations\n")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_failing_alpha_in_a_worker_fails_the_sweep_as_in_process(tmp_path, capsys,

@@ -5,6 +5,8 @@ import scipy.sparse as sp
 from heatctrl import (EigenError, SpdFactor, Stepper, TimeGrid, assemble,
                       build_rect_mesh, gen_eig_extreme)
 
+from heatctrl.linalg import SolverError
+
 from oracles import dense_assemble
 
 
@@ -89,6 +91,21 @@ def test_eig_cap_raises_with_rayleigh():
         gen_eig_extreme(A, B, "largest", tol=1e-14, max_iter=3)
     assert err.value.rayleigh is not None
     assert err.value.residual is not None
+
+
+def test_eig_of_a_zero_matrix_collapses_at_the_first_step():
+    # B^-1 A x is the zero vector, which power iteration cannot normalize
+    A = sp.csr_matrix((2, 2))
+    with pytest.raises(EigenError) as err:
+        gen_eig_extreme(A, sp.identity(2, format="csr"), "largest")
+    assert str(err.value) == "iteration collapsed to the zero vector"
+    assert err.value.rayleigh == 0.0
+
+
+def test_singular_matrix_is_a_factorization_failure():
+    with pytest.raises(SolverError) as err:
+        SpdFactor(sp.csr_matrix((2, 2)))
+    assert str(err.value) == "factorization failed: Factor is exactly singular"
 
 
 def test_rayleigh_quotients_bracketed_by_extremes():
