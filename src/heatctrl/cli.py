@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 configuration error, 2 solver or check failure.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -287,10 +286,6 @@ def build_problem(config: RunConfig):
 
 # -- report writers --------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _leaves(value, where=""):
     """(place, value) of every leaf of a payload, in its JSON's sorted-key order."""
     if isinstance(value, dict):
@@ -321,10 +316,9 @@ def write_json(path, text):
 
 def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            writer.writerow([c if isinstance(c, (int, str)) else _fmt(c) for c in row])
+            fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\r\n")
 
 
 def write_csv_series(path, values, step0=0, node_ids=None):

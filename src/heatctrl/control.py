@@ -224,17 +224,33 @@ def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
     )
 
 
-def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
-    """Conjugate gradients in the weighted control space from x.
+def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_pass=None):
+    """Conjugate gradients on the reduced quadratic, from g = 0 and q = 0 or q_fixed.
 
-    r is the negative gradient at x.  Stops once the residual norm is at
-    most threshold or after max_iter iterations, appends (iteration,
-    residual norm) to history and returns the iterate and the iteration
-    count.  x, r and the search direction are updated in place, and so is
-    each product apply_H returns, which must be a new pair.
+    A given q_fixed holds q there: the q parts of the gradient and of every
+    Hessian product are zeroed, and the gradient norms cover g only.  Stops
+    once that norm drops below tol * (1 + its value at the start).
+    start_pass, when given, is the state and adjoint (u, p) at the start
+    control, which then costs no sweeps.  The iterate x, the residual r,
+    the direction d and each Hessian product z are updated in place.
     """
-    rr = hq_inner(r, r, ops, grid)
-    d = None
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    ops, grid = data.ops, data.grid
+    hold_q = q_fixed is not None
+
+    def start():
+        # made afresh for each use, so no zero field stays alive through CG
+        zero = ControlPair.zeros_like(ops, grid)
+        return ControlPair(zero.g, q_fixed) if hold_q else zero
+
+    p = start_pass[1] if start_pass else _pair(data, start(), stepper)[1]
+    r = -1.0 * _held(_gradient(data, start(), p), hold_q)
+    del p  # so the start adjoint does not stay alive through CG either
+    grad_norm0 = hq_norm(r, ops, grid)
+    threshold = tol * (1.0 + grad_norm0)
+    history = [(0, grad_norm0)]
+    x, rr, d, z = start(), hq_inner(r, r, ops, grid), None, None
     iterations = 0
     while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
         if d is None:
@@ -244,7 +260,7 @@ def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
             for d_part, r_part in ((d.g, r.g), (d.q, r.q)):
                 d_part *= beta
                 d_part += r_part  # d = r + beta d
-        z = apply_H(d)
+        z = _held(_hessian_apply(d, data, stepper), hold_q)
         dz = hq_inner(d, z, ops, grid)
         if not dz > 0:
             raise SolverError(
@@ -261,36 +277,7 @@ def _cg(x, r, apply_H, ops, grid, threshold, max_iter, history):
         rr, rr_old = hq_inner(r, r, ops, grid), rr
         iterations += 1
         history.append((iterations, math.sqrt(max(rr, 0.0))))
-    return x, iterations
-
-
-def _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q, start_pass=None):
-    """Conjugate gradients on the reduced quadratic from the control (0, q_start).
-
-    With hold_q the q parts of the gradient and of every Hessian product
-    are zeroed, so q stays at q_start and the gradient norms cover g only.
-    Stops once that norm drops below tol * (1 + its value at the start).
-    start_pass, when given, is the state and adjoint (u, p) at the start
-    control, which then costs no sweeps.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    ops, grid = data.ops, data.grid
-
-    def start():
-        # made afresh for each use, so no zero field stays alive through CG
-        return ControlPair(np.zeros((grid.n_steps, ops.n_nodes)), q_start)
-
-    p = start_pass[1] if start_pass else _pair(data, start(), stepper)[1]
-    r = -1.0 * _held(_gradient(data, start(), p), hold_q)
-    del p  # so the start adjoint does not stay alive through CG either
-    grad_norm0 = hq_norm(r, ops, grid)
-    threshold = tol * (1.0 + grad_norm0)
-    history = [(0, grad_norm0)]
-    x, iterations = _cg(
-        start(), r,
-        lambda d: _held(_hessian_apply(d, data, stepper), hold_q),
-        ops, grid, threshold, max_iter, history)
+    del r, d, z  # nor do the work arrays through the final pass
     # an overflowed start gradient makes the threshold inf: nothing converges
     return _finalize(data, x, _pair(data, x, stepper), "cg", tol, grad_norm0,
                      iterations, history, lambda gn: gn <= threshold < math.inf, hold_q)
@@ -306,9 +293,7 @@ def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
     and adjoint (u, p) at zero controls (the alpha sweeps); the start then
     costs no sweeps.
     """
-    q_start = np.zeros((data.grid.n_steps, len(data.ops.gamma2_nodes)))
-    return _reduced_cg(data, stepper, tol, max_iter, q_start, hold_q=False,
-                       start_pass=_start_pass)
+    return _reduced_cg(data, stepper, tol, max_iter, start_pass=_start_pass)
 
 
 def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
@@ -375,4 +360,4 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, stepper: Step
         )
     if not np.all(np.isfinite(q_fixed)):
         raise ValueError("q_fixed must be finite")
-    return _reduced_cg(data, stepper, tol, max_iter, q_fixed, hold_q=True)
+    return _reduced_cg(data, stepper, tol, max_iter, q_fixed)

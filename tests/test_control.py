@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from heatctrl import (ControlPair, Stepper, apply_W, assemble,
                       solve_distributed_only, solve_fixed_point, solve_state)
 
 import heatctrl.adjoint
+import heatctrl.control
 import heatctrl.state
-from heatctrl.control import _cg, _series_inner
+from heatctrl.control import _series_inner
 from heatctrl.linalg import SolverError
 
 from oracles import (ALPHA, SpaceTimeSystem, apply_C, distributed_only_on_g,
@@ -308,15 +310,35 @@ def test_cg_does_not_depend_on_the_blas_thread_count():
     assert results[0] == results[1]
 
 
-def test_cg_refuses_non_finite_curvature():
+def test_cg_refuses_non_finite_curvature(monkeypatch):
     ops, data = make_instance(seed=37)
-    zero = ControlPair.zeros_like(ops, data.grid)
-    ones = ControlPair(np.ones_like(zero.g), np.ones_like(zero.q))
-    nan = ControlPair(np.full_like(zero.g, np.nan), np.full_like(zero.q, np.nan))
-    history = []
-    with pytest.raises(SolverError, match="curvature"):
-        _cg(zero, ones, lambda d: nan, ops, data.grid, 1e-10, 10, history)
-    assert history == []
+    monkeypatch.setattr(heatctrl.control, "_hessian_apply", lambda d, data, stepper:
+                        ControlPair(np.full_like(d.g, np.nan), np.full_like(d.q, np.nan)))
+    with pytest.raises(SolverError, match="curvature") as err:
+        solve_cg(data, Stepper(ops, data.grid, "P", ALPHA), 1e-10)
+    assert math.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("solve", ["simultaneous", "distributed_only"])
+def test_cg_keeps_no_dead_work_array(solve):
+    # the CG work arrays die before the final state/adjoint pass; kept
+    # alive, they lift the peak to about 8.35 trajectory arrays
+    ops, data = make_instance(nx=32, ny=32, n_steps=32, seed=5, M1=1e-2, M2=1e-2)
+    stepper = Stepper(ops, data.grid, "P", ALPHA)
+    q_zero = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
+    tracemalloc.start()  # traces only what the solve allocates
+    try:
+        if solve == "simultaneous":
+            rep = solve_cg(data, stepper, 1e-10)
+        else:
+            rep = solve_distributed_only(data, q_zero, stepper, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations == {"simultaneous": 21,
+                                                "distributed_only": 11}[solve]
+    trajectory_bytes = (data.grid.n_steps + 1) * ops.n_nodes * 8
+    assert peak / trajectory_bytes <= 8.0
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
