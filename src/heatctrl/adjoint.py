@@ -26,15 +26,17 @@ def _check_state(data, u):
         raise ValueError(f"state trajectory has shape {u.shape}, expected {expected}")
 
 
-def _backward(stepper, residual):
+def _backward(stepper, residual, out=None):
     """The backward time loop, as the forward loop on the reversed residual.
 
     residual[k] is the nodal residual of step k+1; step k solves
     A_SS x = M_S (p_{k+1} / tau + residual[k]).  The adjoint is the reversed
-    trajectory, a view; rows off the solved nodes and the last slice are zero.
+    trajectory, a view of out or of a fresh array; rows off the solved nodes
+    and the last slice are zero.
     """
     no_flux = np.broadcast_to(0.0, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
-    return _forward(stepper, ControlPair(residual[::-1], no_flux), None, None, 0.0)[::-1]
+    return _forward(stepper, ControlPair(residual[::-1], no_flux), None, None, 0.0,
+                    out)[::-1]
 
 
 def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndarray:
@@ -47,7 +49,8 @@ def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndar
 def solve_adjoint_homogeneous(du: np.ndarray, stepper: Stepper) -> np.ndarray:
     """Adjoint driven by the residual of a trajectory difference (z_d = 0).
 
-    Used by the reduced optimizers: the Hessian action on a control
-    direction is assembled from this sweep applied to the homogeneous state.
+    The Hessian action on a control direction is assembled from this sweep
+    applied to the homogeneous state; the reduced optimizers run the same
+    sweep into a buffer of their own.
     """
     return _backward(stepper, du[1:])

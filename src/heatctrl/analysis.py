@@ -92,7 +92,8 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
         raise ValueError("an optimal-control sweep (tol given) starts each CG solve "
                          "from its pass at ctrl, so ctrl must be zero controls")
     ops, grid = data.ops, data.grid
-    u_ref, p_ref, ref = _operator_pass(data, ctrl, None, tol, max_iter)
+    (u_ref, p_ref), ref = _operator_pass(data, ctrl, None, tol, max_iter,
+                                         lambda u, p: (u, p))
 
     def record(alpha, u, p, u0, p0):
         # the entries both kinds of record share: u, p at alpha against u0, p0
@@ -104,8 +105,8 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
         }
 
     def records(alpha):
-        u, p, rep = _operator_pass(data, ctrl, alpha, tol, max_iter)
-        fixed = record(alpha, u, p, u_ref, p_ref)
+        fixed, rep = _operator_pass(data, ctrl, alpha, tol, max_iter,
+                                    lambda u, p: record(alpha, u, p, u_ref, p_ref))
         if rep is None:
             return fixed, None
         optimal = record(alpha, rep.state, rep.adjoint, ref.state, ref.adjoint)
@@ -128,15 +129,18 @@ def alpha_sweep(data: ProblemData, alphas, ctrl: ControlPair, tol=None,
                           "reference": reference}
 
 
-def _operator_pass(data, ctrl, alpha, tol, max_iter):
-    """(u, p) at ctrl and, given tol, the CG optimum, for the pinned operator
-    (alpha None) or the Robin one at alpha; the factorization dies with the call."""
+def _operator_pass(data, ctrl, alpha, tol, max_iter, fixed_record):
+    """fixed_record(u, p) of the state and adjoint at ctrl and, given tol, the
+    CG optimum, for the pinned operator (alpha None) or the Robin one at
+    alpha; the factorization dies with the call."""
     stepper = Stepper(data.ops, data.grid, "P" if alpha is None else "Palpha", alpha)
     u, p = _pair(data, ctrl, stepper)
+    fixed = fixed_record(u, p)
+    del u  # only the adjoint starts CG
     if tol is None:
-        return u, p, None
-    rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_pass=(u, p))
-    return u, p, _converged(rep, stepper)
+        return fixed, None
+    rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_adjoint=p)
+    return fixed, _converged(rep, stepper)
 
 
 def _converged(rep, stepper, problem=""):
@@ -363,10 +367,9 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         return adjoint + [worst("gradient_finite_difference", gradient_samples(rng), 1e-6),
                           worst("convexity_identity", convexity_samples(rng), 1e-10)]
 
-    def estimate_checks(name, constants):
-        """The records of one variant's estimates, its CG optimum and its C0."""
-        s = steppers[name]
-        suffix = "" if name == "P" else "_alpha"
+    def distance_checks(s, suffix, constants):
+        """The distance estimate and cost ordering of one variant, and its CG
+        optimum's control; the rest of both solves dies with the call."""
         full = _converged(solve_cg(data, s, tol, max_iter=max_iter), s)
         dist = solve_distributed_only(data, full.control.q, s, tol, max_iter=max_iter)
         _converged(dist, s, "distributed-only ")
@@ -375,7 +378,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
         du = full.state[1:] - dist.state[1:]
         # 0.0 once the product underflows
-        weight = _coercivity(constants, name, s.alpha) * data.M1
+        weight = _coercivity(constants, s.variant, s.alpha) * data.M1
         rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / weight if weight \
             else math.inf
         # With the flux frozen at the simultaneous optimum the two optima
@@ -383,23 +386,29 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         # residuals over the penalty weights certify that noise level.
         noise = full.grad_norm / min(data.M1, data.M2) + dist.grad_norm / data.M1
         threshold = rhs * (1.0 + 1e-9) + noise + 1e-14
-        records = [
+        return [
             record(f"distributed_distance_estimate{suffix}", lhs, threshold,
                    lhs <= threshold),
             # the simultaneous optimum cannot exceed the frozen-flux optimum
             record(f"cost_ordering{suffix}", full.cost, dist.cost,
-                   full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)]
+                   full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)], full.control
+
+    def estimate_checks(name, constants):
+        """The records of one variant's estimates, its CG optimum's control and its C0."""
+        s = steppers[name]
+        suffix = "" if name == "P" else "_alpha"
+        records, optimum = distance_checks(s, suffix, constants)
         # checked before the samples, whose squared norms overflow with it
         c0 = finite(f"fixed_point_lipschitz{suffix}", "the contraction bound C0",
                     contraction_constant(constants, data.M1, data.M2, name, s.alpha))
         records.append(worst(f"fixed_point_lipschitz{suffix}",
                              lipschitz_samples(np.random.default_rng(20240), s), c0))
-        return records, full, c0
+        return records, optimum, c0
 
     def fixed_point_check(optimum, c0):
         fp = solve_fixed_point(data, stepper, tol, max_iter=max_iter)
         if fp.converged:
-            gap = hq_norm(fp.control - optimum.control, ops, grid)
+            gap = hq_norm(fp.control - optimum, ops, grid)
             return [record("fixed_point_vs_cg", gap, 10.0 * tol, gap <= 10.0 * tol)]
         # divergence is the documented outcome when the bound is not a
         # contraction, so it only fails this check when C0 < 1
@@ -407,9 +416,13 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
 
     checks = identity_checks()
     constants = compute_constants(ops)
-    estimates = {name: estimate_checks(name, constants) for name in steppers}
-    checks += [r for records, _, _ in estimates.values() for r in records]
+    kept = None  # the optimum and C0 of variant, which the fixed-point check reads
+    for name in steppers:
+        records, optimum, c0 = estimate_checks(name, constants)
+        checks += records
+        if fixed_point and name == variant:
+            kept = optimum, c0
+        del optimum
     if fixed_point:
-        _, optimum, c0 = estimates[variant]
-        checks += fixed_point_check(optimum, c0)
+        checks += fixed_point_check(*kept)
     return checks

@@ -276,7 +276,8 @@ def build_problem(config: RunConfig):
     b = _field_values(config.b_spec, mesh.nodes[ops.dirichlet_nodes], "[problem] b")
     v_b = _field_values(config.v_b_spec, mesh.nodes, "[problem] v_b")
     z_node = _field_values(config.z_d_spec, mesh.nodes, "[problem] z_d")
-    z_d = np.tile(z_node, (grid.n_steps, 1))
+    # the target is constant in time: one field seen by every step, read-only
+    z_d = np.broadcast_to(z_node, (grid.n_steps, len(z_node)))
     try:
         return ProblemData(ops=ops, b=b, v_b=v_b, z_d=z_d, M1=config.M1,
                            M2=config.M2, grid=grid)

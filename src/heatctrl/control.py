@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import solve_adjoint, solve_adjoint_homogeneous
+from . import adjoint, state
+from .adjoint import solve_adjoint
 from .assembly import DiscreteOperators
 from .linalg import SolverError
-from .state import (ControlPair, ProblemData, Stepper, solve_state,
-                    solve_state_homogeneous)
+from .state import ControlPair, ProblemData, Stepper, solve_state
 
 CG_MAX_ITER = 500
 
@@ -112,13 +112,13 @@ def _cost(data, ctrl, u) -> float:
     return track + pen_g + pen_q
 
 
-def _gradient(data, ctrl, p) -> ControlPair:
-    """The gradient formula for the adjoint p at ctrl."""
+def _gradient(data, ctrl, p, out=None) -> ControlPair:
+    """The gradient formula for the adjoint p at ctrl; out, when given,
+    receives its g part."""
     p_steps = p[:-1]
-    return ControlPair(
-        data.M1 * ctrl.g + p_steps,
-        data.M2 * ctrl.q - data.ops.trace2(p_steps),
-    )
+    g = np.multiply(data.M1, ctrl.g, out=out)
+    g += p_steps
+    return ControlPair(g, data.M2 * ctrl.q - data.ops.trace2(p_steps))
 
 
 def _W(data, p) -> ControlPair:
@@ -197,10 +197,17 @@ def _held(c: ControlPair, hold_q) -> ControlPair:
     return ControlPair(c.g, np.zeros_like(c.q)) if hold_q else c
 
 
-def _hessian_apply(d: ControlPair, data, stepper) -> ControlPair:
-    """Action of the reduced Hessian: the gradient formula at the linear part C(d)."""
-    du = solve_state_homogeneous(d, stepper)
-    return _gradient(data, d, solve_adjoint_homogeneous(du, stepper))
+def _hessian_apply(d: ControlPair, data, stepper, work) -> ControlPair:
+    """Action of the reduced Hessian: the gradient formula at the linear part C(d).
+
+    work is two trajectory buffers.  The forward sweep fills the first and
+    the backward sweep the second; the product's g part then overwrites the
+    first, which the backward sweep has read, so no sweep or formula
+    allocates a trajectory.
+    """
+    du, p = work
+    state._forward(stepper, d, None, None, 0.0, du)
+    return _gradient(data, d, adjoint._backward(stepper, du[1:], p), out=du[1:])
 
 
 def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
@@ -224,15 +231,17 @@ def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
     )
 
 
-def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_pass=None):
+def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
     """Conjugate gradients on the reduced quadratic, from g = 0 and q = 0 or q_fixed.
 
     A given q_fixed holds q there: the q parts of the gradient and of every
     Hessian product are zeroed, and the gradient norms cover g only.  Stops
     once that norm drops below tol * (1 + its value at the start).
-    start_pass, when given, is the state and adjoint (u, p) at the start
-    control, which then costs no sweeps.  The iterate x, the residual r,
-    the direction d and each Hessian product z are updated in place.
+    start_adjoint, when given, is the adjoint p at the start control, which
+    then costs no sweeps.  The iterate x, the residual r, the direction d
+    and two trajectory buffers are allocated once: each Hessian product z
+    is built in the buffers, and x, r and d are updated in place, so no
+    iteration allocates a trajectory-sized array.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -244,13 +253,15 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_pass=None):
         zero = ControlPair.zeros_like(ops, grid)
         return ControlPair(zero.g, q_fixed) if hold_q else zero
 
-    p = start_pass[1] if start_pass else _pair(data, start(), stepper)[1]
+    p = _pair(data, start(), stepper)[1] if start_adjoint is None else start_adjoint
     r = -1.0 * _held(_gradient(data, start(), p), hold_q)
     del p  # so the start adjoint does not stay alive through CG either
     grad_norm0 = hq_norm(r, ops, grid)
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
     x, rr, d, z = start(), hq_inner(r, r, ops, grid), None, None
+    work = (np.empty((grid.n_steps + 1, ops.n_nodes)),
+            np.empty((grid.n_steps + 1, ops.n_nodes)))
     iterations = 0
     while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
         if d is None:
@@ -260,7 +271,7 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_pass=None):
             for d_part, r_part in ((d.g, r.g), (d.q, r.q)):
                 d_part *= beta
                 d_part += r_part  # d = r + beta d
-        z = _held(_hessian_apply(d, data, stepper), hold_q)
+        z = _held(_hessian_apply(d, data, stepper, work), hold_q)
         dz = hq_inner(d, z, ops, grid)
         if not dz > 0:
             raise SolverError(
@@ -277,23 +288,23 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_pass=None):
         rr, rr_old = hq_inner(r, r, ops, grid), rr
         iterations += 1
         history.append((iterations, math.sqrt(max(rr, 0.0))))
-    del r, d, z  # nor do the work arrays through the final pass
+    del r, d, z, work  # nor does the workspace through the final pass
     # an overflowed start gradient makes the threshold inf: nothing converges
     return _finalize(data, x, _pair(data, x, stepper), "cg", tol, grad_norm0,
                      iterations, history, lambda gn: gn <= threshold < math.inf, hold_q)
 
 
 def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
-             _start_pass=None) -> OptimalityReport:
+             _start_adjoint=None) -> OptimalityReport:
     """Conjugate gradients on the reduced quadratic, from zero controls.
 
     Stops once the gradient norm drops below tol * (1 + gradient norm at
     zero); each iteration costs one forward and one backward sweep.
-    _start_pass is for callers in this package that already hold the state
-    and adjoint (u, p) at zero controls (the alpha sweeps); the start then
-    costs no sweeps.
+    _start_adjoint is for callers in this package that already hold the
+    adjoint p at zero controls (the alpha sweeps); the start then costs no
+    sweeps.
     """
-    return _reduced_cg(data, stepper, tol, max_iter, start_pass=_start_pass)
+    return _reduced_cg(data, stepper, tol, max_iter, start_adjoint=_start_adjoint)
 
 
 def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,

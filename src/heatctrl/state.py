@@ -189,19 +189,25 @@ def _check_ctrl(ctrl, stepper):
         )
 
 
-def _forward(stepper, ctrl, start, source, pinned):
+def _forward(stepper, ctrl, start, source, pinned, out=None):
     """The implicit-Euler time loop on the stepper's solved nodes.
 
     start is the nodal field at t_0 or None for a zero one, source an
     optional constant load on the solved nodes, and pinned the value of the
     Dirichlet rows of every later slice (the Robin variant solves those rows
     too).  Step k solves A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + source.
+    The trajectory is written into out, an (n_steps + 1, n_nodes) buffer
+    whose every entry it sets, or into a fresh array.
     """
     ops, grid = stepper.ops, stepper.grid
     S = stepper.nodes
     tau = grid.tau
-    # a zero start slice is never written: a fresh array keeps its pages unmapped
-    u = np.zeros((grid.n_steps + 1, ops.n_nodes))
+    if out is None:
+        # a zero start slice is never written: a fresh array keeps its pages unmapped
+        u = np.zeros((grid.n_steps + 1, ops.n_nodes))
+    else:
+        u = out
+        u[0] = 0.0
     if start is not None:
         u[0] = start
     u[1:, ops.dirichlet_nodes] = pinned

@@ -227,6 +227,16 @@ def test_csv_field_round_trip(tmp_path):
     assert main(["solve", "--config", str(path), "--quiet"]) == 0
 
 
+def test_target_is_one_read_only_field_seen_by_every_step(tmp_path):
+    path = write_config(tmp_path, z_d="bump:0.7,0.5,0.15,1.0")
+    data = cli.build_problem(load_config(path))
+    z_d = data.z_d
+    assert z_d.shape == (data.grid.n_steps, data.ops.n_nodes)
+    assert z_d.strides[0] == 0 and not z_d.flags.writeable
+    # one field of the bump itself: every step is a view of the same memory
+    assert np.shares_memory(z_d[0], z_d[-1]) and np.any(z_d[0])
+
+
 def test_solve_zero_instance_exits_zero(tmp_path, capsys):
     path = write_config(tmp_path, z_d="zero")
     code = main(["solve", "--config", str(path)])

@@ -312,7 +312,7 @@ def test_cg_does_not_depend_on_the_blas_thread_count():
 
 def test_cg_refuses_non_finite_curvature(monkeypatch):
     ops, data = make_instance(seed=37)
-    monkeypatch.setattr(heatctrl.control, "_hessian_apply", lambda d, data, stepper:
+    monkeypatch.setattr(heatctrl.control, "_hessian_apply", lambda d, data, stepper, work:
                         ControlPair(np.full_like(d.g, np.nan), np.full_like(d.q, np.nan)))
     with pytest.raises(SolverError, match="curvature") as err:
         solve_cg(data, Stepper(ops, data.grid, "P", ALPHA), 1e-10)
@@ -321,8 +321,10 @@ def test_cg_refuses_non_finite_curvature(monkeypatch):
 
 @pytest.mark.parametrize("solve", ["simultaneous", "distributed_only"])
 def test_cg_keeps_no_dead_work_array(solve):
-    # the CG work arrays die before the final state/adjoint pass; kept
-    # alive, they lift the peak to about 8.35 trajectory arrays
+    # CG holds its iterate, residual, direction and two sweep buffers, and
+    # they die before the final state/adjoint pass: a product that allocates
+    # its sweeps, or a workspace kept through that pass, lifts the peak
+    # above 5.75 trajectory arrays
     ops, data = make_instance(nx=32, ny=32, n_steps=32, seed=5, M1=1e-2, M2=1e-2)
     stepper = Stepper(ops, data.grid, "P", ALPHA)
     q_zero = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
@@ -338,7 +340,7 @@ def test_cg_keeps_no_dead_work_array(solve):
     assert rep.converged and rep.iterations == {"simultaneous": 21,
                                                 "distributed_only": 11}[solve]
     trajectory_bytes = (data.grid.n_steps + 1) * ops.n_nodes * 8
-    assert peak / trajectory_bytes <= 8.0
+    assert peak / trajectory_bytes <= 5.75
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
