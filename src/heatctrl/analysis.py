@@ -367,9 +367,10 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         return adjoint + [worst("gradient_finite_difference", gradient_samples(rng), 1e-6),
                           worst("convexity_identity", convexity_samples(rng), 1e-10)]
 
-    def distance_checks(s, suffix, constants):
-        """The distance estimate and cost ordering of one variant, and its CG
-        optimum's control; the rest of both solves dies with the call."""
+    def estimate_checks(name, constants):
+        """The records of one variant's estimates, its CG optimum's control and its C0."""
+        s = steppers[name]
+        suffix = "" if name == "P" else "_alpha"
         full = _converged(solve_cg(data, s, tol, max_iter=max_iter), s)
         dist = solve_distributed_only(data, full.control.q, s, tol, max_iter=max_iter)
         _converged(dist, s, "distributed-only ")
@@ -378,7 +379,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
         du = full.state[1:] - dist.state[1:]
         # 0.0 once the product underflows
-        weight = _coercivity(constants, s.variant, s.alpha) * data.M1
+        weight = _coercivity(constants, name, s.alpha) * data.M1
         rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / weight if weight \
             else math.inf
         # With the flux frozen at the simultaneous optimum the two optima
@@ -386,18 +387,14 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         # residuals over the penalty weights certify that noise level.
         noise = full.grad_norm / min(data.M1, data.M2) + dist.grad_norm / data.M1
         threshold = rhs * (1.0 + 1e-9) + noise + 1e-14
-        return [
+        records = [
             record(f"distributed_distance_estimate{suffix}", lhs, threshold,
                    lhs <= threshold),
             # the simultaneous optimum cannot exceed the frozen-flux optimum
             record(f"cost_ordering{suffix}", full.cost, dist.cost,
-                   full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)], full.control
-
-    def estimate_checks(name, constants):
-        """The records of one variant's estimates, its CG optimum's control and its C0."""
-        s = steppers[name]
-        suffix = "" if name == "P" else "_alpha"
-        records, optimum = distance_checks(s, suffix, constants)
+                   full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14)]
+        optimum = full.control
+        del full, dist, dg, du  # the samples need neither solve's trajectories
         # checked before the samples, whose squared norms overflow with it
         c0 = finite(f"fixed_point_lipschitz{suffix}", "the contraction bound C0",
                     contraction_constant(constants, data.M1, data.M2, name, s.alpha))
@@ -416,13 +413,13 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
 
     checks = identity_checks()
     constants = compute_constants(ops)
-    kept = None  # the optimum and C0 of variant, which the fixed-point check reads
+    kept = None  # the fixed-point check reads the optimum and C0 of variant only
     for name in steppers:
-        records, optimum, c0 = estimate_checks(name, constants)
+        records, *estimate = estimate_checks(name, constants)
         checks += records
         if fixed_point and name == variant:
-            kept = optimum, c0
-        del optimum
+            kept = estimate
+        del estimate  # so no other optimum stays alive through the next group
     if fixed_point:
         checks += fixed_point_check(*kept)
     return checks
