@@ -378,10 +378,8 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, grid), 0.0))
         du = full.state[1:] - dist.state[1:]
-        # 0.0 once the product underflows
         weight = _coercivity(constants, name, s.alpha) * data.M1
-        rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / weight if weight \
-            else math.inf
+        rhs = math.sqrt(max(h_inner(du, du, ops, grid), 0.0)) / weight
         # With the flux frozen at the simultaneous optimum the two optima
         # coincide exactly, so both sides are solver noise; the gradient
         # residuals over the penalty weights certify that noise level.

@@ -364,8 +364,9 @@ def summarize_sweep(payload) -> str:
 
 # -- subcommands -----------------------------------------------------------------
 #
-# Each subcommand computes on the built problem and returns a Result; main
-# alone writes the reports, prints the summary and picks the exit code.
+# Each subcommand refuses the config keys only it reads, then builds its
+# problem, and returns a Result; main alone writes the reports, prints the
+# summary and picks the exit code.
 
 @dataclass
 class Result:
@@ -382,7 +383,8 @@ class Result:
     tables: dict = field(default_factory=dict)
 
 
-def run_solve(config: RunConfig, data: ProblemData) -> Result:
+def run_solve(config: RunConfig) -> Result:
+    data = build_problem(config)
     runs, tables = {}, {}
     # the constants before the stepper's factorization: the other order
     # raised the peak RSS of a 128x128 solve by about 1 MiB
@@ -408,11 +410,12 @@ def run_solve(config: RunConfig, data: ProblemData) -> Result:
                   all(r["converged"] for r in runs.values()), tables)
 
 
-def run_sweep(config: RunConfig, data: ProblemData) -> Result:
+def run_sweep(config: RunConfig) -> Result:
     try:
         alphas = check_alphas(config.alphas)
     except ValueError as exc:
         raise ConfigError(f"[problem] alphas: {exc}") from None
+    data = build_problem(config)
     zero = ControlPair.zeros_like(data.ops, data.grid)
     fixed, report = alpha_sweep(data, alphas, zero, tol=config.tol,
                                 max_iter=config.max_iter)
@@ -438,9 +441,10 @@ def run_sweep(config: RunConfig, data: ProblemData) -> Result:
                   all(flags.values()) and all(fixed_flags.values()), tables)
 
 
-def run_checks(config: RunConfig, data: ProblemData) -> Result:
+def run_checks(config: RunConfig) -> Result:
     if config.alpha is None or config.alpha <= 1.0:
         raise ConfigError("checks need problem.alpha > 1")
+    data = build_problem(config)
     checks = check_suite(data, config.alpha, config.variant, config.tol,
                          max_iter=config.max_iter,
                          fixed_point=config.optimizer in ("fixed_point", "both"))
@@ -451,9 +455,9 @@ def run_checks(config: RunConfig, data: ProblemData) -> Result:
                   all(c["passed"] for c in checks))
 
 
-def run_constants(config: RunConfig, data: ProblemData) -> Result:
+def run_constants(config: RunConfig) -> Result:
     payload = {"command": "constants",
-               "constants": compute_constants(data.ops)}
+               "constants": compute_constants(build_problem(config).ops)}
     return Result("constants.json", payload)
 
 
@@ -486,7 +490,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"output directory {out}: {blocked[0]} is not a directory")
         command = {"solve": run_solve, "sweep": run_sweep, "check": run_checks,
                    "constants": run_constants}[args.command]
-        result = command(config, build_problem(config))
+        result = command(config)
         # whatever the formats, a report that cannot be written fails the
         # run before any output exists
         report_text = _json_text(result.payload)

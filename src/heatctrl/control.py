@@ -255,7 +255,9 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
 
     p = _pair(data, start(), stepper)[1] if start_adjoint is None else start_adjoint
     r = -1.0 * _held(_gradient(data, start(), p), hold_q)
-    del p  # so the start adjoint does not stay alive through CG either
+    # a start adjoint solved here dies now; a given one stays alive through
+    # CG, held by this frame's start_adjoint and by the caller
+    del p
     grad_norm0 = hq_norm(r, ops, grid)
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]

@@ -26,6 +26,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got {self.T}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"final time must be finite, got {self.T}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one time step, got {self.n_steps}")
         # the step matrix M / tau + K needs a finite 1 / tau; a step can
@@ -118,40 +120,29 @@ def build_rect_mesh(nx: int, ny: int, gamma1_spec="left") -> Mesh:
     if len(g1_sides) == len(SIDES):
         raise ValueError("gamma1 cannot cover the whole boundary (gamma2 would be empty)")
 
-    # node j * (nx + 1) + i sits at (i / nx, j / ny)
+    # node ids[j, i] = j * (nx + 1) + i sits at (i / nx, j / ny)
     x, y = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
     nodes = np.column_stack([x.ravel(), y.ravel()])
+    ids = np.arange((ny + 1) * (nx + 1), dtype=np.intp).reshape(ny + 1, nx + 1)
 
     # a is the lower-left node of each cell; its two triangles share the
     # diagonal from a to the upper-right node a + nx + 2
-    a = (np.arange(ny, dtype=np.intp)[:, None] * (nx + 1)
-         + np.arange(nx, dtype=np.intp)).ravel()
+    a = ids[:ny, :nx].ravel()
     triangles = np.stack([a, a + 1, a + nx + 2, a, a + nx + 2, a + nx + 1],
                          axis=1).reshape(-1, 3)
 
-    def side_edges(side):
-        if side == "left":
-            ids = [j * (nx + 1) for j in range(ny + 1)]
-        elif side == "right":
-            ids = [j * (nx + 1) + nx for j in range(ny + 1)]
-        elif side == "bottom":
-            ids = list(range(nx + 1))
-        else:  # top
-            ids = [ny * (nx + 1) + i for i in range(nx + 1)]
-        return [(ids[k], ids[k + 1]) for k in range(len(ids) - 1)]
-
-    edges, tags = [], []
-    for side in SIDES:
-        tag = GAMMA1 if side in g1_sides else GAMMA2
-        for e in side_edges(side):
-            edges.append(e)
-            tags.append(tag)
+    # each side's edges pair every node of its border of the grid with the
+    # next one; the borders in SIDES order
+    borders = (ids[:, 0], ids[:, nx], ids[0], ids[ny])
+    edges = np.concatenate([np.column_stack([b[:-1], b[1:]]) for b in borders])
+    tags = np.repeat([GAMMA1 if s in g1_sides else GAMMA2 for s in SIDES],
+                     [len(b) - 1 for b in borders])
 
     return Mesh(
         nodes=nodes,
         triangles=triangles,
-        boundary_edges=np.asarray(edges, dtype=np.intp),
-        boundary_tags=np.asarray(tags),
+        boundary_edges=edges,
+        boundary_tags=tags,
         nx=nx,
         ny=ny,
     )

@@ -357,8 +357,17 @@ def test_raised_failure_leaves_no_output_directory(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """cli.build_rect_mesh made to fail, so a refusal must come before any mesh."""
+    def build(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli, "build_rect_mesh", build)
+
+
 @pytest.mark.parametrize("alpha", ["1.0", "0.5"])
-def test_check_refuses_alpha_at_most_one(tmp_path, capsys, alpha):
+def test_check_refuses_alpha_at_most_one(tmp_path, capsys, no_mesh, alpha):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("alpha = 10.0", f"alpha = {alpha}"))
     assert main(["check", "--config", str(path), "--quiet"]) == 1
@@ -377,7 +386,7 @@ def test_check_trivial_target_reports_zero_distance(tmp_path):
     assert est["measured"] <= 1e-11 and est["bound"] <= 1e-11 and est["passed"]
 
 
-def test_sweep_rejects_alpha_at_most_one(tmp_path, capsys):
+def test_sweep_rejects_alpha_at_most_one(tmp_path, capsys, no_mesh):
     path = write_config(tmp_path)
     base = path.read_text()
     for alphas, message in (("[0.5, 10.0]", "must all exceed 1"),
@@ -385,19 +394,18 @@ def test_sweep_rejects_alpha_at_most_one(tmp_path, capsys):
         path.write_text(base.replace("alphas = [10.0, 100.0, 1000.0]",
                                      f"alphas = {alphas}"))
         assert main(["sweep", "--config", str(path), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert "[problem] alphas" in err and message in err
+        assert capsys.readouterr().err == ("configuration error: [problem] alphas: "
+                                           f"sweep coefficients {message}, got {alphas}\n")
         assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("alphas", ["alphas = []", ""])
-def test_sweep_rejects_an_empty_ladder(tmp_path, capsys, alphas):
+def test_sweep_rejects_an_empty_ladder(tmp_path, capsys, no_mesh, alphas):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("alphas = [10.0, 100.0, 1000.0]", alphas))
     assert main(["sweep", "--config", str(path), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: [problem] alphas:")
-    assert "at least one coefficient" in err
+    assert capsys.readouterr().err == \
+        "configuration error: [problem] alphas: a sweep needs at least one coefficient\n"
     assert not (tmp_path / "out").exists()
 
 

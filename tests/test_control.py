@@ -19,7 +19,8 @@ from heatctrl import (ControlPair, Stepper, apply_W, assemble,
 import heatctrl.adjoint
 import heatctrl.control
 import heatctrl.state
-from heatctrl.control import _series_inner
+from heatctrl.analysis import _operator_pass
+from heatctrl.control import CG_MAX_ITER, _series_inner
 from heatctrl.linalg import SolverError
 
 from oracles import (ALPHA, SpaceTimeSystem, apply_C, distributed_only_on_g,
@@ -319,28 +320,34 @@ def test_cg_refuses_non_finite_curvature(monkeypatch):
     assert math.isnan(err.value.residual)
 
 
-@pytest.mark.parametrize("solve", ["simultaneous", "distributed_only"])
+@pytest.mark.parametrize("solve", ["simultaneous", "distributed_only", "operator_job"])
 def test_cg_keeps_no_dead_work_array(solve):
     # CG holds its iterate, residual, direction and two sweep buffers, and
     # they die before the final state/adjoint pass: a product that allocates
     # its sweeps, or a workspace kept through that pass, lifts the peak
-    # above 5.75 trajectory arrays
+    # above 5.75 trajectory arrays.  The sweep's operator job also builds its
+    # stepper and keeps the zero-control adjoint p that starts CG alive
+    # through the solve (as _operator_pass's p and solve_cg's _start_adjoint),
+    # one trajectory more: at most 7.25
     ops, data = make_instance(nx=32, ny=32, n_steps=32, seed=5, M1=1e-2, M2=1e-2)
     stepper = Stepper(ops, data.grid, "P", ALPHA)
-    q_zero = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
+    zero = ControlPair.zeros_like(ops, data.grid)
     tracemalloc.start()  # traces only what the solve allocates
     try:
         if solve == "simultaneous":
             rep = solve_cg(data, stepper, 1e-10)
+        elif solve == "distributed_only":
+            rep = solve_distributed_only(data, zero.q, stepper, 1e-10)
         else:
-            rep = solve_distributed_only(data, q_zero, stepper, 1e-10)
+            _, rep = _operator_pass(data, zero, None, 1e-10, CG_MAX_ITER,
+                                    lambda u, p: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.converged and rep.iterations == {"simultaneous": 21,
+    assert rep.converged and rep.iterations == {"simultaneous": 21, "operator_job": 21,
                                                 "distributed_only": 11}[solve]
     trajectory_bytes = (data.grid.n_steps + 1) * ops.n_nodes * 8
-    assert peak / trajectory_bytes <= 5.75
+    assert peak / trajectory_bytes <= (7.25 if solve == "operator_job" else 5.75)
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,6 @@ def test_time_grid():
         TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    # an infinite T would make tau inf and the step matrix just K
+    with pytest.raises(ValueError, match="final time must be finite, got inf"):
+        TimeGrid(math.inf, 4)
