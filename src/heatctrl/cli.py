@@ -21,7 +21,7 @@ from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
 from .linalg import SolverError
 from .mesh import SIDES, TimeGrid, build_rect_mesh
-from .state import VARIANTS, ControlPair, ProblemData, Stepper
+from .state import VARIANTS, ProblemData, Stepper
 
 OPTIMIZERS = ("cg", "fixed_point", "both")
 
@@ -108,13 +108,13 @@ def _field_values(spec, points, origin):
             values = amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / spread)
         elif name == "csv":
             path = Path(args.strip())
-            if not path.exists():
-                raise ConfigError(f"{origin}: field file not found: {path}")
             try:
                 # a file with no data rows is refused by the shape check below
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
                     values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+            except (FileNotFoundError, NotADirectoryError):
+                raise ConfigError(f"{origin}: field file not found: {path}") from None
             except OSError as exc:
                 raise ConfigError(f"{origin}: cannot read field file {path}: "
                                   f"{exc.strerror or exc}") from None
@@ -172,21 +172,22 @@ def _choice(*names):
     return convert
 
 
-def _comma_list(convert, container=tuple):
-    """A converter of comma lists, brackets optional; blank text is the empty list."""
+def _comma_list(convert):
+    """A converter of comma lists to tuples, brackets optional; blank text is ()."""
     def items(text):
         if text.startswith("[") and text.endswith("]"):
             text = text[1:-1]
         if not text.strip():
-            return container()
-        return container(convert(s.strip()) for s in text.split(","))
+            return ()
+        return tuple(convert(s.strip()) for s in text.split(","))
     return items
 
 
-# Path("") is the working directory: an empty output directory is refused
+# Path("") is the working directory: an empty output directory is refused,
+# and so is a NUL, which no file name holds
 def _directory(text) -> Path:
-    if not text:
-        raise ValueError("must name a directory, got ''")
+    if not text or "\0" in text:
+        raise ValueError(f"must name a directory, got {text!r}")
     return Path(text)
 
 
@@ -212,7 +213,7 @@ class RunConfig:
     M1: float = _key("problem", _positive)
     M2: float = _key("problem", _positive)
     alpha: float | None = _key("problem", _finite, None)
-    alphas: list = _key("problem", _comma_list(_finite, list), "")
+    alphas: tuple = _key("problem", _comma_list(_finite), "")
     b_spec: str = _key("problem", str, "zero", "b")
     v_b_spec: str = _key("problem", str, "zero", "v_b")
     z_d_spec: str = _key("problem", str, "zero", "z_d")
@@ -231,13 +232,14 @@ _KEYS = {(f.metadata["section"], f.metadata["name"] or f.name): f
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     origin = str(path)
     try:
         # utf-8-sig drops the byte-order mark some editors save
         text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        # a bad encoding, or a name the system refuses: too long, or with a NUL
         raise ConfigError(f"{origin}: cannot read the config: {exc}") from None
     sections = parse_config_text(text, origin=origin)
     for section, entries in sections.items():
@@ -416,9 +418,7 @@ def run_sweep(config: RunConfig) -> Result:
     except ValueError as exc:
         raise ConfigError(f"[problem] alphas: {exc}") from None
     data = build_problem(config)
-    zero = ControlPair.zeros_like(data.ops, data.grid)
-    fixed, report = alpha_sweep(data, alphas, zero, tol=config.tol,
-                                max_iter=config.max_iter)
+    fixed, report = alpha_sweep(data, alphas, config.tol, max_iter=config.max_iter)
     flags, fixed_flags = sweep_flags(report), sweep_flags(fixed)
     payload = {
         "command": "sweep",
@@ -478,14 +478,18 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.out is not None:
-            if not args.out:
-                raise ConfigError("--out must name a directory, got ''")
-            config.out_dir = Path(args.out)
+            try:
+                config.out_dir = _directory(args.out)
+            except ValueError as exc:
+                raise ConfigError(f"--out {exc}") from None
         out = config.out_dir
         # refused before any work: a file (or a dangling link) where the
-        # directory or a parent goes
-        blocked = [p for p in (out, *out.parents)
-                   if (p.exists() or p.is_symlink()) and not p.is_dir()]
+        # directory or a parent goes, or a path the system cannot look up
+        try:
+            blocked = [p for p in (out, *out.parents)
+                       if (p.exists() or p.is_symlink()) and not p.is_dir()]
+        except OSError as exc:
+            raise ConfigError(f"output directory {out}: {exc.strerror}") from None
         if blocked:
             raise ConfigError(f"output directory {out}: {blocked[0]} is not a directory")
         command = {"solve": run_solve, "sweep": run_sweep, "check": run_checks,

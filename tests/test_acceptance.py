@@ -130,8 +130,7 @@ def test_criterion_5_fixed_point_characterization():
 
 def test_criterion_6_alpha_convergence_on_default_instance():
     ops, data = default_instance()
-    _, sweep = alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0],
-                           ControlPair.zeros_like(ops, data.grid), tol=1e-10)
+    _, sweep = alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0], 1e-10)
     ok = True
     details = []
     for name in ("state_gap", "adjoint_gap", "control_gap"):
@@ -218,7 +217,7 @@ def test_criterion_8_trivial_exactness():
     ok = ok and np.max(np.abs(u - 1.0)) <= 1e-12
     ok = ok and np.max(np.abs(ua - 1.0)) <= 1e-12
     alphas = [10.0, 100.0, 1000.0, 10000.0]
-    fixed, opt = alpha_sweep(data_c, alphas, zero, tol=1e-10)
+    fixed, opt = alpha_sweep(data_c, alphas, 1e-10)
     worst = max(
         max(gaps(fixed, "state_gap")), max(gaps(fixed, "adjoint_gap")),
         max(gaps(fixed, "boundary_residual")),

@@ -10,18 +10,19 @@ import numpy as np
 import pytest
 
 from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, alpha_sweep,
-                      assemble, build_rect_mesh, check_suite, hq_norm, solve_cg,
-                      sweep_flags)
+                      assemble, build_rect_mesh, check_suite, hq_norm,
+                      solve_adjoint, solve_cg, solve_state, sweep_flags)
 
 import heatctrl.adjoint
 import heatctrl.analysis
 import heatctrl.cli
 import heatctrl.linalg
 import heatctrl.state
-from heatctrl.analysis import SolverNotConverged, check_alphas
+from heatctrl.analysis import (SolverNotConverged, boundary_residual_norm,
+                               check_alphas, l2v_series_norm)
 from heatctrl.linalg import EigenError, SolverError
 
-from oracles import ALPHA, gaps, make_instance, random_control
+from oracles import ALPHA, gaps, make_instance
 
 ALPHAS = [10.0, 100.0, 1000.0, 10000.0]
 
@@ -42,8 +43,7 @@ def compatible_constant_instance(n_steps=4):
 
 def test_compatible_instance_has_zero_gaps():
     ops, data = compatible_constant_instance()
-    ctrl = ControlPair.zeros_like(ops, data.grid)
-    report, _ = alpha_sweep(data, ALPHAS, ctrl)
+    report, _ = alpha_sweep(data, ALPHAS, 1e-10)
     assert max(gaps(report, "state_gap")) <= 1e-12
     assert max(gaps(report, "adjoint_gap")) <= 1e-12
     assert max(gaps(report, "boundary_residual")) <= 1e-12
@@ -51,9 +51,7 @@ def test_compatible_instance_has_zero_gaps():
 
 def test_fixed_control_gaps_decay():
     ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=40)
-    rng = np.random.default_rng(41)
-    ctrl = random_control(ops, data.grid, rng)
-    report, _ = alpha_sweep(data, [10.0, 100.0, 1000.0], ctrl)
+    report, _ = alpha_sweep(data, [10.0, 100.0, 1000.0], 1e-10)
     state = gaps(report, "state_gap")
     assert all(b < a for a, b in zip(state, state[1:]))
     adj = gaps(report, "adjoint_gap")
@@ -69,9 +67,8 @@ def test_fixed_control_sweep_factorizes_each_operator_once(monkeypatch, fork_log
     monkeypatch.setattr(heatctrl.state, "SpdFactor",
                         lambda A: log.append(A.shape[0]) or factor(A))
     ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=39)
-    ctrl = ControlPair.zeros_like(ops, data.grid)
     alphas = [10.0, 100.0, 1000.0]
-    alpha_sweep(data, alphas, ctrl)
+    alpha_sweep(data, alphas, 1e-10)
     built = log.lines()
     # one pinned factorization shared by the reference state and adjoint,
     # then one Robin factorization per coefficient
@@ -80,32 +77,27 @@ def test_fixed_control_sweep_factorizes_each_operator_once(monkeypatch, fork_log
 
 def test_sweep_alphas_validated():
     ops, data = make_instance(seed=42)
-    ctrl = ControlPair.zeros_like(ops, data.grid)
     with pytest.raises(ValueError, match="exceed 1"):
-        alpha_sweep(data, [0.5, 10.0], ctrl)
+        alpha_sweep(data, [0.5, 10.0], 1e-10)
     with pytest.raises(ValueError, match="increasing"):
-        alpha_sweep(data, [10.0, 10.0], ctrl)
+        alpha_sweep(data, [10.0, 10.0], 1e-10)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="sweep coefficients must be finite"):
-            alpha_sweep(data, [10.0, bad], ctrl)
+            alpha_sweep(data, [10.0, bad], 1e-10)
 
 
 def test_empty_sweep_ladder_rejected():
     ops, data = make_instance(seed=42)
-    ctrl = ControlPair.zeros_like(ops, data.grid)
     with pytest.raises(ValueError, match="at least one coefficient"):
         check_alphas([])
     with pytest.raises(ValueError, match="at least one coefficient"):
-        alpha_sweep(data, [], ctrl)
-    with pytest.raises(ValueError, match="at least one coefficient"):
-        alpha_sweep(data, [], ctrl, tol=1e-10)
+        alpha_sweep(data, [], 1e-10)
 
 
 def test_optimal_sweep_trivial_instance():
     # zero data and zero target: every optimum is (0, 0) and all gaps vanish
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=43, zero_data=True)
-    _, report = alpha_sweep(data, ALPHAS, ControlPair.zeros_like(ops, data.grid),
-                            tol=1e-10)
+    _, report = alpha_sweep(data, ALPHAS, 1e-10)
     assert max(gaps(report, "state_gap")) == 0.0
     assert max(gaps(report, "adjoint_gap")) == 0.0
     assert max(gaps(report, "control_gap")) == 0.0
@@ -114,8 +106,7 @@ def test_optimal_sweep_trivial_instance():
 
 def test_optimal_sweep_converges_to_pinned_problem():
     ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
-    _, report = alpha_sweep(data, ALPHAS, ControlPair.zeros_like(ops, data.grid),
-                            tol=1e-10)
+    _, report = alpha_sweep(data, ALPHAS, 1e-10)
     for name in ("state_gap", "adjoint_gap", "control_gap"):
         values = gaps(report, name)
         assert all(b < a for a, b in zip(values, values[1:])), name
@@ -128,11 +119,25 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
     # the zero-control pass behind both sweeps of `heatctrl sweep` gives the
     # fixed-control report and starts each CG solve exactly as fresh runs do
     ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
+    grid = data.grid
     alphas = [10.0, 100.0]
-    zero = ControlPair.zeros_like(ops, data.grid)
-    fixed, optimal = alpha_sweep(data, alphas, zero, tol=1e-10)
-    alone, none = alpha_sweep(data, alphas, zero)
-    assert fixed == alone and none is None
+    fixed, optimal = alpha_sweep(data, alphas, 1e-10)
+    zero = ControlPair.zeros_like(ops, grid)
+
+    def zero_pass(*variant):
+        stepper = Stepper(ops, grid, *variant)
+        u = solve_state(data, zero, stepper)
+        return u, solve_adjoint(data, u, stepper)
+
+    u0, p0 = zero_pass("P")
+    for alpha, rec in zip(alphas, fixed["records"]):
+        u, p = zero_pass("Palpha", alpha)
+        assert rec == {
+            "alpha": alpha,
+            "state_gap": l2v_series_norm(u[1:] - u0[1:], ops, grid),
+            "adjoint_gap": l2v_series_norm(p[:-1] - p0[:-1], ops, grid),
+            "boundary_residual": boundary_residual_norm(u, data.b, alpha, ops, grid),
+        }
     ref = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
     assert optimal["reference"] == {"problem": "P", "cost": ref.cost,
                                     "grad_norm": ref.grad_norm,
@@ -141,21 +146,6 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
         rep = solve_cg(data, Stepper(ops, data.grid, "Palpha", alpha), 1e-10)
         assert rec["cost_alpha"] == rep.cost
         assert rec["control_gap"] == hq_norm(rep.control - ref.control, ops, data.grid)
-
-
-def test_optimal_sweep_refuses_a_nonzero_start_control(monkeypatch):
-    # each CG solve starts from the pass at ctrl, which must be its zero start
-    built = []
-    factor = heatctrl.state.SpdFactor
-    monkeypatch.setattr(heatctrl.state, "SpdFactor",
-                        lambda A: built.append(A) or factor(A))
-    ops, data = make_instance(nx=4, ny=4, n_steps=6, seed=44)
-    ctrl = random_control(ops, data.grid, np.random.default_rng(44))
-    with pytest.raises(ValueError, match="ctrl must be zero controls"):
-        alpha_sweep(data, ALPHAS, ctrl, tol=1e-10)
-    assert built == []
-    fixed, optimal = alpha_sweep(data, ALPHAS, ctrl)
-    assert len(fixed["records"]) == len(ALPHAS) and optimal is None
 
 
 def test_one_public_sweep():
@@ -289,8 +279,7 @@ def test_section5_requires_alpha_above_one():
 
 def test_sweep_reports_are_plain_records_of_fixed_keys():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=48)
-    fixed, optimal = alpha_sweep(data, [10.0, 100.0],
-                                 ControlPair.zeros_like(ops, data.grid), tol=1e-10)
+    fixed, optimal = alpha_sweep(data, [10.0, 100.0], 1e-10)
     shared = {"alpha", "state_gap", "adjoint_gap", "boundary_residual"}
     for report, keys in ((fixed, shared),
                          (optimal, shared | {"control_gap", "cost_alpha"})):
@@ -329,8 +318,7 @@ def test_every_solver_failure_is_a_solver_error():
 
 
 def sweep_instance():
-    ops, data = make_instance(nx=4, ny=4, n_steps=4, seed=51)
-    return data, ControlPair.zeros_like(ops, data.grid)
+    return make_instance(nx=4, ny=4, n_steps=4, seed=51)[1]
 
 
 def assert_no_child_left():
@@ -348,13 +336,13 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch, count, usable):
 
 @pytest.mark.parametrize("cpus", [None, 2, 3, 4])
 def test_sweep_records_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
-    data, zero = sweep_instance()
+    data = sweep_instance()
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
-    serial = alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    serial = alpha_sweep(data, ALPHAS, 1e-10)
     monkeypatch.undo()
     if cpus is not None:
         monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
-    parallel = alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+    parallel = alpha_sweep(data, ALPHAS, 1e-10)
     # repr of a float is exact, so equal reprs are equal bits
     for one, other in zip(serial, parallel):
         assert repr(one) == repr(other)
@@ -377,14 +365,14 @@ def capped_at(monkeypatch, failing):
 def test_first_failing_alpha_in_order_is_raised(monkeypatch, cpus):
     # with two processes alpha 100 runs in the child and 1000 in the parent,
     # with three each runs in its own child
-    data, zero = sweep_instance()
+    data = sweep_instance()
     capped_at(monkeypatch, {100.0, 1000.0})
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
     with pytest.raises(SolverNotConverged) as serial:
-        alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+        alpha_sweep(data, ALPHAS, 1e-10)
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
     with pytest.raises(SolverNotConverged) as parallel:
-        alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+        alpha_sweep(data, ALPHAS, 1e-10)
     assert str(serial.value).startswith("inner solve for Palpha at alpha=100.0 ")
     assert str(parallel.value) == str(serial.value)
     for name in ("grad_norm", "iterations", "cost"):
@@ -393,7 +381,7 @@ def test_first_failing_alpha_in_order_is_raised(monkeypatch, cpus):
 
 
 def test_a_worker_that_dies_is_a_solver_error(monkeypatch):
-    data, zero = sweep_instance()
+    data = sweep_instance()
     parent = os.getpid()
     solve = heatctrl.analysis.solve_cg
 
@@ -405,7 +393,7 @@ def test_a_worker_that_dies_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(heatctrl.analysis, "solve_cg", dying)
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 2)
     with pytest.raises(SolverError, match=r"worker for \[100\.0, 10000\.0\] exited with code 3 "):
-        alpha_sweep(data, ALPHAS, zero, tol=1e-10)
+        alpha_sweep(data, ALPHAS, 1e-10)
     assert_no_child_left()
 
 
@@ -413,7 +401,7 @@ ORPHAN_SCRIPT = """
 import os, sys, time
 from pathlib import Path
 import heatctrl.analysis as analysis
-from heatctrl import ControlPair, alpha_sweep
+from heatctrl import alpha_sweep
 from conftest import ForkSafeLog
 from oracles import make_instance
 
@@ -435,8 +423,7 @@ def hooked(data, stepper, tol, **kwargs):
 analysis.solve_cg = hooked
 analysis._usable_cpus = lambda: 2
 ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=52)
-alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0],
-            ControlPair.zeros_like(ops, data.grid), tol=1e-10)
+alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0], 1e-10)
 """
 
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -112,6 +113,38 @@ def test_missing_file_is_config_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         f"configuration error: config file not found: {missing}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# a file name longer than any file system allows
+LONG_NAME = "a" * 300
+TOO_LONG = os.strerror(errno.ENAMETOOLONG)
+
+# the one error line of each unusable name, by where it is given
+UNUSABLE_NAME_ERRORS = {
+    "config": f"{LONG_NAME}: cannot read the config: [Errno {errno.ENAMETOOLONG}] "
+              f"{TOO_LONG}: '{LONG_NAME}'",
+    "field": f"[problem] z_d: field file not found: {LONG_NAME}",
+    "out": f"output directory {LONG_NAME}: {TOO_LONG}",
+    "directory": r"run.cfg: [output] directory must name a directory, got 'a\x00b'",
+    "out-nul": r"--out must name a directory, got 'a\x00b'",
+}
+
+
+@pytest.mark.parametrize("where", list(UNUSABLE_NAME_ERRORS))
+def test_an_unusable_path_name_is_a_config_error(tmp_path, capsys, monkeypatch, where):
+    # a name the system refuses, too long or holding a NUL, fails before any
+    # work with one line, and makes no directory
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, z_d=f"csv:{LONG_NAME}" if where == "field" else "zero",
+                 out="a\0b" if where == "directory" else "out")
+    argv = {"config": ["--config", LONG_NAME],
+            "out": ["--config", "run.cfg", "--out", LONG_NAME],
+            "out-nul": ["--config", "run.cfg", "--out", "a\0b"]}
+    monkeypatch.setattr(cli, "solve_cg", _raising(AssertionError("work began")))
+    assert main(["solve", *argv.get(where, ["--config", "run.cfg"])]) == 1
+    assert capsys.readouterr() == (
+        "", f"configuration error: {UNUSABLE_NAME_ERRORS[where]}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_missing_key_reported(tmp_path):
