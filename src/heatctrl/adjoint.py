@@ -46,11 +46,12 @@ def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndar
     return _backward(stepper, u[1:] - data.z_d)
 
 
-def solve_adjoint_homogeneous(du: np.ndarray, stepper: Stepper) -> np.ndarray:
+def solve_adjoint_homogeneous(du: np.ndarray, stepper: Stepper, out=None) -> np.ndarray:
     """Adjoint driven by the residual of a trajectory difference (z_d = 0).
 
-    The Hessian action on a control direction is assembled from this sweep
-    applied to the homogeneous state; the reduced optimizers run the same
-    sweep into a buffer of their own.
+    The Hessian action on a control direction is this sweep applied to the
+    homogeneous state; CG's product runs it into a buffer of its own.  out,
+    when given, is an (n_steps + 1, n_nodes) buffer the trajectory is
+    written into, and the adjoint is its reversed view.
     """
-    return _backward(stepper, du[1:])
+    return _backward(stepper, du[1:], out)

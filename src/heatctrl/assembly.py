@@ -139,20 +139,7 @@ def compute_constants(ops: DiscreteOperators) -> dict:
     lambda1 = gen_eig_extreme(sp.csr_matrix(ops.K + ops.B1), KM, "smallest")
     mu_max = gen_eig_extreme(ops.B2, KM, "largest")
     mesh = ops.mesh
-    g1 = ",".join(sorted(set(
-        _side_of_edge(mesh, e) for e in mesh.edges_with_tag(GAMMA1)
-    )))
+    g1 = ",".join(sorted(mesh.gamma1))
     return {"lambda0": float(lambda0), "lambda1": float(lambda1),
             "trace_norm": float(np.sqrt(mu_max)),
             "mesh": f"{mesh.nx}x{mesh.ny} unit square, gamma1={g1}"}
-
-
-def _side_of_edge(mesh, edge):
-    p = 0.5 * (mesh.nodes[edge[0]] + mesh.nodes[edge[1]])
-    if p[0] == 0.0:
-        return "left"
-    if p[0] == 1.0:
-        return "right"
-    if p[1] == 0.0:
-        return "bottom"
-    return "top"

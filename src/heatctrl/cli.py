@@ -509,10 +509,16 @@ def main(argv=None) -> int:
     files = {name: spec for name, spec in
              {result.report: (write_json, report_text), **result.tables}.items()
              if Path(name).suffix[1:] in config.formats}
-    if files:
-        out.mkdir(parents=True, exist_ok=True)
-    for name, (writer, *writer_args) in files.items():
-        writer(out / name, *writer_args)
+    # what the check before the work cannot see (a name too long below a
+    # missing parent, a full disk) fails here, with the check's line
+    try:
+        if files:
+            out.mkdir(parents=True, exist_ok=True)
+        for name, (writer, *writer_args) in files.items():
+            writer(out / name, *writer_args)
+    except OSError as exc:
+        print(f"configuration error: output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 1
     if not args.quiet:
         print(report_text if result.summary is None else result.summary)
     return 0 if result.passed else 2

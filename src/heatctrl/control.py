@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adjoint, state
-from .adjoint import solve_adjoint
+from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import DiscreteOperators
 from .linalg import SolverError
-from .state import ControlPair, ProblemData, Stepper, solve_state
+from .state import ControlPair, ProblemData, Stepper, solve_state, solve_state_homogeneous
 
 CG_MAX_ITER = 500
 
@@ -200,14 +199,14 @@ def _held(c: ControlPair, hold_q) -> ControlPair:
 def _hessian_apply(d: ControlPair, data, stepper, work) -> ControlPair:
     """Action of the reduced Hessian: the gradient formula at the linear part C(d).
 
-    work is two trajectory buffers.  The forward sweep fills the first and
-    the backward sweep the second; the product's g part then overwrites the
-    first, which the backward sweep has read, so no sweep or formula
-    allocates a trajectory.
+    work is two trajectory buffers.  The public homogeneous sweeps write into
+    them: the forward sweep into the first, the backward sweep into the
+    second.  The product's g part then overwrites the first, which the
+    backward sweep has read, so no sweep or formula allocates a trajectory.
     """
     du, p = work
-    state._forward(stepper, d, None, None, 0.0, du)
-    return _gradient(data, d, adjoint._backward(stepper, du[1:], p), out=du[1:])
+    solve_state_homogeneous(d, stepper, du)
+    return _gradient(data, d, solve_adjoint_homogeneous(du, stepper, p), out=du[1:])
 
 
 def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,

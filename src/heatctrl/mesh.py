@@ -57,6 +57,8 @@ class Mesh:
         Node index pairs along the boundary.
     boundary_tags : ndarray, shape (n_edges,)
         Per-edge tag, "gamma1" or "gamma2".
+    gamma1 : tuple of str
+        The sides tagged "gamma1", without repeats, in the order given.
     nx, ny : int
         Subdivision counts per axis.
     """
@@ -65,6 +67,7 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
+    gamma1: tuple
     nx: int
     ny: int
 
@@ -143,6 +146,7 @@ def build_rect_mesh(nx: int, ny: int, gamma1_spec="left") -> Mesh:
         triangles=triangles,
         boundary_edges=edges,
         boundary_tags=tags,
+        gamma1=g1_sides,
         nx=nx,
         ny=ny,
     )

@@ -229,11 +229,12 @@ def solve_state(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> np.nd
     return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
 
 
-def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
+def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper, out=None) -> np.ndarray:
     """Linear part of the control-to-state map (zero data, zero start).
 
     This is the trajectory difference u(ctrl) - u(zero controls); the pinned
-    variant keeps the Dirichlet rows at zero.
+    variant keeps the Dirichlet rows at zero.  out, when given, is an
+    (n_steps + 1, n_nodes) buffer the trajectory is written into.
     """
     _check_ctrl(ctrl, stepper)
-    return _forward(stepper, ctrl, None, None, 0.0)
+    return _forward(stepper, ctrl, None, None, 0.0, out)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 
 import heatctrl
 from heatctrl import AssemblyError, assemble, build_rect_mesh, compute_constants
-from heatctrl.mesh import GAMMA1, GAMMA2, Mesh, signed_areas
+from heatctrl.mesh import GAMMA1, GAMMA2, signed_areas
 
 from oracles import dense_assemble, extend_gamma2
 
@@ -121,9 +122,7 @@ def test_degenerate_triangle_reported():
     mesh = build_rect_mesh(1, 1, "left")
     tris = mesh.triangles.copy()
     tris[1] = (0, 1, 1)  # zero area
-    broken = Mesh(nodes=mesh.nodes, triangles=tris,
-                  boundary_edges=mesh.boundary_edges,
-                  boundary_tags=mesh.boundary_tags, nx=1, ny=1)
+    broken = dataclasses.replace(mesh, triangles=tris)
     with pytest.raises(AssemblyError, match="triangle 1"):
         assemble(broken)
 
@@ -133,9 +132,7 @@ def test_first_bad_triangle_reported_as_the_loop_did():
     tris = mesh.triangles.copy()
     tris[3] = tris[3][::-1]  # clockwise: negative area
     tris[7] = (0, 1, 1)  # zero area
-    broken = Mesh(nodes=mesh.nodes, triangles=tris,
-                  boundary_edges=mesh.boundary_edges,
-                  boundary_tags=mesh.boundary_tags, nx=3, ny=2)
+    broken = dataclasses.replace(mesh, triangles=tris)
     with pytest.raises(AssemblyError) as expected:
         loop_assemble(broken)
     with pytest.raises(AssemblyError) as got:
@@ -205,7 +202,7 @@ def test_descriptor_names_mesh(ops44):
 @pytest.mark.parametrize("spec, sides", [("right", "right"), ("bottom", "bottom"),
                                          ("top", "top"), ("top,left", "left,top")])
 def test_descriptor_names_each_gamma1_side(spec, sides):
-    # each side's branch of assembly._side_of_edge; two sides come out sorted
+    # each side's name as the mesh keeps it; two sides come out sorted
     rep = compute_constants(assemble(build_rect_mesh(3, 2, spec)))
     assert rep["mesh"] == f"3x2 unit square, gamma1={sides}"
 

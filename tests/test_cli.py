@@ -147,6 +147,26 @@ def test_an_unusable_path_name_is_a_config_error(tmp_path, capsys, monkeypatch, 
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("where", ["long-name", "no-space"])
+def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           where):
+    # an OSError of mkdir or of a writer comes after the work: one line, no
+    # traceback; the name's missing parent hides it from the check before the
+    # work, which stops at the first missing directory
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    out = f"out/{LONG_NAME}" if where == "long-name" else "out"
+    if where == "no-space":
+        monkeypatch.setattr(cli, "write_json", _raising(NO_SPACE))
+    assert main(["solve", "--config", "run.cfg", "--out", out]) == 1
+    reason = TOO_LONG if where == "long-name" else NO_SPACE.strerror
+    assert capsys.readouterr() == (
+        "", f"configuration error: output directory {out}: {reason}\n")
+
+
 def test_missing_key_reported(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[mesh]\nnx = 2\n")

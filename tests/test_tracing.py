@@ -2,13 +2,22 @@
 
 perfbench/tracing.py wraps methods by name and raises AttributeError on a
 missing one; its layer table matches span names, so a stale entry there
-silently measures nothing.
+silently measures nothing.  A sweep that bypasses the public sweep functions
+is not counted, which a traced solve shows.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import heatctrl
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,3 +61,50 @@ def test_layer_entries_name_traced_functions():
     entries = {e for layer in tracing.LAYERS.values() for e in layer}
     unresolved = {e for e in entries if not resolves(e, tracing.METHODS)}
     assert unresolved <= STALE_LAYER_ENTRIES, unresolved
+
+
+TRACED_CONFIG = """
+[mesh]
+nx = 3
+ny = 3
+
+[time]
+T = 1.0
+n_steps = 4
+
+[problem]
+M1 = 1e-2
+M2 = 1e-2
+alpha = 10.0
+z_d = bump:0.6,0.5,0.2,1.0
+
+[solver]
+tol = 1e-10
+optimizer = cg
+variant = {variant}
+
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_traced_solve_counts_every_cg_sweep(tmp_path, variant):
+    # a CG solve of k iterations makes k + 2 forward and k + 2 backward
+    # sweeps: the start gradient, one Hessian product per iteration and the
+    # final pass; the tracer sees only the public sweep functions
+    config = tmp_path / "run.cfg"
+    config.write_text(TRACED_CONFIG.format(variant=variant, out=tmp_path / "out"))
+    spans = tmp_path / "spans.json"
+    src = str(Path(heatctrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, str(TRACING), str(spans), "solve",
+                    "--config", str(config), "--quiet"], env=env, check=True)
+    # wall_s only sets trace.uncovered_s, which is not read here
+    metrics = load_tracing().layer_metrics(json.loads(spans.read_text()), 0.0)
+    k = metrics["control.cg_iterations"]
+    assert k > 0
+    assert metrics["control.sweeps_per_cg_iter"] \
+        == metrics["control.sweeps_per_cg_iter_ideal"]
+    assert metrics["state.forward_count"] == metrics["adjoint.backward_count"] == k + 2
