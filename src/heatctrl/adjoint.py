@@ -12,7 +12,7 @@ pairing
 holds to machine precision for both variants.  Every matrix of a step is
 symmetric, so the transpose is the state's implicit-Euler recurrence run
 backward in time: the sweep is state._forward on the time-reversed
-residual, and the adjoint is its reversed trajectory.
+residual, run on the time-reversed view of the adjoint's array.
 """
 
 import numpy as np
@@ -26,32 +26,39 @@ def _check_state(data, u):
         raise ValueError(f"state trajectory has shape {u.shape}, expected {expected}")
 
 
-def _backward(stepper, residual, out=None):
+def _backward(stepper, residual, out):
     """The backward time loop, as the forward loop on the reversed residual.
 
     residual[k] is the nodal residual of step k+1; step k solves
-    A_SS x = M_S (p_{k+1} / tau + residual[k]).  The adjoint is the reversed
-    trajectory, a view of out or of a fresh array; rows off the solved nodes
-    and the last slice are zero.
+    A_SS x = M_S (p_{k+1} / tau + residual[k]).  The loop runs on out[::-1],
+    so out holds p in time order (rows off the solved nodes and the last
+    slice zero), and out[:-1] may be residual: each step reads its slice first.
     """
     no_flux = np.broadcast_to(0.0, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
     return _forward(stepper, ControlPair(residual[::-1], no_flux), None, None, 0.0,
-                    out)[::-1]
+                    out[::-1])[::-1]
 
 
 def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndarray:
-    """Adjoint of the stepper's system, driven by the tracking residual of u."""
+    """Adjoint of the stepper's system, swept in place over the residual u[1:] - z_d."""
     _check(data, stepper)
     _check_state(data, u)
-    return _backward(stepper, u[1:] - data.z_d)
+    p = np.empty(u.shape)
+    np.subtract(u[1:], data.z_d, out=p[:-1])
+    return _backward(stepper, p[:-1], p)
 
 
 def solve_adjoint_homogeneous(du: np.ndarray, stepper: Stepper, out=None) -> np.ndarray:
     """Adjoint driven by the residual of a trajectory difference (z_d = 0).
 
     The Hessian action on a control direction is this sweep applied to the
-    homogeneous state; CG's product runs it into a buffer of its own.  out,
-    when given, is an (n_steps + 1, n_nodes) buffer the trajectory is
-    written into, and the adjoint is its reversed view.
+    homogeneous state.  out, when given, is an (n_steps + 1, n_nodes) buffer
+    for the adjoint; its one allowed overlap with du, which CG's product
+    uses, is out[:-1] on the memory of du[1:].  Any other raises ValueError.
     """
+    if out is None:
+        out = np.empty((stepper.grid.n_steps + 1, stepper.ops.n_nodes))
+    elif (np.shares_memory(out, du)
+          and out[:-1].__array_interface__ != du[1:].__array_interface__):
+        raise ValueError("out may overlap du only as out[:-1] = du[1:]")
     return _backward(stepper, du[1:], out)

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 configuration error, 2 solver or check failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -510,13 +511,18 @@ def main(argv=None) -> int:
              {result.report: (write_json, report_text), **result.tables}.items()
              if Path(name).suffix[1:] in config.formats}
     # what the check before the work cannot see (a name too long below a
-    # missing parent, a full disk) fails here, with the check's line
+    # missing parent, a full disk) fails here, with the check's line, and
+    # the directories this run made are removed while they are still empty
+    made = [p for p in (out, *out.parents) if not p.exists()]
     try:
         if files:
             out.mkdir(parents=True, exist_ok=True)
         for name, (writer, *writer_args) in files.items():
             writer(out / name, *writer_args)
     except OSError as exc:
+        for p in made:  # deepest first; rmdir refuses a directory with files
+            with contextlib.suppress(OSError):
+                p.rmdir()
         print(f"configuration error: output directory {out}: {exc.strerror}", file=sys.stderr)
         return 1
     if not args.quiet:

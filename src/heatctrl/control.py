@@ -113,11 +113,14 @@ def _cost(data, ctrl, u) -> float:
 
 def _gradient(data, ctrl, p, out=None) -> ControlPair:
     """The gradient formula for the adjoint p at ctrl; out, when given,
-    receives its g part."""
+    receives its g part and may be p[:-1]: the q part reads p first, then
+    each g_k = p_k + M1 c_k is formed with a one-row temporary."""
     p_steps = p[:-1]
-    g = np.multiply(data.M1, ctrl.g, out=out)
-    g += p_steps
-    return ControlPair(g, data.M2 * ctrl.q - data.ops.trace2(p_steps))
+    q = data.M2 * ctrl.q - data.ops.trace2(p_steps)
+    g = np.empty(ctrl.g.shape) if out is None else out
+    for g_k, p_k, c_k in zip(g, p_steps, ctrl.g):
+        np.add(p_k, data.M1 * c_k, out=g_k)
+    return ControlPair(g, q)
 
 
 def _W(data, p) -> ControlPair:
@@ -199,22 +202,23 @@ def _held(c: ControlPair, hold_q) -> ControlPair:
 def _hessian_apply(d: ControlPair, data, stepper, work) -> ControlPair:
     """Action of the reduced Hessian: the gradient formula at the linear part C(d).
 
-    work is two trajectory buffers.  The public homogeneous sweeps write into
-    them: the forward sweep into the first, the backward sweep into the
-    second.  The product's g part then overwrites the first, which the
-    backward sweep has read, so no sweep or formula allocates a trajectory.
+    work is one (n_steps + 2, n_nodes) buffer.  The public homogeneous sweeps
+    write into it: the forward sweep into work[:-1], then the backward sweep
+    into work[1:], over the residual du[1:] it reads slice by slice.  The
+    product's g part then overwrites p[:-1], so no sweep or formula
+    allocates a trajectory.
     """
-    du, p = work
-    solve_state_homogeneous(d, stepper, du)
-    return _gradient(data, d, solve_adjoint_homogeneous(du, stepper, p), out=du[1:])
+    du = solve_state_homogeneous(d, stepper, work[:-1])
+    p = solve_adjoint_homogeneous(du, stepper, work[1:])
+    return _gradient(data, d, p, out=p[:-1])
 
 
 def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
               converged_rule, hold_q=False):
     """The report at the control x, whose state and adjoint are pair = (u, p)."""
     u, p = pair
-    grad = _held(_gradient(data, x, p), hold_q)
-    grad_norm = hq_norm(grad, data.ops, data.grid)
+    # no gradient stays alive through _cost's residual
+    grad_norm = hq_norm(_held(_gradient(data, x, p), hold_q), data.ops, data.grid)
     return OptimalityReport(
         control=x,
         state=u,
@@ -238,9 +242,9 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
     once that norm drops below tol * (1 + its value at the start).
     start_adjoint, when given, is the adjoint p at the start control, which
     then costs no sweeps.  The iterate x, the residual r, the direction d
-    and two trajectory buffers are allocated once: each Hessian product z
-    is built in the buffers, and x, r and d are updated in place, so no
-    iteration allocates a trajectory-sized array.
+    and one trajectory buffer of n_steps + 2 slices are allocated once:
+    each Hessian product z is built in the buffer, and x, r and d are
+    updated in place, so no iteration allocates a trajectory-sized array.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -261,8 +265,7 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
     threshold = tol * (1.0 + grad_norm0)
     history = [(0, grad_norm0)]
     x, rr, d, z = start(), hq_inner(r, r, ops, grid), None, None
-    work = (np.empty((grid.n_steps + 1, ops.n_nodes)),
-            np.empty((grid.n_steps + 1, ops.n_nodes)))
+    work = np.empty((grid.n_steps + 2, ops.n_nodes))
     iterations = 0
     while math.sqrt(max(rr, 0.0)) > threshold and iterations < max_iter:
         if d is None:

@@ -197,7 +197,8 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
     Dirichlet rows of every later slice (the Robin variant solves those rows
     too).  Step k solves A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + source.
     The trajectory is written into out, an (n_steps + 1, n_nodes) buffer
-    whose every entry it sets, or into a fresh array.
+    whose every entry it sets, or into a fresh array.  Step k reads g_k
+    before it writes u_{k+1}, so out[k + 1] may be the memory of g_k.
     """
     ops, grid = stepper.ops, stepper.grid
     S = stepper.nodes
@@ -210,7 +211,6 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
         u[0] = 0.0
     if start is not None:
         u[0] = start
-    u[1:, ops.dirichlet_nodes] = pinned
     field = np.empty(ops.n_nodes)
     for k in range(grid.n_steps):
         np.divide(u[k], tau, out=field)
@@ -218,6 +218,7 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
         rhs = stepper.load(field, ctrl.q[k])
         if source is not None:
             rhs += source
+        u[k + 1][ops.dirichlet_nodes] = pinned
         u[k + 1][S] = stepper.factor.solve(rhs)  # a row view: half the cost of u[k + 1, S]
     return u
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from heatctrl import (ControlPair, Stepper, h_inner, q_inner, solve_adjoint,
                       solve_state)
-from heatctrl.adjoint import solve_adjoint_homogeneous
+from heatctrl.adjoint import _backward, solve_adjoint_homogeneous
 from heatctrl.state import solve_state_homogeneous
 
 from oracles import (ALPHA, SpaceTimeSystem, explicit_backward, make_instance,
@@ -120,6 +121,59 @@ def test_sweep_is_bit_for_bit_the_explicit_backward_loop(variant):
     assert solve_adjoint(data, u, stepper).tobytes() == reference.tobytes()
     assert solve_adjoint_homogeneous(u, stepper).tobytes() \
         == explicit_backward(stepper, u[1:]).tobytes()
+
+
+def test_solve_adjoint_is_the_sweep_on_a_fresh_residual():
+    # b != 0 and z_d != b on the Dirichlet nodes: the residual is nonzero
+    # there, so a pinned write that ran before its step read the residual
+    # slice it overwrites would change p
+    ops, data = make_instance(nx=4, ny=3, n_steps=5, seed=67)
+    stepper = Stepper(ops, data.grid, "P")
+    u = solve_state(data, random_control(ops, data.grid, np.random.default_rng(68)),
+                    stepper)
+    residual = u[1:] - data.z_d
+    assert np.all(data.b) and np.all(residual[:, ops.dirichlet_nodes])
+    fresh = _backward(stepper, residual, np.empty(u.shape))
+    assert np.array_equal(solve_adjoint(data, u, stepper), fresh)
+
+
+def test_solve_adjoint_allocates_about_one_trajectory():
+    # the residual is written into the adjoint's own array and swept in place
+    ops, data = make_instance(nx=32, ny=32, n_steps=32, seed=69)
+    stepper = Stepper(ops, data.grid, "P")
+    u = solve_state(data, random_control(ops, data.grid, np.random.default_rng(70)),
+                    stepper)
+    tracemalloc.start()  # traces only what the sweep allocates
+    try:
+        solve_adjoint(data, u, stepper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / u.nbytes <= 1.25
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_the_adjoint_may_overwrite_the_residual_one_slice_ahead(variant):
+    # out[:-1] the memory of du[1:], as in CG's one-buffer product
+    ops, data = make_instance(nx=4, ny=3, n_steps=5, seed=71)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    du = np.random.default_rng(72).standard_normal((data.grid.n_steps + 1, ops.n_nodes))
+    work = np.empty((data.grid.n_steps + 2, ops.n_nodes))
+    work[:-1] = du
+    p = solve_adjoint_homogeneous(work[:-1], stepper, work[1:])
+    assert np.array_equal(p, solve_adjoint_homogeneous(du, stepper))
+
+
+@pytest.mark.parametrize("layout", ["same", "one_slice_behind"])
+def test_any_other_overlap_of_the_adjoint_and_the_residual_is_refused(layout):
+    ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=73)
+    work = np.random.default_rng(74).standard_normal(
+        (data.grid.n_steps + 2, ops.n_nodes))
+    before = work.copy()
+    du, out = ((work[:-1], work[:-1]) if layout == "same" else (work[1:], work[:-1]))
+    with pytest.raises(ValueError, match=r"out\[:-1\] = du\[1:\]"):
+        solve_adjoint_homogeneous(du, Stepper(ops, data.grid, "P"), out)
+    assert np.array_equal(work, before)  # refused before anything is solved
 
 
 def test_residual_to_adjoint_map_is_linear():

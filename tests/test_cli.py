@@ -154,8 +154,9 @@ NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                            where):
     # an OSError of mkdir or of a writer comes after the work: one line, no
-    # traceback; the name's missing parent hides it from the check before the
-    # work, which stops at the first missing directory
+    # traceback, and no directory the run made stays; the name's missing
+    # parent hides it from the check before the work, which stops at the
+    # first missing directory
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path)
     out = f"out/{LONG_NAME}" if where == "long-name" else "out"
@@ -165,6 +166,7 @@ def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, mo
     reason = TOO_LONG if where == "long-name" else NO_SPACE.strerror
     assert capsys.readouterr() == (
         "", f"configuration error: output directory {out}: {reason}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_key_reported(tmp_path):

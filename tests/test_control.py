@@ -19,9 +19,11 @@ from heatctrl import (ControlPair, Stepper, apply_W, assemble,
 import heatctrl.adjoint
 import heatctrl.control
 import heatctrl.state
+from heatctrl.adjoint import solve_adjoint_homogeneous
 from heatctrl.analysis import _operator_pass
-from heatctrl.control import CG_MAX_ITER, _series_inner
+from heatctrl.control import CG_MAX_ITER, _gradient, _held, _hessian_apply, _series_inner
 from heatctrl.linalg import SolverError
+from heatctrl.state import solve_state_homogeneous
 
 from oracles import (ALPHA, SpaceTimeSystem, apply_C, distributed_only_on_g,
                      make_instance, random_control)
@@ -311,6 +313,21 @@ def test_cg_does_not_depend_on_the_blas_thread_count():
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+@pytest.mark.parametrize("hold_q", [False, True], ids=["simultaneous", "held_flux"])
+def test_one_buffer_product_is_the_product_of_fresh_sweeps(variant, hold_q):
+    # both sweeps and the gradient formula share one buffer of n_steps + 2
+    # slices, which starts as NaN: the product must set every entry it reads
+    ops, data = make_instance(nx=4, ny=3, n_steps=5, seed=75, M1=0.3, M2=2.0)
+    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    d = _held(random_control(ops, data.grid, np.random.default_rng(76)), hold_q)
+    work = np.full((data.grid.n_steps + 2, ops.n_nodes), np.nan)
+    z = _held(_hessian_apply(d, data, stepper, work), hold_q)
+    p = solve_adjoint_homogeneous(solve_state_homogeneous(d, stepper), stepper)
+    fresh = _held(_gradient(data, d, p), hold_q)
+    assert np.array_equal(z.g, fresh.g) and np.array_equal(z.q, fresh.q)
+
+
 def test_cg_refuses_non_finite_curvature(monkeypatch):
     ops, data = make_instance(seed=37)
     monkeypatch.setattr(heatctrl.control, "_hessian_apply", lambda d, data, stepper, work:
@@ -322,13 +339,14 @@ def test_cg_refuses_non_finite_curvature(monkeypatch):
 
 @pytest.mark.parametrize("solve", ["simultaneous", "distributed_only", "operator_job"])
 def test_cg_keeps_no_dead_work_array(solve):
-    # CG holds its iterate, residual, direction and two sweep buffers, and
-    # they die before the final state/adjoint pass: a product that allocates
-    # its sweeps, or a workspace kept through that pass, lifts the peak
-    # above 5.75 trajectory arrays.  The sweep's operator job also builds its
-    # stepper and keeps the zero-control adjoint p that starts CG alive
-    # through the solve (as _operator_pass's p and solve_cg's _start_adjoint),
-    # one trajectory more: at most 7.25
+    # CG holds its iterate, residual, direction and one sweep buffer of
+    # n_steps + 2 slices, and they die before the final state/adjoint pass,
+    # whose adjoint overwrites its own residual: a product that allocates its
+    # sweeps, a second buffer, or a workspace kept through that pass lifts
+    # the peak above 4.75 trajectory arrays.  The sweep's operator job also
+    # builds its stepper and keeps the zero-control adjoint p that starts CG
+    # alive through the solve (as _operator_pass's p and solve_cg's
+    # _start_adjoint), one trajectory more: at most 6.25
     ops, data = make_instance(nx=32, ny=32, n_steps=32, seed=5, M1=1e-2, M2=1e-2)
     stepper = Stepper(ops, data.grid, "P", ALPHA)
     zero = ControlPair.zeros_like(ops, data.grid)
@@ -347,7 +365,7 @@ def test_cg_keeps_no_dead_work_array(solve):
     assert rep.converged and rep.iterations == {"simultaneous": 21, "operator_job": 21,
                                                 "distributed_only": 11}[solve]
     trajectory_bytes = (data.grid.n_steps + 1) * ops.n_nodes * 8
-    assert peak / trajectory_bytes <= (7.25 if solve == "operator_job" else 5.75)
+    assert peak / trajectory_bytes <= (6.25 if solve == "operator_job" else 4.75)
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
