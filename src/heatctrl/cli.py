@@ -513,9 +513,10 @@ def main(argv=None) -> int:
     # what the check before the work cannot see (a name too long below a
     # missing parent, a full disk) fails here, with the check's line, and
     # the directories this run made are removed while they are still empty
-    made = [p for p in (out, *out.parents) if not p.exists()]
+    made = []
     try:
         if files:
+            made = [p for p in (out, *out.parents) if not p.exists()]
             out.mkdir(parents=True, exist_ok=True)
         for name, (writer, *writer_args) in files.items():
             writer(out / name, *writer_args)
