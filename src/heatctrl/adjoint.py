@@ -17,13 +17,8 @@ residual, run on the time-reversed view of the adjoint's array.
 
 import numpy as np
 
-from .state import ControlPair, ProblemData, Stepper, _check, _forward
-
-
-def _check_state(data, u):
-    expected = (data.grid.n_steps + 1, data.ops.n_nodes)
-    if u.shape != expected:
-        raise ValueError(f"state trajectory has shape {u.shape}, expected {expected}")
+from .state import (ControlPair, ProblemData, Stepper, _check, _check_shape, _forward,
+                    _trajectory)
 
 
 def _backward(stepper, residual, out):
@@ -42,7 +37,7 @@ def _backward(stepper, residual, out):
 def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndarray:
     """Adjoint of the stepper's system, swept in place over the residual u[1:] - z_d."""
     _check(data, stepper)
-    _check_state(data, u)
+    _check_shape("state trajectory", u, _trajectory(stepper))
     p = np.empty(u.shape)
     np.subtract(u[1:], data.z_d, out=p[:-1])
     return _backward(stepper, p[:-1], p)
@@ -52,13 +47,15 @@ def solve_adjoint_homogeneous(du: np.ndarray, stepper: Stepper, out=None) -> np.
     """Adjoint driven by the residual of a trajectory difference (z_d = 0).
 
     The Hessian action on a control direction is this sweep applied to the
-    homogeneous state.  out, when given, is an (n_steps + 1, n_nodes) buffer
-    for the adjoint; its one allowed overlap with du, which CG's product
-    uses, is out[:-1] on the memory of du[1:].  Any other raises ValueError.
+    homogeneous state.  du, and out when given, are (n_steps + 1, n_nodes)
+    trajectories, out the adjoint's buffer; its one allowed overlap with du,
+    which CG's product uses, is out[:-1] on the memory of du[1:].  Another
+    shape or overlap raises ValueError before anything is solved.
     """
-    if out is None:
-        out = np.empty((stepper.grid.n_steps + 1, stepper.ops.n_nodes))
-    elif (np.shares_memory(out, du)
-          and out[:-1].__array_interface__ != du[1:].__array_interface__):
+    _check_shape("du", du, _trajectory(stepper))
+    out = np.empty(_trajectory(stepper)) if out is None else out
+    _check_shape("out", out, _trajectory(stepper))
+    if (np.shares_memory(out, du)
+            and out[:-1].__array_interface__ != du[1:].__array_interface__):
         raise ValueError("out may overlap du only as out[:-1] = du[1:]")
     return _backward(stepper, du[1:], out)

@@ -21,7 +21,7 @@ from .control import (CG_MAX_ITER, _coercivity, _convexity_gap, _cost, _pair,
                       gradient_J, h_inner, hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
 from .linalg import SolverError
-from .state import (ControlPair, ProblemData, Stepper, solve_state,
+from .state import (VARIANTS, ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
 
 
@@ -221,6 +221,8 @@ def _share(fn, items, rank, n, parent):
 
 # relative distance of the last sweep optimum's cost from the pinned one
 COST_TOLERANCE = 0.05
+# random control pairs each estimate group samples the fixed-point map at
+LIPSCHITZ_PAIRS = 10
 
 
 def sweep_flags(report: dict) -> dict:
@@ -259,24 +261,26 @@ def sweep_flags(report: dict) -> dict:
 
 
 def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
-                fixed_point=False, n_pairs=10) -> list:
+                fixed_point=False) -> list:
     """Every check of `heatctrl check`, as {name, measured, bound, passed} records.
 
-    Four groups of checks, in this order.  The identities, on random
-    controls drawn from a generator seeded 7: the adjoint identity for both
-    variants, then the gradient against central differences and the
-    convexity identity for `variant`.  Then the estimates for the pinned
-    and for the Robin variant at alpha: the simultaneous optimum against
-    the distributed-only optimum with its flux frozen (distance estimate and
-    cost ordering), and the measured Lipschitz ratio of the fixed-point map
-    over n_pairs random control pairs, drawn from the group's own generator
-    seeded 20240 (so both variants see the same pairs), against its
-    computed bound.  Either CG solve of an estimate group that stops short
-    of tol raises SolverNotConverged.  With fixed_point, the fixed-point
-    run: its iterate for `variant` must match the CG optimum its estimate
-    group returned, or its divergence must agree with a contraction
-    constant of at least one.
+    Three groups of checks, which share only read-only inputs.  The
+    identities, on random controls drawn from a generator seeded 7: the
+    adjoint identity for both variants, then the gradient against central
+    differences and the convexity identity for `variant`.  Then the
+    estimates for the pinned and for the Robin variant at alpha: the
+    simultaneous optimum against the distributed-only optimum with its flux
+    frozen (distance estimate and cost ordering), and the measured Lipschitz
+    ratio of the fixed-point map over LIPSCHITZ_PAIRS random control pairs
+    from the group's own generator seeded 20240 (the same pairs for both
+    variants) against its computed bound.  Either CG solve of an estimate
+    group that stops short of tol raises SolverNotConverged.  With
+    fixed_point, the group of `variant` runs the fixed point too, whose
+    record comes last: its iterate must match the group's CG optimum, or
+    its divergence must agree with a contraction constant of at least one.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if alpha is None or not 1.0 < alpha < math.inf:
         raise ValueError(f"the checks need a finite alpha > 1, got {alpha}")
     ops, grid = data.ops, data.grid
@@ -341,7 +345,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                 yield abs(gap - expect) / max(abs(expect), 1e-300)
 
     def lipschitz_samples(rng, s):
-        for _ in range(n_pairs):
+        for _ in range(LIPSCHITZ_PAIRS):
             c_a, c_b = random_ctrl(rng), random_ctrl(rng)
             wa = apply_W(data, c_a, s)
             wb = apply_W(data, c_b, s)
@@ -354,8 +358,8 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         return adjoint + [worst("gradient_finite_difference", gradient_samples(rng), 1e-6),
                           worst("convexity_identity", convexity_samples(rng), 1e-10)]
 
-    def estimate_checks(name, constants):
-        """The records of one variant's estimates, its CG optimum's control and its C0."""
+    def estimate_checks(name, constants, run_fixed_point):
+        """One variant's estimate records, and its fixed-point records or []."""
         s = steppers[name]
         suffix = "" if name == "P" else "_alpha"
         full = _converged(solve_cg(data, s, tol, max_iter=max_iter), s)
@@ -385,26 +389,21 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                     contraction_constant(constants, data.M1, data.M2, name, s.alpha))
         records.append(worst(f"fixed_point_lipschitz{suffix}",
                              lipschitz_samples(np.random.default_rng(20240), s), c0))
-        return records, optimum, c0
-
-    def fixed_point_check(optimum, c0):
-        fp = solve_fixed_point(data, stepper, tol, max_iter=max_iter)
-        if fp.converged:
-            gap = hq_norm(fp.control - optimum, ops, grid)
-            return [record("fixed_point_vs_cg", gap, 10.0 * tol, gap <= 10.0 * tol)]
-        # divergence is the documented outcome when the bound is not a
-        # contraction, so it only fails this check when C0 < 1
-        return [record("fixed_point_divergence_consistent", c0, 1.0, c0 >= 1.0)]
+        if not run_fixed_point:
+            return records, []
+        fp = solve_fixed_point(data, s, tol, max_iter=max_iter)
+        if not fp.converged:
+            # divergence is the documented outcome when the bound is not a
+            # contraction, so it only fails this check when C0 < 1
+            return records, [record("fixed_point_divergence_consistent", c0, 1.0, c0 >= 1.0)]
+        gap = hq_norm(fp.control - optimum, ops, grid)
+        return records, [record("fixed_point_vs_cg", gap, 10.0 * tol, gap <= 10.0 * tol)]
 
     checks = identity_checks()
     constants = compute_constants(ops)
-    kept = None  # the fixed-point check reads the optimum and C0 of variant only
+    fixed_point_records = []  # they follow both groups' estimates
     for name in steppers:
-        records, *estimate = estimate_checks(name, constants)
+        records, fixed = estimate_checks(name, constants, fixed_point and name == variant)
         checks += records
-        if fixed_point and name == variant:
-            kept = estimate
-        del estimate  # so no other optimum stays alive through the next group
-    if fixed_point:
-        checks += fixed_point_check(*kept)
-    return checks
+        fixed_point_records += fixed
+    return checks + fixed_point_records

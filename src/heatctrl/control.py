@@ -17,7 +17,8 @@ import numpy as np
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import DiscreteOperators
 from .linalg import SolverError
-from .state import ControlPair, ProblemData, Stepper, solve_state, solve_state_homogeneous
+from .state import (ControlPair, ProblemData, Stepper, _check_shape, solve_state,
+                    solve_state_homogeneous)
 
 CG_MAX_ITER = 500
 
@@ -69,7 +70,7 @@ def _series_inner(a, b, A, tau) -> float:
     and a BLAS dot would round by the BLAS thread count.
     """
     total = 0.0
-    for a_k, b_k in zip(a, b):
+    for a_k, b_k in zip(a, b, strict=True):
         y = A @ b_k
         y *= a_k
         total += float(y.sum())
@@ -367,12 +368,8 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, stepper: Step
     directly comparable with the simultaneous problem's optimum; the
     gradient norms cover the g part only.
     """
-    n_steps, n_gamma2 = data.grid.n_steps, len(data.ops.gamma2_nodes)
     q_fixed = np.array(q_fixed, dtype=float)  # a copy: the report never aliases it
-    if q_fixed.shape != (n_steps, n_gamma2):
-        raise ValueError(
-            f"q_fixed must have shape ({n_steps}, {n_gamma2}), got {q_fixed.shape}"
-        )
+    _check_shape("q_fixed", q_fixed, (data.grid.n_steps, len(data.ops.gamma2_nodes)))
     if not np.all(np.isfinite(q_fixed)):
         raise ValueError("q_fixed must be finite")
     return _reduced_cg(data, stepper, tol, max_iter, q_fixed)

@@ -24,6 +24,17 @@ from .mesh import TimeGrid
 VARIANTS = ("P", "Palpha")
 
 
+def _check_shape(name, array, shape):
+    """Refuse an array, by name, whose shape is not shape."""
+    if np.shape(array) != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {np.shape(array)}")
+
+
+def _trajectory(stepper):
+    """The shape of a state or adjoint trajectory on the stepper's grid and mesh."""
+    return (stepper.grid.n_steps + 1, stepper.ops.n_nodes)
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """One fully specified control problem instance.
@@ -59,17 +70,9 @@ class ProblemData:
                 raise ValueError(f"{name} must be finite")
         if self.M1 <= 0 or self.M2 <= 0:
             raise ValueError(f"cost weights must be positive, got {self.M1}, {self.M2}")
-        if self.v_b.shape != (n,):
-            raise ValueError(f"v_b must have shape ({n},), got {self.v_b.shape}")
-        if self.b.shape != ops.dirichlet_nodes.shape:
-            raise ValueError(
-                f"b must have one value per Dirichlet node "
-                f"({len(ops.dirichlet_nodes)}), got {self.b.shape}"
-            )
-        if self.z_d.shape != (self.grid.n_steps, n):
-            raise ValueError(
-                f"z_d must have shape ({self.grid.n_steps}, {n}), got {self.z_d.shape}"
-            )
+        _check_shape("v_b", self.v_b, (n,))
+        _check_shape("b", self.b, ops.dirichlet_nodes.shape)
+        _check_shape("z_d", self.z_d, (self.grid.n_steps, n))
         if not np.array_equal(self.v_b[ops.dirichlet_nodes], self.b):
             raise ValueError("v_b restricted to the Dirichlet nodes must equal b exactly")
 
@@ -178,15 +181,8 @@ def _check(data: ProblemData, stepper: Stepper):
 
 def _check_ctrl(ctrl, stepper):
     n_steps, ops = stepper.grid.n_steps, stepper.ops
-    if ctrl.g.shape != (n_steps, ops.n_nodes):
-        raise ValueError(
-            f"g series must have shape ({n_steps}, {ops.n_nodes}), got {ctrl.g.shape}"
-        )
-    if ctrl.q.shape != (n_steps, len(ops.gamma2_nodes)):
-        raise ValueError(
-            f"q series must have shape ({n_steps}, {len(ops.gamma2_nodes)}), "
-            f"got {ctrl.q.shape}"
-        )
+    _check_shape("g series", ctrl.g, (n_steps, ops.n_nodes))
+    _check_shape("q series", ctrl.q, (n_steps, len(ops.gamma2_nodes)))
 
 
 def _forward(stepper, ctrl, start, source, pinned, out=None):
@@ -235,7 +231,10 @@ def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper, out=None) -> np
 
     This is the trajectory difference u(ctrl) - u(zero controls); the pinned
     variant keeps the Dirichlet rows at zero.  out, when given, is an
-    (n_steps + 1, n_nodes) buffer the trajectory is written into.
+    (n_steps + 1, n_nodes) buffer the trajectory is written into; any other
+    shape raises ValueError before anything is solved.
     """
     _check_ctrl(ctrl, stepper)
+    if out is not None:
+        _check_shape("out", out, _trajectory(stepper))
     return _forward(stepper, ctrl, None, None, 0.0, out)

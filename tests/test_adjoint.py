@@ -7,6 +7,7 @@ import pytest
 from heatctrl import (ControlPair, Stepper, h_inner, q_inner, solve_adjoint,
                       solve_state)
 from heatctrl.adjoint import _backward, solve_adjoint_homogeneous
+from heatctrl.linalg import SpdFactor
 from heatctrl.state import solve_state_homogeneous
 
 from oracles import (ALPHA, SpaceTimeSystem, explicit_backward, make_instance,
@@ -176,6 +177,50 @@ def test_any_other_overlap_of_the_adjoint_and_the_residual_is_refused(layout):
     assert np.array_equal(work, before)  # refused before anything is solved
 
 
+def counted_solves(monkeypatch):
+    """A list that gains one entry per triangular solve from now on."""
+    solves = []
+    inner = SpdFactor.solve
+
+    def counted(self, rhs):
+        solves.append(1)
+        return inner(self, rhs)
+
+    monkeypatch.setattr(SpdFactor, "solve", counted)
+    return solves
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (4, 16), (5, 18)], ids=["long", "short", "wide"])
+def test_a_residual_of_the_wrong_shape_is_refused_before_any_solve(monkeypatch, shape):
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    assert (data.grid.n_steps + 1, ops.n_nodes) == (5, 16)
+    stepper = Stepper(ops, data.grid, "P")
+    solves = counted_solves(monkeypatch)
+    du = np.random.default_rng(75).standard_normal(shape)
+    with pytest.raises(ValueError, match=rf"^du must have shape \(5, 16\), "
+                                         rf"got \({shape[0]}, {shape[1]}\)$"):
+        solve_adjoint_homogeneous(du, stepper)
+    assert solves == []
+
+
+@pytest.mark.parametrize("sweep", ["state", "adjoint"])
+def test_a_long_output_buffer_is_refused_before_any_solve(monkeypatch, sweep):
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    stepper = Stepper(ops, data.grid, "P")
+    rng = np.random.default_rng(76)
+    ctrl = random_control(ops, data.grid, rng)
+    du = rng.standard_normal((5, 16))
+    out = np.zeros((8, 16))
+    solves = counted_solves(monkeypatch)
+    with pytest.raises(ValueError, match=r"^out must have shape \(5, 16\), got \(8, 16\)$"):
+        if sweep == "state":
+            solve_state_homogeneous(ctrl, stepper, out)
+        else:
+            solve_adjoint_homogeneous(du, stepper, out)
+    assert solves == []
+    assert not out.any()
+
+
 def test_residual_to_adjoint_map_is_linear():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=11)
     stepper = Stepper(ops, data.grid, "P")
@@ -201,6 +246,6 @@ def test_wrong_trajectory_length_rejected():
 def test_state_of_the_wrong_shape_is_refused_by_name(shape):
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=13)
     assert (data.grid.n_steps + 1, ops.n_nodes) == (4, 9)
-    with pytest.raises(ValueError, match=rf"^state trajectory has shape \({shape[0]}, "
-                                         rf"{shape[1]}\), expected \(4, 9\)$"):
+    with pytest.raises(ValueError, match=rf"^state trajectory must have shape \(4, 9\), "
+                                         rf"got \({shape[0]}, {shape[1]}\)$"):
         solve_adjoint(data, np.zeros(shape), Stepper(ops, data.grid, "P"))

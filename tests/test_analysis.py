@@ -161,7 +161,7 @@ def test_one_public_sweep():
 
 def test_check_suite_all_pass_on_random_instance():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=45, M1=0.9, M2=1.7)
-    checks = check_suite(data, ALPHA, "P", tol=1e-11, n_pairs=20)
+    checks = check_suite(data, ALPHA, "P", tol=1e-11)
     names = {c["name"] for c in checks}
     assert "distributed_distance_estimate" in names
     assert "cost_ordering_alpha" in names
@@ -187,15 +187,15 @@ def test_identity_checks_solve_each_state_once(monkeypatch):
     monkeypatch.setattr(heatctrl.state, "_forward", counted)
     monkeypatch.setattr(heatctrl.analysis, "compute_constants", constants)
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
-    check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=1)
+    check_suite(data, ALPHA, "P", tol=1e-10)
     # the identity checks run before the constants: per variant the adjoint
     # identity solves 1 + 5 states, each gradient sample 3, and each of the
     # 3 convexity pairs its 2 end states and one blend per t (15 in all)
     assert at_constants == [2 * (1 + 5) + 5 * 3 + 3 * (2 + 3)]
 
 
-@pytest.mark.parametrize("fixed_point, counts", [(True, (101, 66, 5)),
-                                                 (False, (76, 41, 5))],
+@pytest.mark.parametrize("fixed_point, counts", [(True, (137, 102, 5)),
+                                                 (False, (112, 77, 5))],
                          ids=["fixed_point", "no_fixed_point"])
 def test_the_whole_check_suite_does_fixed_work(monkeypatch, fixed_point, counts):
     # forward sweeps, backward sweeps and factorizations of one full run
@@ -214,8 +214,48 @@ def test_the_whole_check_suite_does_fixed_work(monkeypatch, fixed_point, counts)
     monkeypatch.setattr(heatctrl.linalg.SpdFactor, "__init__",
                         counted("factor", heatctrl.linalg.SpdFactor.__init__))
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
-    check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=1, fixed_point=fixed_point)
+    check_suite(data, ALPHA, "P", tol=1e-10, fixed_point=fixed_point)
     assert (calls["forward"], calls["backward"], calls["factor"]) == counts
+
+
+def test_the_fixed_point_runs_in_its_variants_group_and_comes_last(monkeypatch):
+    # the pinned group runs the fixed point before the Robin group starts,
+    # and its record still follows every estimate record
+    events = []
+
+    def recorded(name):
+        inner = getattr(heatctrl.analysis, name)
+
+        def wrapper(data, stepper, *args, **kwargs):
+            events.append((name, stepper.variant))
+            return inner(data, stepper, *args, **kwargs)
+        return wrapper
+
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    without = check_suite(data, ALPHA, "P", tol=1e-10)
+    for name in ("solve_cg", "solve_fixed_point"):
+        monkeypatch.setattr(heatctrl.analysis, name, recorded(name))
+    checks = check_suite(data, ALPHA, "P", tol=1e-10, fixed_point=True)
+    assert events == [("solve_cg", "P"), ("solve_fixed_point", "P"),
+                      ("solve_cg", "Palpha")]
+    assert checks[:-1] == without
+    assert checks[-1]["name"] == "fixed_point_vs_cg"
+
+
+def test_an_unknown_variant_is_refused_before_any_factorization(monkeypatch):
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    factorizations = []
+    inner = heatctrl.linalg.SpdFactor.__init__
+
+    def counted(*args, **kwargs):
+        factorizations.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(heatctrl.linalg.SpdFactor, "__init__", counted)
+    with pytest.raises(ValueError,
+                       match=r"^variant must be one of \('P', 'Palpha'\), got 'Q'$"):
+        check_suite(data, ALPHA, "Q", tol=1e-10)
+    assert factorizations == []
 
 
 def test_both_lipschitz_checks_draw_the_same_control_pairs(monkeypatch):
@@ -230,8 +270,8 @@ def test_both_lipschitz_checks_draw_the_same_control_pairs(monkeypatch):
 
     monkeypatch.setattr(heatctrl.analysis, "apply_W", recorded)
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
-    check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=3)
-    assert len(seen["P"]) == 2 * 3
+    check_suite(data, ALPHA, "P", tol=1e-10)
+    assert len(seen["P"]) == 2 * 10
     assert seen["Palpha"] == seen["P"]
 
 
@@ -255,7 +295,7 @@ def test_an_estimate_solve_that_stops_short_is_refused(monkeypatch, solver, vari
     monkeypatch.setattr(heatctrl.analysis, solver, capped)
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
     with pytest.raises(SolverNotConverged) as err:
-        check_suite(data, ALPHA, "P", tol=1e-10, n_pairs=1)
+        check_suite(data, ALPHA, "P", tol=1e-10)
     assert err.value.label == label
     assert err.value.report.iterations == 1
     assert str(err.value) == (f"inner solve for {label} stopped at grad_norm="
@@ -264,7 +304,7 @@ def test_an_estimate_solve_that_stops_short_is_refused(monkeypatch, solver, vari
 
 def test_section5_trivial_instance_has_zero_sides():
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=46, zero_data=True)
-    checks = check_suite(data, ALPHA, "P", tol=1e-11, n_pairs=5)
+    checks = check_suite(data, ALPHA, "P", tol=1e-11)
     est = next(c for c in checks if c["name"] == "distributed_distance_estimate")
     assert est["measured"] <= 1e-12 and est["bound"] <= 1e-12
     assert est["passed"]

@@ -95,6 +95,17 @@ def test_series_inner_matches_a_dense_product(name):
     assert abs(_series_inner(a, b, A, tau) - expected) <= 1e-13 * scale
 
 
+def test_inner_products_refuse_series_of_unequal_length():
+    # a whole trajectory has one slice more than the target series
+    ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
+    u = solve_state(data, ControlPair.zeros_like(ops, data.grid),
+                    Stepper(ops, data.grid, "P"))
+    with pytest.raises(ValueError, match="zip"):
+        h_inner(u, data.z_d, ops, data.grid)
+    with pytest.raises(ValueError, match="zip"):
+        h_inner(data.z_d, u, ops, data.grid)
+
+
 # -- cost ------------------------------------------------------------------------
 
 def test_cost_zero_at_exact_tracking():

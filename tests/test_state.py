@@ -197,8 +197,9 @@ def test_mismatched_data_rejected():
         solve_state(replace(data, v_b=data.v_b + 1.0), ctrl, stepper)
     with pytest.raises(ValueError, match="positive"):
         solve_state(replace(data, M1=-1.0), ctrl, stepper)
+    k = len(ops.dirichlet_nodes)
     for name, message in (("v_b", "v_b must have shape"),
-                          ("b", "b must have one value per Dirichlet node"),
+                          ("b", rf"^b must have shape \({k},\), got \({k - 1},\)$"),
                           ("z_d", "z_d must have shape")):
         with pytest.raises(ValueError, match=message):
             solve_state(replace(data, **{name: getattr(data, name)[:-1]}), ctrl,
