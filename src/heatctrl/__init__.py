@@ -9,21 +9,18 @@ the Robin-to-pinned limit and the fixed-point characterization of optima.
 
 from .adjoint import solve_adjoint
 from .analysis import alpha_sweep, check_suite, sweep_flags
-from .assembly import (AssemblyError, DiscreteOperators, assemble,
-                       compute_constants)
+from .assembly import DiscreteOperators, assemble, compute_constants
 from .control import (OptimalityReport, apply_W, contraction_constant,
                       convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
                       hq_norm, measured_step_ratio, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
-from .linalg import EigenError, SolverError, SpdFactor, gen_eig_extreme
+from .linalg import SolverError, SpdFactor, gen_eig_extreme
 from .mesh import Mesh, TimeGrid, build_rect_mesh, dof_partition
 from .state import ControlPair, ProblemData, Stepper, solve_state
 
 __all__ = [
-    "AssemblyError",
     "ControlPair",
     "DiscreteOperators",
-    "EigenError",
     "Mesh",
     "OptimalityReport",
     "ProblemData",

@@ -25,22 +25,6 @@ from .state import (VARIANTS, ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
 
 
-class SolverNotConverged(SolverError):
-    """An inner CG solve of a sweep or of the checks stopped short of its tolerance."""
-
-    def __init__(self, label, report):
-        super().__init__(
-            f"inner solve for {label} stopped at grad_norm={report.grad_norm:.3e} "
-            f"after {report.iterations} iterations"
-        )
-        self.label = label
-        self.report = report
-
-    def __reduce__(self):
-        # args hold only the message; a sweep worker pickles the whole failure
-        return type(self), (self.label, self.report)
-
-
 def check_alphas(alphas):
     """The sweep coefficients as floats: nonempty, finite, > 1, strictly increasing."""
     alphas = [float(a) for a in alphas]
@@ -131,11 +115,12 @@ def _operator_pass(data, zero, alpha, tol, max_iter, fixed_record):
 
 
 def _converged(rep, stepper, problem=""):
-    """rep, or SolverNotConverged naming the problem, the variant and its
-    alpha, such as "Palpha at alpha=10.0", when that CG solve stopped short."""
+    """rep, or a SolverError naming the problem, the variant and its alpha,
+    such as "Palpha at alpha=10.0", when that CG solve stopped short."""
     if not rep.converged:
         at = "" if stepper.alpha is None else f" at alpha={stepper.alpha}"
-        raise SolverNotConverged(f"{problem}{stepper.variant}{at}", rep)
+        raise SolverError(f"inner solve for {problem}{stepper.variant}{at} stopped at "
+                          f"grad_norm={rep.grad_norm:.3e} after {rep.iterations} iterations")
     return rep
 
 
@@ -274,7 +259,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
     ratio of the fixed-point map over LIPSCHITZ_PAIRS random control pairs
     from the group's own generator seeded 20240 (the same pairs for both
     variants) against its computed bound.  Either CG solve of an estimate
-    group that stops short of tol raises SolverNotConverged.  With
+    group that stops short of tol raises a SolverError.  With
     fixed_point, the group of `variant` runs the fixed point too, whose
     record comes last: its iterate must match the group's CG optimum, or
     its divergence must agree with a contraction constant of at least one.

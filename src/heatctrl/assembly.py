@@ -17,10 +17,6 @@ from .mesh import (GAMMA1, GAMMA2, Mesh, dof_partition, edge_lengths,
                    signed_areas)
 
 
-class AssemblyError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Assembled sparse operators of one mesh.
@@ -78,7 +74,7 @@ def assemble(mesh: Mesh) -> DiscreteOperators:
     bad = np.flatnonzero(areas <= 0)
     if bad.size:
         t = bad[0]
-        raise AssemblyError(f"triangle {t} has non-positive area {areas[t]}")
+        raise ValueError(f"triangle {t} has non-positive area {areas[t]}")
 
     tri = mesh.triangles
     x = mesh.nodes[tri, 0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import DiscreteOperators
-from .linalg import SolverError
+from .linalg import SolverError, _quad
 from .state import (ControlPair, ProblemData, Stepper, _check_shape, solve_state,
                     solve_state_homogeneous)
 
@@ -66,14 +66,11 @@ class OptimalityReport:
 def _series_inner(a, b, A, tau) -> float:
     """tau * sum_k a_k' A b_k over the slices of two (n_steps, n) series.
 
-    Slice by slice: `A @ b.T` copies a series into the transposed layout,
-    and a BLAS dot would round by the BLAS thread count.
+    Slice by slice: `A @ b.T` copies a series into the transposed layout.
     """
     total = 0.0
     for a_k, b_k in zip(a, b, strict=True):
-        y = A @ b_k
-        y *= a_k
-        total += float(y.sum())
+        total += _quad(a_k, A, b_k)
     return tau * total
 
 
@@ -183,7 +180,8 @@ def _coercivity(constants: dict, variant, alpha) -> float:
 def contraction_constant(constants: dict, M1, M2, variant="P", alpha=None) -> float:
     """Lipschitz bound of the fixed-point map from the discrete constants.
 
-    inf when the bound is beyond the float range (tiny M1 or M2).
+    inf when the bound is beyond the float range (tiny M1 or M2); weights
+    whose squares are beyond it take the same bound in its hypot form.
     """
     gamma = constants["trace_norm"]
     lam = _coercivity(constants, variant, alpha)
@@ -191,6 +189,8 @@ def contraction_constant(constants: dict, M1, M2, variant="P", alpha=None) -> fl
         return (2.0 / lam**2) * math.sqrt(1.0 / M1**2 + gamma**2 / M2**2) * (1.0 + gamma)
     except ZeroDivisionError:  # a squared weight underflowed to zero
         return math.inf
+    except OverflowError:  # a squared weight beyond the float range
+        return (2.0 / lam**2) * math.hypot(1.0 / M1, gamma / M2) * (1.0 + gamma)
 
 
 # -- optimizers ----------------------------------------------------------------
@@ -279,10 +279,8 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
         z = _held(_hessian_apply(d, data, stepper, work), hold_q)
         dz = hq_inner(d, z, ops, grid)
         if not dz > 0:
-            raise SolverError(
-                f"reduced Hessian curvature is not finite and positive "
-                f"(d'Ad = {dz:.3e})", residual=dz
-            )
+            raise SolverError(f"reduced Hessian curvature is not finite and positive "
+                              f"(d'Ad = {dz:.3e})")
         step = rr / dz
         for x_part, r_part, d_part, z_part in ((x.g, r.g, d.g, z.g),
                                                (x.q, r.q, d.q, z.q)):

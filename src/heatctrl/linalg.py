@@ -11,22 +11,10 @@ import scipy.sparse.linalg as spla
 
 
 class SolverError(RuntimeError):
-    """A solve failed; carries the last relative residual when there is one.
+    """A solve failed; the message says which and how.
 
     Every solver failure the command line reports with exit code 2 is one.
     """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class EigenError(SolverError):
-    """Eigen-iteration did not converge; carries the last Rayleigh quotient."""
-
-    def __init__(self, message, rayleigh=None, residual=None):
-        super().__init__(message, residual)
-        self.rayleigh = rayleigh
 
 
 class SpdFactor:
@@ -75,13 +63,15 @@ class SpdFactor:
         return self._lu.solve(rhs, trans="T")
 
 
-def _dot(a, b) -> float:
-    """Inner product as an elementwise product and a pairwise sum.
+def _quad(a, A, b) -> float:
+    """a' A b as an elementwise product and a pairwise sum.
 
-    On long vectors `a @ b` is a threaded BLAS ddot, whose rounding depends
-    on the BLAS thread count.
+    On long vectors a BLAS dot is threaded, and its rounding depends on the
+    BLAS thread count.
     """
-    return float(np.sum(a * b))
+    y = A @ b
+    y *= a
+    return float(y.sum())
 
 
 def gen_eig_extreme(A, B, which, tol=1e-10, max_iter=100_000):
@@ -100,16 +90,16 @@ def gen_eig_extreme(A, B, which, tol=1e-10, max_iter=100_000):
     iterate = SpdFactor(B) if which == "largest" else SpdFactor(A)
 
     x = np.ones(n)
-    x /= np.sqrt(_dot(x, B @ x))
-    lam = _dot(x, A @ x) / _dot(x, B @ x)
+    x /= np.sqrt(_quad(x, B, x))
+    lam = _quad(x, A, x) / _quad(x, B, x)
     settled = 0
     for _ in range(max_iter):
         y = iterate.solve(A @ x) if which == "largest" else iterate.solve(B @ x)
-        nrm = np.sqrt(_dot(y, B @ y))
+        nrm = np.sqrt(_quad(y, B, y))
         if nrm == 0.0:
-            raise EigenError("iteration collapsed to the zero vector", rayleigh=lam)
+            raise SolverError("iteration collapsed to the zero vector")
         x = y / nrm
-        lam_new = _dot(x, A @ x)  # x is B-normalized
+        lam_new = _quad(x, A, x)  # x is B-normalized
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             settled += 1
             if settled >= 2:
@@ -117,11 +107,4 @@ def gen_eig_extreme(A, B, which, tol=1e-10, max_iter=100_000):
         else:
             settled = 0
         lam = lam_new
-    r = A @ x - lam * (B @ x)
-    b_factor = iterate if which == "largest" else SpdFactor(B)
-    residual = np.sqrt(_dot(r, b_factor.solve(r)))
-    raise EigenError(
-        f"eigen-iteration did not settle within {max_iter} iterations",
-        rayleigh=lam,
-        residual=residual,
-    )
+    raise SolverError(f"eigen-iteration did not settle within {max_iter} iterations")

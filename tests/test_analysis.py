@@ -2,6 +2,7 @@ import ast
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +19,13 @@ import heatctrl.analysis
 import heatctrl.cli
 import heatctrl.linalg
 import heatctrl.state
-from heatctrl.analysis import (SolverNotConverged, boundary_residual_norm,
-                               check_alphas, l2v_series_norm)
-from heatctrl.linalg import EigenError, SolverError
+from heatctrl.analysis import boundary_residual_norm, check_alphas, l2v_series_norm
+from heatctrl.linalg import SolverError
 
 from oracles import ALPHA, gaps, make_instance
 
 ALPHAS = [10.0, 100.0, 1000.0, 10000.0]
+NORM = r"\d\.\d{3}e[+-]\d{2}"  # a grad_norm as a stop-short message prints it
 
 
 def compatible_constant_instance(n_steps=4):
@@ -294,12 +295,9 @@ def test_an_estimate_solve_that_stops_short_is_refused(monkeypatch, solver, vari
 
     monkeypatch.setattr(heatctrl.analysis, solver, capped)
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
-    with pytest.raises(SolverNotConverged) as err:
+    with pytest.raises(SolverError, match=rf"^inner solve for {re.escape(label)} stopped at "
+                       rf"grad_norm={NORM} after 1 iterations$"):
         check_suite(data, ALPHA, "P", tol=1e-10)
-    assert err.value.label == label
-    assert err.value.report.iterations == 1
-    assert str(err.value) == (f"inner solve for {label} stopped at grad_norm="
-                              f"{err.value.report.grad_norm:.3e} after 1 iterations")
 
 
 def test_section5_trivial_instance_has_zero_sides():
@@ -334,27 +332,6 @@ def test_sweep_reports_are_plain_records_of_fixed_keys():
     assert fixed["alphas"] is not optimal["alphas"]
     fixed["alphas"].append(1e5)
     assert optimal["alphas"] == [10.0, 100.0]
-
-
-def test_solver_not_converged_survives_pickling():
-    # a sweep worker sends its failure to the parent pickled
-    ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=50)
-    rep = solve_cg(data, Stepper(ops, data.grid, "P"), tol=1e-12, max_iter=1)
-    assert not rep.converged
-    exc = SolverNotConverged("Palpha at alpha=100.0", rep)
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is SolverNotConverged
-    assert str(back) == str(exc) and back.args == exc.args
-    assert back.label == exc.label
-    assert back.report.grad_norm == rep.grad_norm
-    assert back.report.iterations == rep.iterations == 1
-
-
-def test_every_solver_failure_is_a_solver_error():
-    # the command line maps this one family to exit code 2
-    assert issubclass(SolverNotConverged, SolverError)
-    assert issubclass(EigenError, SolverError)
-    assert EigenError("stalled", rayleigh=2.0, residual=0.1).residual == 0.1
 
 
 def sweep_instance():
@@ -408,15 +385,17 @@ def test_first_failing_alpha_in_order_is_raised(monkeypatch, cpus):
     data = sweep_instance()
     capped_at(monkeypatch, {100.0, 1000.0})
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
-    with pytest.raises(SolverNotConverged) as serial:
+    message = (rf"^inner solve for Palpha at alpha=100\.0 stopped at grad_norm={NORM} "
+               r"after 1 iterations$")
+    with pytest.raises(SolverError, match=message) as serial:
         alpha_sweep(data, ALPHAS, 1e-10)
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
-    with pytest.raises(SolverNotConverged) as parallel:
+    with pytest.raises(SolverError, match=message) as parallel:
         alpha_sweep(data, ALPHAS, 1e-10)
-    assert str(serial.value).startswith("inner solve for Palpha at alpha=100.0 ")
     assert str(parallel.value) == str(serial.value)
-    for name in ("grad_norm", "iterations", "cost"):
-        assert getattr(parallel.value.report, name) == getattr(serial.value.report, name)
+    # the child sent back its failure as a message and nothing else
+    assert type(parallel.value) is SolverError and vars(parallel.value) == {}
+    assert len(pickle.dumps(parallel.value)) < 512
     assert_no_child_left()
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heatctrl import (EigenError, SpdFactor, Stepper, TimeGrid, assemble,
-                      build_rect_mesh, gen_eig_extreme)
+from heatctrl import (SpdFactor, Stepper, TimeGrid, assemble, build_rect_mesh,
+                      gen_eig_extreme)
 
+import heatctrl.linalg
 from heatctrl.linalg import SolverError
 
 from oracles import dense_assemble
@@ -84,22 +85,37 @@ def test_eig_matches_dense_on_mesh():
     assert got == pytest.approx(expected, rel=1e-8)
 
 
-def test_eig_cap_raises_with_rayleigh():
+def test_eig_cap_raises_a_solver_error():
     A = sp.diags([1.0, 2.0, 4.0]).tocsr()
     B = sp.identity(3, format="csr")
-    with pytest.raises(EigenError) as err:
+    with pytest.raises(SolverError) as err:
         gen_eig_extreme(A, B, "largest", tol=1e-14, max_iter=3)
-    assert err.value.rayleigh is not None
-    assert err.value.residual is not None
+    assert str(err.value) == "eigen-iteration did not settle within 3 iterations"
+
+
+def test_an_unsettled_smallest_eig_factorizes_once(monkeypatch):
+    # the failure is its message: no second factorization for a residual
+    built = []
+
+    class Counted(SpdFactor):
+        def __init__(self, A):
+            built.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(heatctrl.linalg, "SpdFactor", Counted)
+    A = sp.diags([1.0, 2.0, 4.0]).tocsr()
+    B = sp.diags([1.0, 3.0, 2.0]).tocsr()
+    with pytest.raises(SolverError, match="did not settle within 3 iterations"):
+        gen_eig_extreme(A, B, "smallest", tol=1e-14, max_iter=3)
+    assert built == [(3, 3)]
 
 
 def test_eig_of_a_zero_matrix_collapses_at_the_first_step():
     # B^-1 A x is the zero vector, which power iteration cannot normalize
     A = sp.csr_matrix((2, 2))
-    with pytest.raises(EigenError) as err:
+    with pytest.raises(SolverError) as err:
         gen_eig_extreme(A, sp.identity(2, format="csr"), "largest")
     assert str(err.value) == "iteration collapsed to the zero vector"
-    assert err.value.rayleigh == 0.0
 
 
 def test_singular_matrix_is_a_factorization_failure():
