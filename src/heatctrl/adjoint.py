@@ -17,8 +17,7 @@ residual, run on the time-reversed view of the adjoint's array.
 
 import numpy as np
 
-from .state import (ControlPair, ProblemData, Stepper, _check, _check_shape, _forward,
-                    _trajectory)
+from .state import ControlPair, Stepper, _check_shape, _forward, _trajectory
 
 
 def _backward(stepper, residual, out):
@@ -34,12 +33,11 @@ def _backward(stepper, residual, out):
                     out[::-1])[::-1]
 
 
-def solve_adjoint(data: ProblemData, u: np.ndarray, stepper: Stepper) -> np.ndarray:
+def solve_adjoint(u: np.ndarray, stepper: Stepper) -> np.ndarray:
     """Adjoint of the stepper's system, swept in place over the residual u[1:] - z_d."""
-    _check(data, stepper)
     _check_shape("state trajectory", u, _trajectory(stepper))
     p = np.empty(u.shape)
-    np.subtract(u[1:], data.z_d, out=p[:-1])
+    np.subtract(u[1:], stepper.data.z_d, out=p[:-1])
     return _backward(stepper, p[:-1], p)
 
 

@@ -106,11 +106,11 @@ def _operator_pass(data, zero, alpha, tol, max_iter, fixed_record):
     """fixed_record(u, p) of the state and adjoint at the zero controls and
     the CG optimum that adjoint starts, for the pinned operator (alpha None)
     or the Robin one at alpha; the factorization dies with the call."""
-    stepper = Stepper(data.ops, data.grid, "P" if alpha is None else "Palpha", alpha)
-    u, p = _pair(data, zero, stepper)
+    stepper = Stepper(data, "P" if alpha is None else "Palpha", alpha)
+    u, p = _pair(zero, stepper)
     fixed = fixed_record(u, p)
     del u  # only the adjoint starts CG
-    rep = solve_cg(data, stepper, tol, max_iter=max_iter, _start_adjoint=p)
+    rep = solve_cg(stepper, tol, max_iter=max_iter, _start_adjoint=p)
     return fixed, _converged(rep, stepper)
 
 
@@ -269,8 +269,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
     if alpha is None or not 1.0 < alpha < math.inf:
         raise ValueError(f"the checks need a finite alpha > 1, got {alpha}")
     ops, grid = data.ops, data.grid
-    steppers = {"P": Stepper(ops, grid, "P"),
-                "Palpha": Stepper(ops, grid, "Palpha", alpha)}
+    steppers = {"P": Stepper(data, "P"), "Palpha": Stepper(data, "Palpha", alpha)}
     stepper = steppers[variant]
 
     def finite(name, quantity, value):
@@ -296,7 +295,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                            rng.standard_normal((grid.n_steps, len(ops.gamma2_nodes))))
 
     def adjoint_samples(rng, s):
-        u, p = _pair(data, random_ctrl(rng), s)
+        u, p = _pair(random_ctrl(rng), s)
         for _ in range(5):
             d = random_ctrl(rng)
             cu = solve_state_homogeneous(d, s)
@@ -309,31 +308,28 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         for _ in range(5):
             ctrl, d = random_ctrl(rng), random_ctrl(rng)
             d = (1.0 / hq_norm(d, ops, grid)) * d
-            directional = hq_inner(gradient_J(data, ctrl, stepper), d, ops, grid)
-            fd = (cost_J(data, ctrl + h * d, stepper)
-                  - cost_J(data, ctrl - h * d, stepper)) / (2.0 * h)
+            directional = hq_inner(gradient_J(ctrl, stepper), d, ops, grid)
+            fd = (cost_J(ctrl + h * d, stepper) - cost_J(ctrl - h * d, stepper)) / (2.0 * h)
             yield abs(directional - fd) / max(abs(fd), 1e-300)
 
     def convexity_samples(rng):
         for _ in range(3):
             c1, c2 = random_ctrl(rng), random_ctrl(rng)
-            u1 = solve_state(data, c1, stepper)
-            u2 = solve_state(data, c2, stepper)
+            u1, u2 = solve_state(c1, stepper), solve_state(c2, stepper)
             j1, j2 = _cost(data, c1, u1), _cost(data, c2, u2)
             dmis = u2[1:] - u1[1:]
             spread = (h_inner(dmis, dmis, ops, grid)
                       + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
                       + data.M2 * q_inner(c2.q - c1.q, c2.q - c1.q, ops, grid))
             for t in (0.25, 0.5, 0.75):
-                gap = _convexity_gap(data, c1, c2, t, stepper, j1, j2)
+                gap = _convexity_gap(c1, c2, t, stepper, j1, j2)
                 expect = 0.5 * t * (1.0 - t) * spread
                 yield abs(gap - expect) / max(abs(expect), 1e-300)
 
     def lipschitz_samples(rng, s):
         for _ in range(LIPSCHITZ_PAIRS):
             c_a, c_b = random_ctrl(rng), random_ctrl(rng)
-            wa = apply_W(data, c_a, s)
-            wb = apply_W(data, c_b, s)
+            wa, wb = apply_W(c_a, s), apply_W(c_b, s)
             yield hq_norm(wb - wa, ops, grid) / hq_norm(c_b - c_a, ops, grid)
 
     def identity_checks():
@@ -347,8 +343,8 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
         """One variant's estimate records, and its fixed-point records or []."""
         s = steppers[name]
         suffix = "" if name == "P" else "_alpha"
-        full = _converged(solve_cg(data, s, tol, max_iter=max_iter), s)
-        dist = solve_distributed_only(data, full.control.q, s, tol, max_iter=max_iter)
+        full = _converged(solve_cg(s, tol, max_iter=max_iter), s)
+        dist = solve_distributed_only(full.control.q, s, tol, max_iter=max_iter)
         _converged(dist, s, "distributed-only ")
 
         dg = dist.control.g - full.control.g
@@ -376,7 +372,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
                              lipschitz_samples(np.random.default_rng(20240), s), c0))
         if not run_fixed_point:
             return records, []
-        fp = solve_fixed_point(data, s, tol, max_iter=max_iter)
+        fp = solve_fixed_point(s, tol, max_iter=max_iter)
         if not fp.converged:
             # divergence is the documented outcome when the bound is not a
             # contraction, so it only fails this check when C0 < 1

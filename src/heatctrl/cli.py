@@ -395,10 +395,10 @@ def run_solve(config: RunConfig) -> Result:
                "constants": compute_constants(data.ops), "runs": runs}
     optimizers = ("cg", "fixed_point") if config.optimizer == "both" \
         else (config.optimizer,)
-    stepper = Stepper(data.ops, data.grid, config.variant, config.alpha)
+    stepper = Stepper(data, config.variant, config.alpha)
     for name in optimizers:
         solve = solve_cg if name == "cg" else solve_fixed_point
-        rep = solve(data, stepper, config.tol, max_iter=config.max_iter)
+        rep = solve(stepper, config.tol, max_iter=config.max_iter)
         runs[name] = rep.summary_dict()
         tables.update({
             f"history_{name}.csv": (write_csv, ("iteration", "residual_norm"),
@@ -476,6 +476,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress stdout")
     args = parser.parse_args(argv)
 
+    made = []  # the directories this run made, shallowest first
     try:
         config = load_config(args.config)
         if args.out is not None:
@@ -484,48 +485,46 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--out {exc}") from None
         out = config.out_dir
-        # refused before any work: a file (or a dangling link) where the
-        # directory or a parent goes, or a path the system cannot look up
-        try:
-            blocked = [p for p in (out, *out.parents)
-                       if (p.exists() or p.is_symlink()) and not p.is_dir()]
-        except OSError as exc:
-            raise ConfigError(f"output directory {out}: {exc.strerror}") from None
-        if blocked:
-            raise ConfigError(f"output directory {out}: {blocked[0]} is not a directory")
+        # made before any work, so that what the system refuses (a file or a
+        # dangling link where the directory or a parent goes, a name too
+        # long) fails fast
+        for p in reversed((out, *out.parents)):
+            try:
+                p.mkdir()
+                made.append(p)
+            except FileExistsError:
+                if not p.is_dir():
+                    raise ConfigError(f"output directory {out}: {p} is not a directory") \
+                        from None
+            except OSError as exc:
+                raise ConfigError(f"output directory {out}: {exc.strerror}") from None
         command = {"solve": run_solve, "sweep": run_sweep, "check": run_checks,
                    "constants": run_constants}[args.command]
         result = command(config)
         # whatever the formats, a report that cannot be written fails the
         # run before any output exists
         report_text = _json_text(result.payload)
+        # the files of the formats asked for, JSON report first
+        files = {name: spec for name, spec in
+                 {result.report: (write_json, report_text), **result.tables}.items()
+                 if Path(name).suffix[1:] in config.formats}
+        try:
+            for name, (writer, *writer_args) in files.items():
+                writer(out / name, *writer_args)
+        except OSError as exc:  # a full disk, say: the files written stay
+            raise ConfigError(f"output directory {out}: {exc.strerror}") from None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    # the files of the formats asked for, JSON report first; a run that
-    # writes none makes no directory
-    files = {name: spec for name, spec in
-             {result.report: (write_json, report_text), **result.tables}.items()
-             if Path(name).suffix[1:] in config.formats}
-    # what the check before the work cannot see (a name too long below a
-    # missing parent, a full disk) fails here, with the check's line, and
-    # the directories this run made are removed while they are still empty
-    made = []
-    try:
-        if files:
-            made = [p for p in (out, *out.parents) if not p.exists()]
-            out.mkdir(parents=True, exist_ok=True)
-        for name, (writer, *writer_args) in files.items():
-            writer(out / name, *writer_args)
-    except OSError as exc:
-        for p in made:  # deepest first; rmdir refuses a directory with files
+    finally:
+        # on every exit, a directory this run made goes again while it is
+        # empty, so a run that wrote no file leaves none
+        for p in reversed(made):  # deepest first; rmdir refuses one with files
             with contextlib.suppress(OSError):
                 p.rmdir()
-        print(f"configuration error: output directory {out}: {exc.strerror}", file=sys.stderr)
-        return 1
     if not args.quiet:
         print(report_text if result.summary is None else result.summary)
     return 0 if result.passed else 2

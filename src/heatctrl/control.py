@@ -17,8 +17,7 @@ import numpy as np
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import DiscreteOperators
 from .linalg import SolverError, _quad
-from .state import (ControlPair, ProblemData, Stepper, _check_shape, solve_state,
-                    solve_state_homogeneous)
+from .state import ControlPair, Stepper, _check_shape, solve_state, solve_state_homogeneous
 
 CG_MAX_ITER = 500
 
@@ -127,24 +126,23 @@ def _W(data, p) -> ControlPair:
     return ControlPair(-p_steps / data.M1, data.ops.trace2(p_steps) / data.M2)
 
 
-def _pair(data, ctrl, stepper):
+def _pair(ctrl, stepper):
     """The state and adjoint (u, p) at ctrl: one forward and one backward sweep."""
-    u = solve_state(data, ctrl, stepper)
-    return u, solve_adjoint(data, u, stepper)
+    u = solve_state(ctrl, stepper)
+    return u, solve_adjoint(u, stepper)
 
 
-def cost_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> float:
+def cost_J(ctrl: ControlPair, stepper: Stepper) -> float:
     """Quadratic tracking cost with control penalties (always >= 0)."""
-    return _cost(data, ctrl, solve_state(data, ctrl, stepper))
+    return _cost(stepper.data, ctrl, solve_state(ctrl, stepper))
 
 
-def gradient_J(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
+def gradient_J(ctrl: ControlPair, stepper: Stepper) -> ControlPair:
     """Weighted-space representative of the cost derivative at ctrl."""
-    return _gradient(data, ctrl, _pair(data, ctrl, stepper)[1])
+    return _gradient(stepper.data, ctrl, _pair(ctrl, stepper)[1])
 
 
-def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
-                  stepper: Stepper) -> float:
+def convexity_gap(c1: ControlPair, c2: ControlPair, t, stepper: Stepper) -> float:
     """Convex-combination gap of the cost along the segment [c2, c1].
 
     Equals (t(1-t)/2) [ |u2-u1|^2_H + M1 |g2-g1|^2_H + M2 |q2-q1|^2_Q ]
@@ -152,18 +150,17 @@ def convexity_gap(data: ProblemData, c1: ControlPair, c2: ControlPair, t,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    return _convexity_gap(data, c1, c2, t, stepper, cost_J(data, c1, stepper),
-                          cost_J(data, c2, stepper))
+    return _convexity_gap(c1, c2, t, stepper, cost_J(c1, stepper), cost_J(c2, stepper))
 
 
-def _convexity_gap(data, c1, c2, t, stepper, j1, j2) -> float:
+def _convexity_gap(c1, c2, t, stepper, j1, j2) -> float:
     """convexity_gap from the end costs j1 at c1 and j2 at c2: one sweep, the blend's."""
-    return (1.0 - t) * j2 + t * j1 - cost_J(data, (1.0 - t) * c2 + t * c1, stepper)
+    return (1.0 - t) * j2 + t * j1 - cost_J((1.0 - t) * c2 + t * c1, stepper)
 
 
-def apply_W(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> ControlPair:
+def apply_W(ctrl: ControlPair, stepper: Stepper) -> ControlPair:
     """Fixed-point map (-p/M1, p|gamma2/M2) built from the adjoint at ctrl."""
-    return _W(data, _pair(data, ctrl, stepper)[1])
+    return _W(stepper.data, _pair(ctrl, stepper)[1])
 
 
 def _coercivity(constants: dict, variant, alpha) -> float:
@@ -183,6 +180,8 @@ def contraction_constant(constants: dict, M1, M2, variant="P", alpha=None) -> fl
     inf when the bound is beyond the float range (tiny M1 or M2); weights
     whose squares are beyond it take the same bound in its hypot form.
     """
+    if not (M1 > 0 and M2 > 0):
+        raise ValueError(f"cost weights must be positive, got {M1}, {M2}")
     gamma = constants["trace_norm"]
     lam = _coercivity(constants, variant, alpha)
     try:
@@ -200,7 +199,7 @@ def _held(c: ControlPair, hold_q) -> ControlPair:
     return ControlPair(c.g, np.zeros_like(c.q)) if hold_q else c
 
 
-def _hessian_apply(d: ControlPair, data, stepper, work) -> ControlPair:
+def _hessian_apply(d: ControlPair, stepper, work) -> ControlPair:
     """Action of the reduced Hessian: the gradient formula at the linear part C(d).
 
     work is one (n_steps + 2, n_nodes) buffer.  The public homogeneous sweeps
@@ -211,7 +210,7 @@ def _hessian_apply(d: ControlPair, data, stepper, work) -> ControlPair:
     """
     du = solve_state_homogeneous(d, stepper, work[:-1])
     p = solve_adjoint_homogeneous(du, stepper, work[1:])
-    return _gradient(data, d, p, out=p[:-1])
+    return _gradient(stepper.data, d, p, out=p[:-1])
 
 
 def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
@@ -235,7 +234,7 @@ def _finalize(data, x, pair, solver, tol, grad_norm0, iterations, history,
     )
 
 
-def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
+def _reduced_cg(stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
     """Conjugate gradients on the reduced quadratic, from g = 0 and q = 0 or q_fixed.
 
     A given q_fixed holds q there: the q parts of the gradient and of every
@@ -247,9 +246,9 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
     each Hessian product z is built in the buffer, and x, r and d are
     updated in place, so no iteration allocates a trajectory-sized array.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    ops, grid = data.ops, data.grid
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    data, ops, grid = stepper.data, stepper.ops, stepper.grid
     hold_q = q_fixed is not None
 
     def start():
@@ -257,7 +256,7 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
         zero = ControlPair.zeros_like(ops, grid)
         return ControlPair(zero.g, q_fixed) if hold_q else zero
 
-    p = _pair(data, start(), stepper)[1] if start_adjoint is None else start_adjoint
+    p = _pair(start(), stepper)[1] if start_adjoint is None else start_adjoint
     r = -1.0 * _held(_gradient(data, start(), p), hold_q)
     # a start adjoint solved here dies now; a given one stays alive through
     # CG, held by this frame's start_adjoint and by the caller
@@ -276,7 +275,7 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
             for d_part, r_part in ((d.g, r.g), (d.q, r.q)):
                 d_part *= beta
                 d_part += r_part  # d = r + beta d
-        z = _held(_hessian_apply(d, data, stepper, work), hold_q)
+        z = _held(_hessian_apply(d, stepper, work), hold_q)
         dz = hq_inner(d, z, ops, grid)
         if not dz > 0:
             raise SolverError(f"reduced Hessian curvature is not finite and positive "
@@ -293,11 +292,11 @@ def _reduced_cg(data, stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
         history.append((iterations, math.sqrt(max(rr, 0.0))))
     del r, d, z, work  # nor does the workspace through the final pass
     # an overflowed start gradient makes the threshold inf: nothing converges
-    return _finalize(data, x, _pair(data, x, stepper), "cg", tol, grad_norm0,
+    return _finalize(data, x, _pair(x, stepper), "cg", tol, grad_norm0,
                      iterations, history, lambda gn: gn <= threshold < math.inf, hold_q)
 
 
-def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
+def solve_cg(stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
              _start_adjoint=None) -> OptimalityReport:
     """Conjugate gradients on the reduced quadratic, from zero controls.
 
@@ -307,11 +306,10 @@ def solve_cg(data: ProblemData, stepper: Stepper, tol, max_iter=CG_MAX_ITER, *,
     adjoint p at zero controls (the alpha sweeps); the start then costs no
     sweeps.
     """
-    return _reduced_cg(data, stepper, tol, max_iter, start_adjoint=_start_adjoint)
+    return _reduced_cg(stepper, tol, max_iter, start_adjoint=_start_adjoint)
 
 
-def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
-                      max_iter=200) -> OptimalityReport:
+def solve_fixed_point(stepper: Stepper, tol, max_iter=200) -> OptimalityReport:
     """Iterate the fixed-point map from zero controls.
 
     Succeeds when the weighted step norm drops below tol; hitting the
@@ -319,11 +317,11 @@ def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
     divergence is the documented behavior whenever the contraction constant
     is not below one.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    ops, grid = data.ops, data.grid
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    data, ops, grid = stepper.data, stepper.ops, stepper.grid
     x = ControlPair.zeros_like(ops, grid)
-    pair = _pair(data, x, stepper)  # (u, p) at x, solved once per iterate
+    pair = _pair(x, stepper)  # (u, p) at x, solved once per iterate
     grad_norm0 = hq_norm(_gradient(data, x, pair[1]), ops, grid)
     history = []
     converged = False
@@ -337,7 +335,7 @@ def solve_fixed_point(data: ProblemData, stepper: Stepper, tol,
             if not math.isfinite(step_norm):
                 break  # diverged past floating-point range; keep the last finite iterate
             x, iterations = w, it
-            pair = _pair(data, x, stepper)
+            pair = _pair(x, stepper)
             if step_norm <= tol:
                 converged = True
                 break
@@ -358,8 +356,8 @@ def measured_step_ratio(history, floor=0.0) -> float:
     return max(ratios) if ratios else float("nan")
 
 
-def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, stepper: Stepper,
-                           tol, max_iter=CG_MAX_ITER) -> OptimalityReport:
+def solve_distributed_only(q_fixed: np.ndarray, stepper: Stepper, tol,
+                           max_iter=CG_MAX_ITER) -> OptimalityReport:
     """Minimize over the distributed control only, with the flux held fixed.
 
     The reported cost includes the constant (M2/2)|q_fixed|^2 term, so it is
@@ -367,7 +365,7 @@ def solve_distributed_only(data: ProblemData, q_fixed: np.ndarray, stepper: Step
     gradient norms cover the g part only.
     """
     q_fixed = np.array(q_fixed, dtype=float)  # a copy: the report never aliases it
-    _check_shape("q_fixed", q_fixed, (data.grid.n_steps, len(data.ops.gamma2_nodes)))
+    _check_shape("q_fixed", q_fixed, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
     if not np.all(np.isfinite(q_fixed)):
         raise ValueError("q_fixed must be finite")
-    return _reduced_cg(data, stepper, tol, max_iter, q_fixed)
+    return _reduced_cg(stepper, tol, max_iter, q_fixed)

@@ -39,8 +39,7 @@ def _trajectory(stepper):
 class ProblemData:
     """One fully specified control problem instance.
 
-    ops : the assembled operators of the mesh the data lives on; every
-        stepper that solves this problem must be built on this very object.
+    ops : the assembled operators of the mesh the data lives on.
     b : values on the Dirichlet nodes (time independent).
     v_b : initial nodal field; must equal b on the Dirichlet nodes.
     z_d : target, one nodal field per time step, shape (n_steps, n_nodes).
@@ -104,21 +103,22 @@ class ControlPair:
 class Stepper:
     """One operator of the family: the pinned system, or the Robin one at alpha.
 
-    Every solver takes its operator as one stepper and reads the mesh
-    operators, time grid, variant and alpha from it.  Holds the solved
-    nodes S (the free nodes for "P", all nodes for "Palpha"), the factorized
-    step matrix A_SS, the rows S of the mass matrix and of the gamma2
-    columns of B2 (the flux load), and for the pinned variant the Dirichlet
-    block A_FD of the step matrix.  Every matrix involved is symmetric, so
-    the same factorization, and the same time loop, serve the forward and
-    the backward sweeps.
+    Built from one problem, which it keeps as `data` with the data's mesh
+    operators `ops` and time grid `grid`; every solver takes the stepper
+    alone and reads the problem, variant and alpha from it.  Holds the
+    solved nodes S (the free nodes for "P", all nodes for "Palpha"), the
+    factorized step matrix A_SS, the rows S of the mass matrix and of the
+    gamma2 columns of B2 (the flux load), and for the pinned variant the
+    Dirichlet block A_FD of the step matrix.  Every matrix involved is
+    symmetric, so the same factorization, and the same time loop, serve the
+    forward and the backward sweeps.
     """
 
-    def __init__(self, ops: DiscreteOperators, grid: TimeGrid, variant="P", alpha=None):
+    def __init__(self, data: ProblemData, variant="P", alpha=None):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        self.ops = ops
-        self.grid = grid
+        self.data = data
+        ops, grid = self.ops, self.grid = data.ops, data.grid
         self.variant = variant
         self.alpha = alpha
         if variant == "P":
@@ -165,20 +165,6 @@ class Stepper:
         return out
 
 
-def _check(data: ProblemData, stepper: Stepper):
-    """Refuse a stepper built for another time grid or mesh than the data's."""
-    if stepper.grid != data.grid:
-        raise ValueError(
-            f"stepper was built for {stepper.grid}, the data is on {data.grid}")
-    # operators hold sparse matrices, which == cannot compare: the stepper
-    # must share the data's very object
-    if stepper.ops is not data.ops:
-        raise ValueError(
-            f"stepper was built on other mesh operators (a mesh of "
-            f"{stepper.ops.n_nodes} nodes) than the data's (nodal fields of shape "
-            f"({data.ops.n_nodes},))")
-
-
 def _check_ctrl(ctrl, stepper):
     n_steps, ops = stepper.grid.n_steps, stepper.ops
     _check_shape("g series", ctrl.g, (n_steps, ops.n_nodes))
@@ -219,9 +205,9 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
     return u
 
 
-def solve_state(data: ProblemData, ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
-    """Forward solve of the stepper's system: pinned, or Robin at its alpha."""
-    _check(data, stepper)
+def solve_state(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
+    """Forward solve of the stepper's system, pinned or Robin at its alpha, on its data."""
+    data = stepper.data
     _check_ctrl(ctrl, stepper)
     return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
 

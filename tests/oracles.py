@@ -234,7 +234,7 @@ ALPHA = 10.0
 
 def apply_C(data, ctrl, ops, variant):
     """Linear part of the control-to-state map: u(ctrl) - u(zero controls)."""
-    return solve_state_homogeneous(ctrl, Stepper(ops, data.grid, variant, ALPHA))
+    return solve_state_homogeneous(ctrl, Stepper(data, variant, ALPHA))
 
 
 def extend_gamma2(ops, q):
@@ -245,9 +245,9 @@ def extend_gamma2(ops, q):
     return full
 
 
-def _two_product_setup(ops, grid, variant, alpha):
+def _two_product_setup(data, ops, variant, alpha):
     """Solved nodes, mass block, Dirichlet stiffness block and factor of one variant."""
-    factor = Stepper(ops, grid, variant, alpha).factor
+    factor = Stepper(data, variant, alpha).factor
     if variant == "P":
         S = ops.free_nodes
         return (S, sp.csr_matrix(ops.M[np.ix_(S, S)]),
@@ -263,7 +263,7 @@ def two_product_state(data, ctrl, ops, variant):
     one-product sweep replaced, kept as its reference.
     """
     grid, tau = data.grid, data.grid.tau
-    S, mass, K_fd, factor = _two_product_setup(ops, grid, variant, ALPHA)
+    S, mass, K_fd, factor = _two_product_setup(data, ops, variant, ALPHA)
     if variant == "P":
         source = -(K_fd @ data.b)
     else:
@@ -289,7 +289,7 @@ def two_product_adjoint(data, u, ops, variant):
     the loop the one-product sweep replaced, kept as its reference.
     """
     grid, tau = data.grid, data.grid.tau
-    S, mass, _, factor = _two_product_setup(ops, grid, variant, ALPHA)
+    S, mass, _, factor = _two_product_setup(data, ops, variant, ALPHA)
     p = np.zeros((grid.n_steps + 1, ops.n_nodes))
     x = p[-1, S]
     for k in range(grid.n_steps - 1, -1, -1):
@@ -323,7 +323,7 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
     every state solve: the algorithm `solve_distributed_only` must reproduce
     bit for bit when it runs the simultaneous CG with the q part held.
     """
-    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    stepper = Stepper(data, variant, ALPHA)
     grid = data.grid
     q_fixed = np.asarray(q_fixed, dtype=float)
     zero_q = np.zeros_like(q_fixed)
@@ -333,8 +333,8 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
 
     def solve_at(g):
         ctrl = ControlPair(g, q_fixed.copy())
-        u = solve_state(data, ctrl, stepper)
-        p = solve_adjoint(data, u, stepper)
+        u = solve_state(ctrl, stepper)
+        p = solve_adjoint(u, stepper)
         return ctrl, u, p, data.M1 * g + p[:-1]
 
     def hessian(d):
@@ -364,7 +364,7 @@ def distributed_only_on_g(data, q_fixed, ops, variant, tol, max_iter=500):
     grad_norm = math.sqrt(max(inner(final_grad, final_grad), 0.0))
     return OptimalityReport(
         control=ctrl, state=u, adjoint=p,
-        cost=cost_J(data, ctrl, stepper),
+        cost=cost_J(ctrl, stepper),
         grad_norm=grad_norm, grad_norm0=grad_norm0, iterations=iterations,
         solver="cg", converged=grad_norm <= threshold, tol=tol, history=history,
     )

@@ -37,10 +37,10 @@ def test_criterion_1_adjoint_identity():
     rng = np.random.default_rng(101)
     for ops, data in (small_instance(), default_instance()):
         for variant in ("P", "Palpha"):
-            stepper = Stepper(ops, data.grid, variant, ALPHA)
+            stepper = Stepper(data, variant, ALPHA)
             base = random_control(ops, data.grid, rng)
-            u = solve_state(data, base, stepper)
-            p = solve_adjoint(data, u, stepper)
+            u = solve_state(base, stepper)
+            p = solve_adjoint(u, stepper)
             for _ in range(20):
                 d = random_control(ops, data.grid, rng)
                 cu = solve_state_homogeneous(d, stepper)
@@ -60,15 +60,15 @@ def test_criterion_2_gradient_vs_finite_differences():
             nx=2 + trial % 2, ny=2, n_steps=2 + trial % 2, seed=200 + trial,
             M1=0.4 + 0.1 * trial, M2=0.6 + 0.07 * trial)
         variant = "P" if trial % 2 == 0 else "Palpha"
-        stepper = Stepper(ops, data.grid, variant, ALPHA)
+        stepper = Stepper(data, variant, ALPHA)
         ctrl = random_control(ops, data.grid, rng)
         d = random_control(ops, data.grid, rng)
         d = (1.0 / hq_norm(d, ops, data.grid)) * d
         directional = hq_inner(
-            gradient_J(data, ctrl, stepper), d, ops, data.grid)
+            gradient_J(ctrl, stepper), d, ops, data.grid)
         h = 1e-5
-        fd = (cost_J(data, ctrl + h * d, stepper)
-              - cost_J(data, ctrl - h * d, stepper)) / (2 * h)
+        fd = (cost_J(ctrl + h * d, stepper)
+              - cost_J(ctrl - h * d, stepper)) / (2 * h)
         worst = max(worst, abs(directional - fd) / abs(fd))
     report(2, worst <= 1e-6,
            f"gradient vs central differences worst relative error {worst:.3e} <= 1e-6")
@@ -76,17 +76,17 @@ def test_criterion_2_gradient_vs_finite_differences():
 
 def test_criterion_3_convexity_identity():
     ops, data = small_instance(seed=3)
-    stepper = Stepper(ops, data.grid, "P")
+    stepper = Stepper(data, "P")
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(10):
         c1 = random_control(ops, data.grid, rng)
         c2 = random_control(ops, data.grid, rng)
-        u1 = solve_state(data, c1, stepper)
-        u2 = solve_state(data, c2, stepper)
+        u1 = solve_state(c1, stepper)
+        u2 = solve_state(c2, stepper)
         dmis = u2[1:] - u1[1:]
         for t in (0.25, 0.5, 0.75):
-            gap = convexity_gap(data, c1, c2, t, stepper)
+            gap = convexity_gap(c1, c2, t, stepper)
             expected = 0.5 * t * (1 - t) * (
                 h_inner(dmis, dmis, ops, data.grid)
                 + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, data.grid)
@@ -100,7 +100,7 @@ def test_criterion_4_dense_kkt_oracle_equivalence():
     ops, data = small_instance(seed=4)
     worst = 0.0
     for variant in ("P", "Palpha"):
-        rep = solve_cg(data, Stepper(ops, data.grid, variant, ALPHA), 1e-12)
+        rep = solve_cg(Stepper(data, variant, ALPHA), 1e-12)
         assert rep.converged
         oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
         worst = max(worst, hq_norm(rep.control - oracle, ops, data.grid))
@@ -117,9 +117,9 @@ def test_criterion_5_fixed_point_characterization():
     c0 = contraction_constant(consts, M, M, "P")
     assert c0 < 0.8
     tol = 1e-11
-    stepper = Stepper(ops, data.grid, "P")
-    fp = solve_fixed_point(data, stepper, tol, max_iter=400)
-    cg = solve_cg(data, stepper, tol)
+    stepper = Stepper(data, "P")
+    fp = solve_fixed_point(stepper, tol, max_iter=400)
+    cg = solve_cg(stepper, tol)
     ratio = measured_step_ratio(fp.history, floor=1e-13)
     gap = hq_norm(fp.control - cg.control, ops, data.grid)
     ok = fp.converged and cg.converged and ratio <= c0 + 0.05 and gap <= 10 * tol
@@ -154,11 +154,11 @@ def test_criterion_7_section5_inequalities():
                                   M1=0.5 + 0.15 * trial, M2=0.7 + 0.1 * trial)
         consts = compute_constants(ops)
         tol = 1e-11
-        stepper = Stepper(ops, data.grid, "P")
-        full = solve_cg(data, stepper, tol)
-        dist = solve_distributed_only(data, full.control.q, stepper, tol)
-        u_full = solve_state(data, full.control, stepper)
-        u_dist = solve_state(data, dist.control, stepper)
+        stepper = Stepper(data, "P")
+        full = solve_cg(stepper, tol)
+        dist = solve_distributed_only(full.control.q, stepper, tol)
+        u_full = solve_state(full.control, stepper)
+        u_dist = solve_state(dist.control, stepper)
         dg = dist.control.g - full.control.g
         lhs = math.sqrt(max(h_inner(dg, dg, ops, data.grid), 0.0))
         du = u_full[1:] - u_dist[1:]
@@ -173,15 +173,15 @@ def test_criterion_7_section5_inequalities():
     ops, data = small_instance(seed=77)
     consts = compute_constants(ops)
     c0 = contraction_constant(consts, data.M1, data.M2, "P")
-    stepper = Stepper(ops, data.grid, "P")
+    stepper = Stepper(data, "P")
     rng = np.random.default_rng(107)
     worst_ratio = 0.0
     from heatctrl import apply_W
     for _ in range(50):
         a = random_control(ops, data.grid, rng)
         b = random_control(ops, data.grid, rng)
-        wa = apply_W(data, a, stepper)
-        wb = apply_W(data, b, stepper)
+        wa = apply_W(a, stepper)
+        wb = apply_W(b, stepper)
         denom = hq_norm(b - a, ops, data.grid)
         worst_ratio = max(worst_ratio, hq_norm(wb - wa, ops, data.grid) / denom)
     all_ok = all_ok and worst_ratio <= c0
@@ -194,11 +194,11 @@ def test_criterion_7_section5_inequalities():
 def test_criterion_8_trivial_exactness():
     # matched target: both optimizers return the zero control at zero cost
     ops, data = small_instance(seed=8)
-    stepper = Stepper(ops, data.grid, "P")
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
-    data_m = replace(data, z_d=u00[1:].copy())
-    cg = solve_cg(data_m, stepper, 1e-10)
-    fp = solve_fixed_point(data_m, stepper, 1e-10)
+    stepper = Stepper(data, "P")
+    u00 = solve_state(ControlPair.zeros_like(ops, data.grid), stepper)
+    matched = Stepper(replace(data, z_d=u00[1:].copy()), "P")
+    cg = solve_cg(matched, 1e-10)
+    fp = solve_fixed_point(matched, 1e-10)
     ok = (cg.cost == 0.0 and fp.cost == 0.0
           and hq_norm(cg.control, ops, data.grid) == 0.0
           and hq_norm(fp.control, ops, data.grid) == 0.0)
@@ -212,8 +212,8 @@ def test_criterion_8_trivial_exactness():
         ops=ops_c, b=np.ones(len(ops_c.dirichlet_nodes)), v_b=np.ones(ops_c.n_nodes),
         z_d=np.ones((4, ops_c.n_nodes)), M1=1.0, M2=1.0, grid=grid)
     zero = ControlPair.zeros_like(ops_c, grid)
-    u = solve_state(data_c, zero, Stepper(ops_c, grid, "P"))
-    ua = solve_state(data_c, zero, Stepper(ops_c, grid, "Palpha", 10.0))
+    u = solve_state(zero, Stepper(data_c, "P"))
+    ua = solve_state(zero, Stepper(data_c, "Palpha", 10.0))
     ok = ok and np.max(np.abs(u - 1.0)) <= 1e-12
     ok = ok and np.max(np.abs(ua - 1.0)) <= 1e-12
     alphas = [10.0, 100.0, 1000.0, 10000.0]

@@ -126,9 +126,9 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
     zero = ControlPair.zeros_like(ops, grid)
 
     def zero_pass(*variant):
-        stepper = Stepper(ops, grid, *variant)
-        u = solve_state(data, zero, stepper)
-        return u, solve_adjoint(data, u, stepper)
+        stepper = Stepper(data, *variant)
+        u = solve_state(zero, stepper)
+        return u, solve_adjoint(u, stepper)
 
     u0, p0 = zero_pass("P")
     for alpha, rec in zip(alphas, fixed["records"]):
@@ -139,12 +139,12 @@ def test_shared_zero_pass_equals_separate_sweeps_and_solves():
             "adjoint_gap": l2v_series_norm(p[:-1] - p0[:-1], ops, grid),
             "boundary_residual": boundary_residual_norm(u, data.b, alpha, ops, grid),
         }
-    ref = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
+    ref = solve_cg(Stepper(data, "P"), 1e-10)
     assert optimal["reference"] == {"problem": "P", "cost": ref.cost,
                                     "grad_norm": ref.grad_norm,
                                     "iterations": ref.iterations}
     for alpha, rec in zip(alphas, optimal["records"]):
-        rep = solve_cg(data, Stepper(ops, data.grid, "Palpha", alpha), 1e-10)
+        rep = solve_cg(Stepper(data, "Palpha", alpha), 1e-10)
         assert rec["cost_alpha"] == rep.cost
         assert rec["control_gap"] == hq_norm(rep.control - ref.control, ops, data.grid)
 
@@ -227,9 +227,9 @@ def test_the_fixed_point_runs_in_its_variants_group_and_comes_last(monkeypatch):
     def recorded(name):
         inner = getattr(heatctrl.analysis, name)
 
-        def wrapper(data, stepper, *args, **kwargs):
+        def wrapper(stepper, *args, **kwargs):
             events.append((name, stepper.variant))
-            return inner(data, stepper, *args, **kwargs)
+            return inner(stepper, *args, **kwargs)
         return wrapper
 
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
@@ -265,9 +265,9 @@ def test_both_lipschitz_checks_draw_the_same_control_pairs(monkeypatch):
     seen = {"P": [], "Palpha": []}
     inner = heatctrl.analysis.apply_W
 
-    def recorded(data, ctrl, stepper):
+    def recorded(ctrl, stepper):
         seen[stepper.variant].append(ctrl.g.tobytes() + ctrl.q.tobytes())
-        return inner(data, ctrl, stepper)
+        return inner(ctrl, stepper)
 
     monkeypatch.setattr(heatctrl.analysis, "apply_W", recorded)
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
@@ -370,10 +370,10 @@ def capped_at(monkeypatch, failing):
     """solve_cg, capped at one iteration for the Robin alphas in failing."""
     solve = heatctrl.analysis.solve_cg
 
-    def capped(data, stepper, tol, **kwargs):
+    def capped(stepper, tol, **kwargs):
         if stepper.alpha in failing:
             kwargs["max_iter"] = 1
-        return solve(data, stepper, tol, **kwargs)
+        return solve(stepper, tol, **kwargs)
 
     monkeypatch.setattr(heatctrl.analysis, "solve_cg", capped)
 
@@ -404,10 +404,10 @@ def test_a_worker_that_dies_is_a_solver_error(monkeypatch):
     parent = os.getpid()
     solve = heatctrl.analysis.solve_cg
 
-    def dying(data, stepper, tol, **kwargs):
+    def dying(stepper, tol, **kwargs):
         if os.getpid() != parent and stepper.alpha == 100.0:
             os._exit(3)
-        return solve(data, stepper, tol, **kwargs)
+        return solve(stepper, tol, **kwargs)
 
     monkeypatch.setattr(heatctrl.analysis, "solve_cg", dying)
     monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 2)
@@ -428,7 +428,7 @@ log = ForkSafeLog(Path(sys.argv[1]))
 parent = os.getpid()
 solve = analysis.solve_cg
 
-def hooked(data, stepper, tol, **kwargs):
+def hooked(stepper, tol, **kwargs):
     if stepper.alpha is not None:
         if os.getpid() == parent:
             while not log.lines():  # until the child has started its first alpha
@@ -437,7 +437,7 @@ def hooked(data, stepper, tol, **kwargs):
         log.append(stepper.alpha)
         while os.getppid() == parent:
             time.sleep(0.01)
-    return solve(data, stepper, tol, **kwargs)
+    return solve(stepper, tol, **kwargs)
 
 analysis.solve_cg = hooked
 analysis._usable_cpus = lambda: 2

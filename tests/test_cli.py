@@ -151,10 +151,9 @@ NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 @pytest.mark.parametrize("where", ["long-name", "no-space"])
 def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                            where):
-    # an OSError of mkdir or of a writer comes after the work: one line, no
-    # traceback, and no directory the run made stays; the name's missing
-    # parent hides it from the check before the work, which stops at the
-    # first missing directory
+    # a name too long below a missing parent fails as the directories are
+    # made, before the work, and a writer's OSError after it: one line, no
+    # traceback, and no directory the run made stays
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path)
     out = f"out/{LONG_NAME}" if where == "long-name" else "out"
@@ -165,6 +164,24 @@ def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, capsys, mo
     assert capsys.readouterr() == (
         "", f"configuration error: output directory {out}: {reason}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_an_output_directory_that_cannot_be_made_stops_the_run_before_the_work(
+        tmp_path, capsys, monkeypatch):
+    # out is made, the name below it refused, and out removed again, all
+    # before the problem is factorized
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    factorizations = []
+    init = SpdFactor.__init__
+    monkeypatch.setattr(SpdFactor, "__init__",
+                        lambda self, A: factorizations.append(1) or init(self, A))
+    out = f"out/{LONG_NAME}"
+    assert main(["solve", "--config", "run.cfg", "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", f"configuration error: output directory {out}: {TOO_LONG}\n")
+    assert not (tmp_path / "out").exists()
+    assert factorizations == []
 
 
 def test_missing_key_reported(tmp_path):
@@ -658,10 +675,10 @@ def test_failing_alpha_in_a_worker_fails_the_sweep_as_in_process(tmp_path, capsy
                                                                  monkeypatch):
     solve = heatctrl.analysis.solve_cg
 
-    def capped(data, stepper, tol, **kwargs):
+    def capped(stepper, tol, **kwargs):
         if stepper.alpha == 100.0:  # the second alpha: a worker's, given 2 CPUs
             kwargs["max_iter"] = 1
-        return solve(data, stepper, tol, **kwargs)
+        return solve(stepper, tol, **kwargs)
 
     monkeypatch.setattr(heatctrl.analysis, "solve_cg", capped)
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
@@ -796,16 +813,16 @@ def test_report_trajectories_equal_a_fresh_solve(variant, optimizer):
                        v_b=np.zeros(ops.n_nodes),
                        z_d=np.tile(target, (grid.n_steps, 1)),
                        M1=60.0, M2=60.0, grid=grid)
-    stepper = Stepper(ops, grid, variant, 10.0)
+    stepper = Stepper(data, variant, 10.0)
     if optimizer == "cg":
-        rep = solve_cg(data, stepper, 1e-10)
+        rep = solve_cg(stepper, 1e-10)
     elif optimizer == "fixed_point":
-        rep = solve_fixed_point(data, stepper, 1e-10)
+        rep = solve_fixed_point(stepper, 1e-10)
     else:
         q = np.full((grid.n_steps, len(ops.gamma2_nodes)), 0.25)
-        rep = solve_distributed_only(data, q, stepper, 1e-10)
-    u = solve_state(data, rep.control, stepper)
-    p = solve_adjoint(data, u, stepper)
+        rep = solve_distributed_only(q, stepper, 1e-10)
+    u = solve_state(rep.control, stepper)
+    p = solve_adjoint(u, stepper)
     assert np.array_equal(rep.state, u)
     assert np.array_equal(rep.adjoint, p)
 
@@ -957,7 +974,7 @@ def test_tiny_penalty_check_names_the_overflowing_bound(tmp_path, key):
 def test_check_refuses_a_nan_lipschitz_sample(tmp_path, capsys, monkeypatch):
     # NaN samples alone must fail the check, not read measured 0.0
     from heatctrl import analysis
-    monkeypatch.setattr(analysis, "apply_W", lambda data, ctrl, stepper:
+    monkeypatch.setattr(analysis, "apply_W", lambda ctrl, stepper:
                         analysis.ControlPair(np.full_like(ctrl.g, np.nan),
                                              np.full_like(ctrl.q, np.nan)))
     path = write_config(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,8 +32,7 @@ from oracles import (ALPHA, SpaceTimeSystem, apply_C, distributed_only_on_g,
 
 def matched_target(data, ops, variant="P"):
     """Replace z_d by the zero-control trajectory (making (0,0) optimal)."""
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid),
-                      Stepper(ops, data.grid, variant, ALPHA))
+    u00 = solve_state(ControlPair.zeros_like(ops, data.grid), Stepper(data, variant, ALPHA))
     return replace(data, z_d=u00[1:].copy())
 
 
@@ -98,8 +98,7 @@ def test_series_inner_matches_a_dense_product(name):
 def test_inner_products_refuse_series_of_unequal_length():
     # a whole trajectory has one slice more than the target series
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
-    u = solve_state(data, ControlPair.zeros_like(ops, data.grid),
-                    Stepper(ops, data.grid, "P"))
+    u = solve_state(ControlPair.zeros_like(ops, data.grid), Stepper(data, "P"))
     with pytest.raises(ValueError, match="zip"):
         h_inner(u, data.z_d, ops, data.grid)
     with pytest.raises(ValueError, match="zip"):
@@ -111,17 +110,17 @@ def test_inner_products_refuse_series_of_unequal_length():
 def test_cost_zero_at_exact_tracking():
     ops, data = make_instance(seed=6)
     data = matched_target(data, ops)
-    stepper = Stepper(ops, data.grid, "P")
-    assert cost_J(data, ControlPair.zeros_like(ops, data.grid), stepper) == 0.0
+    stepper = Stepper(data, "P")
+    assert cost_J(ControlPair.zeros_like(ops, data.grid), stepper) == 0.0
 
 
 def test_cost_at_zero_controls_is_pure_misfit():
     ops, data = make_instance(seed=7)
-    stepper = Stepper(ops, data.grid, "P")
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    stepper = Stepper(data, "P")
+    u00 = solve_state(ControlPair.zeros_like(ops, data.grid), stepper)
     mis = u00[1:] - data.z_d
     expected = 0.5 * h_inner(mis, mis, ops, data.grid)
-    got = cost_J(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    got = cost_J(ControlPair.zeros_like(ops, data.grid), stepper)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -141,7 +140,7 @@ def test_cost_matches_quadratic_form_oracle(variant):
         + data.M2 * q_inner(ctrl.q, ctrl.q, ops, grid)
     ell = h_inner(cu, -base, ops, grid)
     expected = 0.5 * pi - ell + 0.5 * h_inner(base, base, ops, grid)
-    got = cost_J(data, ctrl, Stepper(ops, data.grid, variant, ALPHA))
+    got = cost_J(ctrl, Stepper(data, variant, ALPHA))
     assert got == pytest.approx(expected, rel=1e-10)
     assert got >= 0.0
 
@@ -151,8 +150,8 @@ def test_cost_matches_quadratic_form_oracle(variant):
 def test_gradient_zero_at_matched_target():
     ops, data = make_instance(seed=10)
     data = matched_target(data, ops)
-    stepper = Stepper(ops, data.grid, "P")
-    grad = gradient_J(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    stepper = Stepper(data, "P")
+    grad = gradient_J(ControlPair.zeros_like(ops, data.grid), stepper)
     assert hq_norm(grad, ops, data.grid) == 0.0
 
 
@@ -164,30 +163,30 @@ def test_gradient_matches_central_differences():
             M1=0.5 + 0.1 * trial, M2=0.3 + 0.05 * trial,
         )
         variant = "P" if trial % 2 == 0 else "Palpha"
-        stepper = Stepper(ops, data.grid, variant, 5.0)
+        stepper = Stepper(data, variant, 5.0)
         ctrl = random_control(ops, data.grid, rng)
         d = random_control(ops, data.grid, rng)
         d = (1.0 / hq_norm(d, ops, data.grid)) * d
         directional = hq_inner(
-            gradient_J(data, ctrl, stepper), d, ops, data.grid)
+            gradient_J(ctrl, stepper), d, ops, data.grid)
         h = 1e-5
-        fd = (cost_J(data, ctrl + h * d, stepper)
-              - cost_J(data, ctrl - h * d, stepper)) / (2 * h)
+        fd = (cost_J(ctrl + h * d, stepper)
+              - cost_J(ctrl - h * d, stepper)) / (2 * h)
         assert abs(directional - fd) <= 1e-6 * max(abs(fd), 1e-12)
 
 
 def test_gradient_small_at_cg_optimum():
     ops, data = make_instance(seed=12)
-    rep = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
+    rep = solve_cg(Stepper(data, "P"), 1e-10)
     assert rep.converged
     assert rep.grad_norm <= 1e-10 * (1.0 + rep.grad_norm0)
 
 
 def test_reported_grad_norm_matches_fresh_evaluation():
     ops, data = make_instance(seed=13)
-    stepper = Stepper(ops, data.grid, "P")
-    rep = solve_cg(data, stepper, 1e-10)
-    fresh = hq_norm(gradient_J(data, rep.control, stepper), ops, data.grid)
+    stepper = Stepper(data, "P")
+    rep = solve_cg(stepper, 1e-10)
+    fresh = hq_norm(gradient_J(rep.control, stepper), ops, data.grid)
     assert abs(fresh - rep.grad_norm) <= 1e-12 * (1.0 + fresh)
 
 
@@ -198,26 +197,26 @@ def test_convexity_gap_vanishes_at_segment_ends():
     rng = np.random.default_rng(15)
     c1 = random_control(ops, data.grid, rng)
     c2 = random_control(ops, data.grid, rng)
-    stepper = Stepper(ops, data.grid, "P")
-    assert convexity_gap(data, c1, c2, 0.0, stepper) == 0.0
+    stepper = Stepper(data, "P")
+    assert convexity_gap(c1, c2, 0.0, stepper) == 0.0
     for t in (0.0, 0.3, 1.0):
-        assert abs(convexity_gap(data, c1, c1, t, stepper)) <= 1e-12
+        assert abs(convexity_gap(c1, c1, t, stepper)) <= 1e-12
 
 
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_convexity_identity(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=16)
     grid = data.grid
-    stepper = Stepper(ops, grid, variant, ALPHA)
+    stepper = Stepper(data, variant, ALPHA)
     rng = np.random.default_rng(17)
     for _ in range(10):
         c1 = random_control(ops, grid, rng)
         c2 = random_control(ops, grid, rng)
-        u1 = solve_state(data, c1, stepper)
-        u2 = solve_state(data, c2, stepper)
+        u1 = solve_state(c1, stepper)
+        u2 = solve_state(c2, stepper)
         dmis = u2[1:] - u1[1:]
         for t in (0.25, 0.5, 0.75):
-            gap = convexity_gap(data, c1, c2, t, stepper)
+            gap = convexity_gap(c1, c2, t, stepper)
             expected = 0.5 * t * (1 - t) * (
                 h_inner(dmis, dmis, ops, grid)
                 + data.M1 * h_inner(c2.g - c1.g, c2.g - c1.g, ops, grid)
@@ -230,7 +229,7 @@ def test_convexity_gap_rejects_bad_t():
     ops, data = make_instance(seed=18)
     zero = ControlPair.zeros_like(ops, data.grid)
     with pytest.raises(ValueError, match="t must"):
-        convexity_gap(data, zero, zero, 1.5, Stepper(ops, data.grid, "P"))
+        convexity_gap(zero, zero, 1.5, Stepper(data, "P"))
 
 
 # -- conjugate gradients -------------------------------------------------------------
@@ -238,7 +237,7 @@ def test_convexity_gap_rejects_bad_t():
 def test_cg_trivial_optimum_zero_iterations():
     ops, data = make_instance(seed=19)
     data = matched_target(data, ops)
-    rep = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-10)
+    rep = solve_cg(Stepper(data, "P"), 1e-10)
     assert rep.converged and rep.iterations == 0
     assert rep.cost == 0.0
     assert hq_norm(rep.control, ops, data.grid) == 0.0
@@ -267,19 +266,21 @@ def test_cg_costs_two_sweeps_per_iteration_plus_four(variant, solver, monkeypatc
     monkeypatch.setattr(heatctrl.state, "SpdFactor",
                         counted("factorization", heatctrl.state.SpdFactor))
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21)
-    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    if solver == "fixed_point":
+        data = replace(data, M1=60.0, M2=60.0)  # large penalties make the map contract
+    elif solver == "fixed_point_capped":
+        data = replace(data, M1=1.0, M2=1.0)
+    stepper = Stepper(data, variant, ALPHA)
     if solver == "simultaneous":
-        rep = solve_cg(data, stepper, 1e-10)
+        rep = solve_cg(stepper, 1e-10)
     elif solver == "distributed_only":
         q_fixed = np.random.default_rng(22).standard_normal(
             (data.grid.n_steps, len(ops.gamma2_nodes)))
-        rep = solve_distributed_only(data, q_fixed, stepper, 1e-10)
+        rep = solve_distributed_only(q_fixed, stepper, 1e-10)
     elif solver == "fixed_point":
-        # large penalties make the map contract
-        rep = solve_fixed_point(replace(data, M1=60.0, M2=60.0), stepper, 1e-10)
+        rep = solve_fixed_point(stepper, 1e-10)
     else:
-        rep = solve_fixed_point(replace(data, M1=1.0, M2=1.0), stepper, 1e-10,
-                                max_iter=5)
+        rep = solve_fixed_point(stepper, 1e-10, max_iter=5)
         assert rep.iterations == 5
     k = rep.iterations
     assert rep.converged == (solver != "fixed_point_capped") and k > 0
@@ -303,7 +304,7 @@ data = ProblemData(ops=ops, b=np.zeros(len(ops.dirichlet_nodes)),
                    v_b=np.zeros(ops.n_nodes), z_d=np.tile(z, (grid.n_steps, 1)),
                    M1=1.0, M2=1.0, grid=grid)
 for variant in ("P", "Palpha"):
-    rep = solve_cg(data, Stepper(ops, data.grid, variant, 10.0), 1e-10)
+    rep = solve_cg(Stepper(data, variant, 10.0), 1e-10)
     print(rep.cost.hex(), rep.grad_norm.hex(), rep.iterations)
 """
 
@@ -330,10 +331,10 @@ def test_one_buffer_product_is_the_product_of_fresh_sweeps(variant, hold_q):
     # both sweeps and the gradient formula share one buffer of n_steps + 2
     # slices, which starts as NaN: the product must set every entry it reads
     ops, data = make_instance(nx=4, ny=3, n_steps=5, seed=75, M1=0.3, M2=2.0)
-    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    stepper = Stepper(data, variant, ALPHA)
     d = _held(random_control(ops, data.grid, np.random.default_rng(76)), hold_q)
     work = np.full((data.grid.n_steps + 2, ops.n_nodes), np.nan)
-    z = _held(_hessian_apply(d, data, stepper, work), hold_q)
+    z = _held(_hessian_apply(d, stepper, work), hold_q)
     p = solve_adjoint_homogeneous(solve_state_homogeneous(d, stepper), stepper)
     fresh = _held(_gradient(data, d, p), hold_q)
     assert np.array_equal(z.g, fresh.g) and np.array_equal(z.q, fresh.q)
@@ -341,10 +342,10 @@ def test_one_buffer_product_is_the_product_of_fresh_sweeps(variant, hold_q):
 
 def test_cg_refuses_non_finite_curvature(monkeypatch):
     ops, data = make_instance(seed=37)
-    monkeypatch.setattr(heatctrl.control, "_hessian_apply", lambda d, data, stepper, work:
+    monkeypatch.setattr(heatctrl.control, "_hessian_apply", lambda d, stepper, work:
                         ControlPair(np.full_like(d.g, np.nan), np.full_like(d.q, np.nan)))
     with pytest.raises(SolverError, match=r"curvature .*\(d'Ad = nan\)$"):
-        solve_cg(data, Stepper(ops, data.grid, "P", ALPHA), 1e-10)
+        solve_cg(Stepper(data, "P", ALPHA), 1e-10)
 
 
 @pytest.mark.parametrize("solve", ["simultaneous", "distributed_only", "operator_job"])
@@ -358,14 +359,14 @@ def test_cg_keeps_no_dead_work_array(solve):
     # alive through the solve (as _operator_pass's p and solve_cg's
     # _start_adjoint), one trajectory more: at most 6.25
     ops, data = make_instance(nx=32, ny=32, n_steps=32, seed=5, M1=1e-2, M2=1e-2)
-    stepper = Stepper(ops, data.grid, "P", ALPHA)
+    stepper = Stepper(data, "P", ALPHA)
     zero = ControlPair.zeros_like(ops, data.grid)
     tracemalloc.start()  # traces only what the solve allocates
     try:
         if solve == "simultaneous":
-            rep = solve_cg(data, stepper, 1e-10)
+            rep = solve_cg(stepper, 1e-10)
         elif solve == "distributed_only":
-            rep = solve_distributed_only(data, zero.q, stepper, 1e-10)
+            rep = solve_distributed_only(zero.q, stepper, 1e-10)
         else:
             _, rep = _operator_pass(data, zero, None, 1e-10, CG_MAX_ITER,
                                     lambda u, p: None)
@@ -381,7 +382,7 @@ def test_cg_keeps_no_dead_work_array(solve):
 @pytest.mark.parametrize("variant", ["P", "Palpha"])
 def test_cg_matches_dense_kkt_oracle(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=20)
-    rep = solve_cg(data, Stepper(ops, data.grid, variant, ALPHA), 1e-12)
+    rep = solve_cg(Stepper(data, variant, ALPHA), 1e-12)
     assert rep.converged
     oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
     assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
@@ -391,7 +392,7 @@ def test_cg_matches_oracle_on_two_sided_gamma1():
     ops, data = make_instance(nx=2, ny=3, n_steps=2, seed=60,
                               gamma1=("bottom", "top"))
     for variant in ("P", "Palpha"):
-        rep = solve_cg(data, Stepper(ops, data.grid, variant, ALPHA), 1e-12)
+        rep = solve_cg(Stepper(data, variant, ALPHA), 1e-12)
         assert rep.converged
         oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
         assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
@@ -399,7 +400,7 @@ def test_cg_matches_oracle_on_two_sided_gamma1():
 
 def test_large_penalties_force_zero_control():
     ops, data = make_instance(seed=21, M1=1e6, M2=1e6)
-    rep = solve_cg(data, Stepper(ops, data.grid, "P"), 1e-12)
+    rep = solve_cg(Stepper(data, "P"), 1e-12)
     assert rep.converged
     assert hq_norm(rep.control, ops, data.grid) <= 1e-5
 
@@ -409,18 +410,18 @@ def test_large_penalties_force_zero_control():
 def test_W_at_zero_with_matched_target():
     ops, data = make_instance(seed=22)
     data = matched_target(data, ops)
-    stepper = Stepper(ops, data.grid, "P")
-    w = apply_W(data, ControlPair.zeros_like(ops, data.grid), stepper)
+    stepper = Stepper(data, "P")
+    w = apply_W(ControlPair.zeros_like(ops, data.grid), stepper)
     assert hq_norm(w, ops, data.grid) == 0.0
 
 
 def test_gradient_vanishes_at_any_W_fixed_point():
     # at a fixed point, M1 g + p = 0 and M2 q - p = 0 by construction
     ops, data, _ = contractive_instance(seed=23)
-    stepper = Stepper(ops, data.grid, "P")
-    rep = solve_fixed_point(data, stepper, 1e-12, max_iter=300)
+    stepper = Stepper(data, "P")
+    rep = solve_fixed_point(stepper, 1e-12, max_iter=300)
     assert rep.converged
-    grad = gradient_J(data, rep.control, stepper)
+    grad = gradient_J(rep.control, stepper)
     assert hq_norm(grad, ops, data.grid) <= 1e-9
 
 
@@ -431,7 +432,7 @@ def test_W_matches_dense_adjoint_scaling():
     sts = SpaceTimeSystem(ops, data.grid, "P")
     u = sts.state(data, ctrl)
     p = sts.adjoint(data, u)[:-1]
-    w = apply_W(data, ctrl, Stepper(ops, data.grid, "P"))
+    w = apply_W(ctrl, Stepper(data, "P"))
     assert np.max(np.abs(w.g - (-p / data.M1))) <= 1e-10
     assert np.max(np.abs(w.q - p[:, ops.gamma2_nodes] / data.M2)) <= 1e-10
 
@@ -467,10 +468,20 @@ def test_contraction_constant_of_weights_whose_squares_overflow(M1, M2):
     assert contraction_constant(consts, M1, M2, "P") == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("weight", [-1.0, 0.0, math.nan])
+def test_contraction_constant_refuses_a_weight_that_is_not_positive(weight):
+    # -1 read as +1 and nan gave nan
+    consts = {"lambda0": 0.5, "lambda1": 0.6, "trace_norm": 1.2}
+    for M1, M2 in ((weight, 1.0), (1.0, weight)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cost weights must be positive, got {M1}, {M2}")):
+            contraction_constant(consts, M1, M2, "P")
+
+
 def test_fixed_point_trivial_instance_converges_in_one_step():
     ops, data = make_instance(seed=26)
     data = matched_target(data, ops)
-    rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10)
+    rep = solve_fixed_point(Stepper(data, "P"), 1e-10)
     assert rep.converged and rep.iterations == 1
     assert hq_norm(rep.control, ops, data.grid) == 0.0
 
@@ -480,9 +491,9 @@ def test_fixed_point_contracts_and_matches_cg():
     c0 = contraction_constant(consts, data.M1, data.M2, "P")
     assert c0 == pytest.approx(0.5, rel=1e-9)
     tol = 1e-11
-    stepper = Stepper(ops, data.grid, "P")
-    fp = solve_fixed_point(data, stepper, tol, max_iter=300)
-    cg = solve_cg(data, stepper, tol)
+    stepper = Stepper(data, "P")
+    fp = solve_fixed_point(stepper, tol, max_iter=300)
+    cg = solve_cg(stepper, tol)
     assert fp.converged and cg.converged
     ratio = measured_step_ratio(fp.history, floor=1e-13)
     assert ratio <= 0.6
@@ -493,7 +504,7 @@ def test_fixed_point_contracts_and_matches_cg():
 
 def test_fixed_point_reports_divergence():
     ops, data = make_instance(seed=28, M1=1e-3, M2=1e-3)
-    rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10, max_iter=25)
+    rep = solve_fixed_point(Stepper(data, "P"), 1e-10, max_iter=25)
     assert not rep.converged
     assert measured_step_ratio(rep.history) > 1.0
 
@@ -503,7 +514,7 @@ def test_divergent_fixed_point_stops_quietly_at_a_non_finite_step(M):
     # the RuntimeWarning filter of the test run turns any overflow warning
     # into a failure
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=21, M1=M, M2=M)
-    rep = solve_fixed_point(data, Stepper(ops, data.grid, "P"), 1e-10)
+    rep = solve_fixed_point(Stepper(data, "P"), 1e-10)
     steps = [norm for _, norm in rep.history]
     assert not rep.converged and rep.iterations == len(steps) - 1
     assert not math.isfinite(steps[-1])
@@ -515,13 +526,13 @@ def test_lipschitz_ratio_below_contraction_constant():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=29, M1=0.8, M2=1.4)
     consts = compute_constants(ops)
     c0 = contraction_constant(consts, data.M1, data.M2, "P")
-    stepper = Stepper(ops, data.grid, "P")
+    stepper = Stepper(data, "P")
     rng = np.random.default_rng(30)
     for _ in range(50):
         a = random_control(ops, data.grid, rng)
         b = random_control(ops, data.grid, rng)
-        wa = apply_W(data, a, stepper)
-        wb = apply_W(data, b, stepper)
+        wa = apply_W(a, stepper)
+        wb = apply_W(b, stepper)
         denom = hq_norm(b - a, ops, data.grid)
         assert hq_norm(wb - wa, ops, data.grid) <= c0 * denom
 
@@ -532,7 +543,7 @@ def test_distributed_only_trivial():
     ops, data = make_instance(seed=31)
     data = matched_target(data, ops)
     q0 = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
-    rep = solve_distributed_only(data, q0, Stepper(ops, data.grid, "P"), 1e-10)
+    rep = solve_distributed_only(q0, Stepper(data, "P"), 1e-10)
     assert rep.converged
     assert np.max(np.abs(rep.control.g)) == 0.0
 
@@ -542,8 +553,7 @@ def test_distributed_only_matches_dense_g_block(variant):
     ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=32)
     rng = np.random.default_rng(33)
     q_fixed = rng.standard_normal((data.grid.n_steps, len(ops.gamma2_nodes)))
-    rep = solve_distributed_only(data, q_fixed,
-                                 Stepper(ops, data.grid, variant, ALPHA), 1e-12)
+    rep = solve_distributed_only(q_fixed, Stepper(data, variant, ALPHA), 1e-12)
     assert rep.converged
     oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA) \
         .kkt_optimum_distributed(data, q_fixed)
@@ -553,9 +563,9 @@ def test_distributed_only_matches_dense_g_block(variant):
 
 def test_simultaneous_cost_never_exceeds_frozen_flux_cost():
     ops, data = make_instance(nx=2, ny=2, n_steps=3, seed=34)
-    stepper = Stepper(ops, data.grid, "P")
-    full = solve_cg(data, stepper, 1e-11)
-    dist = solve_distributed_only(data, full.control.q, stepper, 1e-11)
+    stepper = Stepper(data, "P")
+    full = solve_cg(stepper, 1e-11)
+    dist = solve_distributed_only(full.control.q, stepper, 1e-11)
     assert full.cost <= dist.cost * (1.0 + 1e-12) + 1e-14
 
 
@@ -570,14 +580,14 @@ def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
     ops, data = make_instance(nx=3, ny=3, n_steps=4, seed=39,
                               zero_data=flux == "zero_data")
     shape_q = (data.grid.n_steps, len(ops.gamma2_nodes))
-    stepper = Stepper(ops, data.grid, variant, ALPHA)
+    stepper = Stepper(data, variant, ALPHA)
     if flux == "random":
         q_fixed = np.random.default_rng(40).standard_normal(shape_q)
     elif flux == "simultaneous_optimum":
-        q_fixed = solve_cg(data, stepper, 1e-11).control.q
+        q_fixed = solve_cg(stepper, 1e-11).control.q
     else:
         q_fixed = np.zeros(shape_q)
-    rep = solve_distributed_only(data, q_fixed, stepper, 1e-11)
+    rep = solve_distributed_only(q_fixed, stepper, 1e-11)
     ref = distributed_only_on_g(data, q_fixed, ops, variant, 1e-11)
     assert (flux == "zero_data") == (ref.iterations == 0)
     for got, expected in ((rep.control.g, ref.control.g), (rep.control.q, ref.control.q),
@@ -592,7 +602,7 @@ def test_distributed_only_is_the_g_only_cg_bit_for_bit(variant, flux):
 def test_bad_q_fixed_shape_rejected():
     ops, data = make_instance(seed=35)
     with pytest.raises(ValueError, match="q_fixed"):
-        solve_distributed_only(data, np.zeros((1, 1)), Stepper(ops, data.grid, "P"), 1e-8)
+        solve_distributed_only(np.zeros((1, 1)), Stepper(data, "P"), 1e-8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -601,13 +611,18 @@ def test_non_finite_q_fixed_rejected_by_name(bad):
     q_fixed = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
     q_fixed[1, 2] = bad
     with pytest.raises(ValueError, match="q_fixed must be finite"):
-        solve_distributed_only(data, q_fixed, Stepper(ops, data.grid, "P"), 1e-8)
+        solve_distributed_only(q_fixed, Stepper(data, "P"), 1e-8)
 
 
 def test_nonpositive_tolerances_rejected():
+    # a nan tolerance never compares, an inf one converges at once
     ops, data = make_instance(seed=36)
-    stepper = Stepper(ops, data.grid, "P")
-    with pytest.raises(ValueError):
-        solve_cg(data, stepper, 0.0)
-    with pytest.raises(ValueError):
-        solve_fixed_point(data, stepper, -1.0)
+    stepper = Stepper(data, "P")
+    q_fixed = np.zeros((data.grid.n_steps, len(ops.gamma2_nodes)))
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        for solve in (lambda: solve_cg(stepper, tol),
+                      lambda: solve_fixed_point(stepper, tol),
+                      lambda: solve_distributed_only(q_fixed, stepper, tol)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"tolerance must be finite and positive, got {tol}")):
+                solve()

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heatctrl import (SpdFactor, Stepper, TimeGrid, assemble, build_rect_mesh,
-                      gen_eig_extreme)
+from heatctrl import SpdFactor, Stepper, assemble, build_rect_mesh, gen_eig_extreme
 
 import heatctrl.linalg
 from heatctrl.linalg import SolverError
 
-from oracles import dense_assemble
+from oracles import dense_assemble, make_instance
 
 
 def test_identity_solve():
@@ -139,9 +138,9 @@ def test_rayleigh_quotients_bracketed_by_extremes():
 
 @pytest.mark.parametrize("variant, alpha", [("P", None), ("Palpha", 10.0)])
 def test_step_matrix_solves_match_dense_solve(variant, alpha):
-    ops = assemble(build_rect_mesh(6, 5, "left,bottom"))
-    grid = TimeGrid(T=1.0, n_steps=4)
-    stepper = Stepper(ops, grid, variant, alpha)
+    ops, data = make_instance(6, 5, 4, gamma1="left,bottom", zero_data=True)
+    grid = data.grid
+    stepper = Stepper(data, variant, alpha)
     A = ops.M / grid.tau + ops.K
     if variant == "P":
         A = A[np.ix_(ops.free_nodes, ops.free_nodes)]

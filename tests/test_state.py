@@ -33,8 +33,8 @@ def constant_instance(nx=3, ny=2, n_steps=4):
 def test_zero_data_gives_zero_state():
     ops, data = zero_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
-    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", ALPHA))
+    u = solve_state(ctrl, Stepper(data, "P"))
+    ua = solve_state(ctrl, Stepper(data, "Palpha", ALPHA))
     assert np.max(np.abs(u)) == 0.0
     assert np.max(np.abs(ua)) == 0.0
 
@@ -42,7 +42,7 @@ def test_zero_data_gives_zero_state():
 def test_constant_state_is_stationary():
     ops, data = constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
+    u = solve_state(ctrl, Stepper(data, "P"))
     assert np.max(np.abs(u - 1.0)) <= 1e-12
 
 
@@ -50,7 +50,7 @@ def test_constant_state_is_stationary():
 def test_constant_state_is_stationary_robin(alpha):
     ops, data = constant_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", alpha))
+    ua = solve_state(ctrl, Stepper(data, "Palpha", alpha))
     assert np.max(np.abs(ua - 1.0)) <= 1e-12
 
 
@@ -59,7 +59,7 @@ def test_state_matches_dense_spacetime_solve():
     rng = np.random.default_rng(22)
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "P").state(data, ctrl)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
+    u = solve_state(ctrl, Stepper(data, "P"))
     assert np.max(np.abs(u - dense)) <= 1e-10
 
 
@@ -68,7 +68,7 @@ def test_robin_state_matches_dense_spacetime_solve():
     rng = np.random.default_rng(24)
     ctrl = random_control(ops, data.grid, rng)
     dense = SpaceTimeSystem(ops, data.grid, "Palpha", 10.0).state(data, ctrl)
-    ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", 10.0))
+    ua = solve_state(ctrl, Stepper(data, "Palpha", 10.0))
     assert np.max(np.abs(ua - dense)) <= 1e-10
 
 
@@ -77,11 +77,11 @@ def test_superposition_of_the_affine_map():
     rng = np.random.default_rng(31)
     c1 = random_control(ops, data.grid, rng)
     c2 = random_control(ops, data.grid, rng)
-    stepper = Stepper(ops, data.grid, "P")
-    u00 = solve_state(data, ControlPair.zeros_like(ops, data.grid), stepper)
-    u1 = solve_state(data, c1, stepper)
-    u2 = solve_state(data, c2, stepper)
-    u12 = solve_state(data, c1 + c2, stepper)
+    stepper = Stepper(data, "P")
+    u00 = solve_state(ControlPair.zeros_like(ops, data.grid), stepper)
+    u1 = solve_state(c1, stepper)
+    u2 = solve_state(c2, stepper)
+    u12 = solve_state(c1 + c2, stepper)
     assert np.max(np.abs((u12 - u00) - ((u1 - u00) + (u2 - u00)))) <= 1e-10
 
 
@@ -89,7 +89,7 @@ def test_dirichlet_trace_is_exact():
     ops, data = make_instance(nx=3, ny=2, n_steps=4, seed=33)
     rng = np.random.default_rng(34)
     ctrl = random_control(ops, data.grid, rng)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
+    u = solve_state(ctrl, Stepper(data, "P"))
     for k in range(data.grid.n_steps + 1):
         assert np.array_equal(u[k][ops.dirichlet_nodes], data.b)
 
@@ -100,7 +100,7 @@ def test_penalized_boundary_mismatch_stays_bounded():
     ctrl = random_control(ops, data.grid, rng)
     residuals = []
     for alpha in (10.0, 100.0, 1000.0, 10000.0):
-        ua = solve_state(data, ctrl, Stepper(ops, data.grid, "Palpha", alpha))
+        ua = solve_state(ctrl, Stepper(data, "Palpha", alpha))
         residuals.append(boundary_residual_norm(ua, data.b, alpha, ops, data.grid))
     assert max(residuals) <= 10.0 * residuals[0]
 
@@ -144,7 +144,7 @@ def test_spatial_convergence_against_exact_solution(with_flux):
     errs = []
     for nx in (4, 8, 16):
         ops, data, ctrl, space = manufactured_problem(nx, 2048, with_flux)
-        u = solve_state(data, ctrl, Stepper(ops, data.grid, "P"))
+        u = solve_state(ctrl, Stepper(data, "P"))
         err = u[-1] - np.exp(-1.0) * space
         errs.append(np.sqrt(err @ (ops.M @ err)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -153,11 +153,11 @@ def test_spatial_convergence_against_exact_solution(with_flux):
 
 def test_temporal_convergence_is_first_order():
     ops, data_ref, ctrl_ref, _ = manufactured_problem(12, 2048, True)
-    u_ref = solve_state(data_ref, ctrl_ref, Stepper(ops, data_ref.grid, "P"))
+    u_ref = solve_state(ctrl_ref, Stepper(data_ref, "P"))
     errs = []
     for n_steps in (8, 16, 32):
         _, data_c, ctrl_c, _ = manufactured_problem(12, n_steps, True)
-        u = solve_state(data_c, ctrl_c, Stepper(data_c.ops, data_c.grid, "P"))
+        u = solve_state(ctrl_c, Stepper(data_c, "P"))
         d = u[-1] - u_ref[-1]
         errs.append(np.sqrt(d @ (ops.M @ d)))
     rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -166,8 +166,8 @@ def test_temporal_convergence_is_first_order():
 
 @pytest.mark.parametrize("variant, alpha", [("P", None), ("Palpha", 10.0)])
 def test_load_equals_the_zero_extended_flux_product(variant, alpha):
-    ops = assemble(build_rect_mesh(5, 4, "left,bottom"))
-    stepper = Stepper(ops, TimeGrid(1.0, 2), variant, alpha)
+    ops, data = make_instance(nx=5, ny=4, n_steps=2, gamma1="left,bottom", zero_data=True)
+    stepper = Stepper(data, variant, alpha)
     rng = np.random.default_rng(3)
     g = rng.standard_normal(ops.n_nodes)
     q = rng.standard_normal(len(ops.gamma2_nodes))
@@ -185,29 +185,29 @@ def test_sweep_matches_the_two_product_loop(variant):
     ctrl = random_control(ops, data.grid, np.random.default_rng(62))
     assert np.all(data.b != 0.0) and np.all(ctrl.q != 0.0)
     reference = two_product_state(data, ctrl, ops, variant)
-    u = solve_state(data, ctrl, Stepper(ops, data.grid, variant, ALPHA))
+    u = solve_state(ctrl, Stepper(data, variant, ALPHA))
     assert np.max(np.abs(u - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_mismatched_data_rejected():
     ops, data = make_instance()
     ctrl = ControlPair.zeros_like(ops, data.grid)
-    stepper = Stepper(ops, data.grid, "P")
+    stepper = Stepper(data, "P")
     with pytest.raises(ValueError, match="Dirichlet"):
-        solve_state(replace(data, v_b=data.v_b + 1.0), ctrl, stepper)
+        solve_state(ctrl, Stepper(replace(data, v_b=data.v_b + 1.0), "P"))
     with pytest.raises(ValueError, match="positive"):
-        solve_state(replace(data, M1=-1.0), ctrl, stepper)
+        solve_state(ctrl, Stepper(replace(data, M1=-1.0), "P"))
     k = len(ops.dirichlet_nodes)
     for name, message in (("v_b", "v_b must have shape"),
                           ("b", rf"^b must have shape \({k},\), got \({k - 1},\)$"),
                           ("z_d", "z_d must have shape")):
         with pytest.raises(ValueError, match=message):
-            solve_state(replace(data, **{name: getattr(data, name)[:-1]}), ctrl,
-                        stepper)
+            solve_state(ctrl, Stepper(replace(data, **{name: getattr(data, name)[:-1]}),
+                                      "P"))
     for name, short in (("g", ControlPair(ctrl.g[:-1], ctrl.q)),
                         ("q", ControlPair(ctrl.g, ctrl.q[:, :-1]))):
         with pytest.raises(ValueError, match=f"{name} series must have shape"):
-            solve_state(data, short, stepper)
+            solve_state(short, stepper)
     z_d = data.z_d.copy()
     z_d[1, 2] = np.nan
     for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
@@ -215,24 +215,23 @@ def test_mismatched_data_rejected():
         # the data refuses itself when it is made, before either solve runs
         for solve in (solve_state, cost_J):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                solve(replace(data, **{name: value}), ctrl, stepper)
+                solve(ctrl, Stepper(replace(data, **{name: value}), "P"))
 
 
 def test_robin_variant_needs_alpha():
     ops, data = make_instance()
     with pytest.raises(ValueError, match="alpha"):
-        solve_state(data, ControlPair.zeros_like(ops, data.grid),
-                    Stepper(ops, data.grid, "Palpha"))
+        solve_state(ControlPair.zeros_like(ops, data.grid), Stepper(data, "Palpha"))
 
 
 def test_stepper_refuses_an_unknown_variant():
     ops, data = make_instance()
     with pytest.raises(ValueError, match="variant must be one of"):
-        Stepper(ops, data.grid, "Q")
+        Stepper(data, "Q")
 
 
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
 def test_robin_stepper_refuses_a_bad_alpha_by_name(alpha):
     ops, data = make_instance()
     with pytest.raises(ValueError, match=r"needs a finite alpha > 0, got"):
-        Stepper(ops, data.grid, "Palpha", alpha)
+        Stepper(data, "Palpha", alpha)
