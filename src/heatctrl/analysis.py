@@ -125,6 +125,9 @@ def _converged(rep, stepper, problem=""):
 
 
 def _usable_cpus():
+    """The CPUs this process may use, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -133,15 +136,16 @@ def _usable_cpus():
 def _fork_map(fn, items):
     """[fn(item) for item in items], item i computed in process i % n.
 
-    n is the number of CPUs this process may use, capped at len(items).
-    Process 0 is this one; the others are forked children, which pickle
-    their results back over a pipe and leave through os._exit.  With n = 1
-    nothing is forked.  Each process stops at its first exception; once
-    every pipe is read and every child reaped, the first failure in item
-    order is raised.  A child that dies without a result is a SolverError
-    naming its items.
+    The package's one way to run work side by side.  n is the number of
+    CPUs this process may use, capped at len(items).  Process 0 is this
+    one; the others are forked children, which inherit everything this
+    process holds, pickle their results back over a pipe and leave through
+    os._exit.  With n = 1 nothing is forked.  Each process stops at its
+    first exception; once every pipe is read and every child reaped, the
+    first failure in item order is raised.  A child that dies without a
+    result is a SolverError naming its items.
     """
-    n = min(len(items), _usable_cpus()) if hasattr(os, "fork") else 1
+    n = min(len(items), _usable_cpus())
     parent = os.getpid()
     # a child must not write out what this process has buffered
     sys.stdout.flush()
@@ -177,7 +181,7 @@ def _fork_map(fn, items):
     for i in range(len(items)):
         # a share ends at its first failure, which precedes its missing items
         if i not in outcomes:
-            raise SolverError(f"a sweep worker for {items[i::n]} exited with "
+            raise SolverError(f"a worker for {items[i::n]} exited with "
                               f"code {codes[i % n]} without a result")
         ok, value = outcomes[i]
         if not ok:

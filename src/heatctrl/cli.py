@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import analysis, shares
 from .analysis import alpha_sweep, check_alphas, check_suite, sweep_flags
 from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
@@ -332,14 +333,9 @@ def write_csv_series(path, values, step0=0, node_ids=None):
     when given.  The bytes equal write_csv on the same rows: CRLF line ends
     and values as %.17g.
     """
-    nodes = range(values.shape[1]) if node_ids is None else node_ids
-    # joined with the step number as separator, these pieces make the
-    # %-template of one step's rows
-    pieces = [""] + [f",{int(node)},%.17g\r\n" for node in nodes]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,node,value\r\n")
-        for step, row in enumerate(values, start=step0):
-            fh.write(str(step).join(pieces) % tuple(row.tolist()))
+        shares._series_rows(fh, values, step0, node_ids)
 
 
 def summarize_solve(payload) -> str:
@@ -388,17 +384,24 @@ class Result:
 
 def run_solve(config: RunConfig) -> Result:
     data = build_problem(config)
-    runs, tables = {}, {}
-    # the constants before the stepper's factorization: the other order
-    # raised the peak RSS of a 128x128 solve by about 1 MiB
-    payload = {"command": "solve", "variant": config.variant,
-               "constants": compute_constants(data.ops), "runs": runs}
     optimizers = ("cg", "fixed_point") if config.optimizer == "both" \
         else (config.optimizer,)
+    # factorized before the fork: both optimizers share it, and the peak RSS
+    # of a 128x128 solve read lower than with the fork first
     stepper = Stepper(data, config.variant, config.alpha)
-    for name in optimizers:
+
+    def job(name):
+        if name == "constants":
+            return compute_constants(data.ops)
         solve = solve_cg if name == "cg" else solve_fixed_point
-        rep = solve(stepper, config.tol, max_iter=config.max_iter)
+        return solve(stepper, config.tol, max_iter=config.max_iter)
+
+    # the first optimizer runs in this process, so its report is not pickled
+    *reports, constants = analysis._fork_map(job, [*optimizers, "constants"])
+    runs, tables = {}, {}
+    payload = {"command": "solve", "variant": config.variant,
+               "constants": constants, "runs": runs}
+    for name, rep in zip(optimizers, reports):
         runs[name] = rep.summary_dict()
         tables.update({
             f"history_{name}.csv": (write_csv, ("iteration", "residual_norm"),
@@ -509,9 +512,8 @@ def main(argv=None) -> int:
                  {result.report: (write_json, report_text), **result.tables}.items()
                  if Path(name).suffix[1:] in config.formats}
         try:
-            for name, (writer, *writer_args) in files.items():
-                writer(out / name, *writer_args)
-        except OSError as exc:  # a full disk, say: the files written stay
+            shares._write_files(out, files, write_csv_series)
+        except OSError as exc:  # a full disk, say: the files finished stay
             raise ConfigError(f"output directory {out}: {exc.strerror}") from None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

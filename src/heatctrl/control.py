@@ -168,7 +168,7 @@ def _coercivity(constants: dict, variant, alpha) -> float:
     if variant == "P":
         return constants["lambda0"]
     if variant == "Palpha":
-        if alpha is None or alpha <= 0:
+        if alpha is None or not 0 < alpha < math.inf:
             raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
         return constants["lambda1"] * min(1.0, alpha)
     raise ValueError(f"unknown variant {variant!r}")

@@ -136,14 +136,15 @@ class Stepper:
         self.flux = ops.B2[S][:, ops.gamma2_nodes]
         self.factor = SpdFactor(A)
 
-    def boundary_load(self, b):
-        """Constant load of the boundary data b on the solved rows.
+    def boundary_load(self):
+        """Constant load of the data's boundary values b on the solved rows.
 
         -A_FD b for the pinned variant: with the Dirichlet rows of every
         slice held at b, the mass product of a step counts their part
         M_FD b / tau, and -A_FD b = -M_FD b / tau - K_FD b takes it back out
         and adds the stiffness lifting.  alpha B1 b for the Robin variant.
         """
+        b = self.data.b
         if self.variant == "P":
             return -(self.A_fd @ b)
         b_ext = np.zeros(self.ops.n_nodes)
@@ -209,7 +210,7 @@ def solve_state(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
     """Forward solve of the stepper's system, pinned or Robin at its alpha, on its data."""
     data = stepper.data
     _check_ctrl(ctrl, stepper)
-    return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(data.b), data.b)
+    return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(), data.b)
 
 
 def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper, out=None) -> np.ndarray:

@@ -351,6 +351,13 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch, count, usable):
     assert heatctrl.analysis._usable_cpus() == usable
 
 
+def test_usable_cpus_without_fork(monkeypatch):
+    # where os.fork is missing, every job and every row share runs in this process
+    monkeypatch.delattr(os, "fork")
+    assert heatctrl.analysis._usable_cpus() == 1
+    assert heatctrl.analysis._fork_map(lambda item: os.getpid(), [1, 2, 3]) == [os.getpid()] * 3
+
+
 @pytest.mark.parametrize("cpus", [None, 2, 3, 4])
 def test_sweep_records_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     data = sweep_instance()

@@ -615,6 +615,84 @@ def test_sweep_prints_the_same_bytes_on_any_cpu_count(tmp_path):
             (tmp_path / "out1" / name).read_bytes(), name
 
 
+SOLVE_SCRIPT = """
+import os, sys
+import heatctrl.analysis
+from heatctrl.cli import main
+heatctrl.analysis._usable_cpus = lambda: int(sys.argv[1])
+print("before the solve")
+code = main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child was left behind")
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("n_steps", [1, 8])
+def test_solve_writes_the_same_bytes_on_any_cpu_count(tmp_path, n_steps):
+    # the constants job and the row shares of every series file run in as
+    # many processes as there are CPUs; with one step a share of each
+    # series file is empty at 3 CPUs
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
+    text = path.read_text().replace("n_steps = 2", f"n_steps = {n_steps}")
+    path.write_text(text.replace("M1 = 1.0", "M1 = 60.0").replace("M2 = 1.0", "M2 = 60.0"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    runs, outputs = {}, {}
+    for cpus in (1, 2, 3):
+        out = tmp_path / f"out{cpus}"
+        runs[cpus] = subprocess.run(
+            [sys.executable, "-c", SOLVE_SCRIPT, str(cpus), "solve",
+             "--config", str(path), "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs[1].returncode == 0, runs[1].stderr
+    assert runs[1].stdout.splitlines()[0] == b"before the solve"
+    assert runs[1].stdout.splitlines()[1:] == \
+        summarize_solve(json.loads(outputs[1]["solve_report.json"])).encode().splitlines()
+    assert len(outputs[1]) == 11
+    for cpus in (2, 3):
+        assert (runs[cpus].returncode, runs[cpus].stdout, runs[cpus].stderr) == \
+            (runs[1].returncode, runs[1].stdout, runs[1].stderr)
+        assert outputs[cpus] == outputs[1]
+
+
+@pytest.mark.parametrize("where, cpus", [("child", 2), ("child", 3), ("parent", 1),
+                                         ("parent", 2)])
+def test_a_share_that_cannot_be_written_leaves_only_finished_files(
+        tmp_path, capsys, monkeypatch, where, cpus):
+    # the first series share written in a child, or this process's share 0
+    # of state_cg.csv, fails; the files finished before it stay, and no
+    # series file, whole or part, does
+    parent = os.getpid()
+    rows = heatctrl.shares._series_rows
+
+    def no_space(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise NO_SPACE
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(heatctrl.shares, "_series_rows", no_space)
+    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+    path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
+    path.write_text(path.read_text().replace("M1 = 1.0", "M1 = 60.0")
+                    .replace("M2 = 1.0", "M2 = 60.0"))
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr() == (
+        "", f"configuration error: output directory {tmp_path / 'out'}: "
+            f"{NO_SPACE.strerror}\n")
+    finished = {"child": ["history_cg.csv", "history_fixed_point.csv",
+                          "solve_report.json"],
+                "parent": ["history_cg.csv", "solve_report.json"]}[where]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == finished
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 CRITERION_9_CONFIG = """
 [mesh]
 nx = 4

@@ -22,7 +22,8 @@ import heatctrl.control
 import heatctrl.state
 from heatctrl.adjoint import solve_adjoint_homogeneous
 from heatctrl.analysis import _operator_pass
-from heatctrl.control import CG_MAX_ITER, _gradient, _held, _hessian_apply, _series_inner
+from heatctrl.control import (CG_MAX_ITER, _coercivity, _gradient, _held, _hessian_apply,
+                              _series_inner)
 from heatctrl.linalg import SolverError
 from heatctrl.state import solve_state_homogeneous
 
@@ -458,6 +459,16 @@ def test_contraction_constant_formula():
         contraction_constant(consts, 1.0, 1.0, "Palpha")
     with pytest.raises(ValueError, match="unknown variant 'Q'"):
         contraction_constant(consts, 1.0, 1.0, "Q")
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_robin_bound_refuses_an_alpha_that_is_not_finite_and_positive(alpha):
+    # nan fails no comparison in alpha <= 0, and min(1, nan) is 1
+    consts = {"lambda0": 0.5, "lambda1": 0.6, "trace_norm": 1.2}
+    with pytest.raises(ValueError, match=f"needs alpha > 0, got {alpha}$"):
+        contraction_constant(consts, 1.0, 1.0, "Palpha", alpha=alpha)
+    with pytest.raises(ValueError, match=f"needs alpha > 0, got {alpha}$"):
+        _coercivity(consts, "Palpha", alpha)
 
 
 @pytest.mark.parametrize("M1, M2", [(1e160, 1.0), (1.0, 1e160), (1e300, 1e300)])
