@@ -334,7 +334,6 @@ def write_csv_series(path, values, step0=0, node_ids=None):
     and values as %.17g.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("step,node,value\r\n")
         shares._series_rows(fh, values, step0, node_ids)
 
 
@@ -390,14 +389,14 @@ def run_solve(config: RunConfig) -> Result:
     # of a 128x128 solve read lower than with the fork first
     stepper = Stepper(data, config.variant, config.alpha)
 
-    def job(name):
-        if name == "constants":
+    def job(item):
+        if item == "constants":
             return compute_constants(data.ops)
-        solve = solve_cg if name == "cg" else solve_fixed_point
-        return solve(stepper, config.tol, max_iter=config.max_iter)
+        return [(solve_cg if name == "cg" else solve_fixed_point)(
+            stepper, config.tol, max_iter=config.max_iter) for name in item]
 
-    # the first optimizer runs in this process, so its report is not pickled
-    *reports, constants = analysis._fork_map(job, [*optimizers, "constants"])
+    # the optimizers run in this process, so no report is pickled
+    reports, constants = analysis._fork_map(job, [optimizers, "constants"])
     runs, tables = {}, {}
     payload = {"command": "solve", "variant": config.variant,
                "constants": constants, "runs": runs}
@@ -512,7 +511,8 @@ def main(argv=None) -> int:
                  {result.report: (write_json, report_text), **result.tables}.items()
                  if Path(name).suffix[1:] in config.formats}
         try:
-            shares._write_files(out, files, write_csv_series)
+            shares._write_files(out, files, [
+                name for name, (writer, *_) in files.items() if writer is write_csv_series])
         except OSError as exc:  # a full disk, say: the files finished stay
             raise ConfigError(f"output directory {out}: {exc.strerror}") from None
     except ConfigError as exc:

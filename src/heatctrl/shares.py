@@ -2,26 +2,34 @@
 
 A (step, node, value) table of R rows is cut into n contiguous row shares,
 rows [R k // n, R (k + 1) // n) for k = 0, ..., n - 1, which
-analysis._fork_map writes in n processes.  This is not part of cli: without
-a bytecode cache every run compiles cli.py, and parsing these lines there
-raised the peak RSS of `heatctrl sweep` at 64² by 0.7 MiB.
+analysis._fork_map writes in n processes.  This module holds the series
+format, header and rows.  It is not part of cli: without a bytecode cache
+every run compiles cli.py, and parsing these lines there raised the peak
+RSS of `heatctrl sweep` at 64² by 0.7 MiB.
 """
 
 import contextlib
-import shutil
 import tempfile
 
 from . import analysis
 
+# at most this many shares, whatever the CPU count: each share past the
+# first forks a copy of this process and holds a temporary file and a pipe
+# open until the join
+MAX_SHARES = 8
+
 
 def _series_rows(fh, values, step0=0, node_ids=None, share=(0, 1)):
-    """Write share k of n, share = (k, n), of a series table's rows to fh.
+    """Write share k of n, share = (k, n), of a series table to fh.
 
-    Without the header; row (step, column) is `step,node,%.17g` with a CRLF
-    line end, step counted from step0 and node the column index, or
-    node_ids[column] when given.  The n shares in order are all rows.
+    Share 0 begins with the header `step,node,value`; row (step, column) is
+    `step,node,%.17g`, step counted from step0 and node the column index,
+    or node_ids[column] when given, each line ended by CRLF.  The n shares
+    in order are the whole table.
     """
     k, n = share
+    if k == 0:
+        fh.write("step,node,value\r\n")
     first, end = len(values) * k // n, len(values) * (k + 1) // n
     nodes = range(values.shape[1]) if node_ids is None else node_ids
     # joined with the step number as separator, these pieces make the
@@ -31,25 +39,34 @@ def _series_rows(fh, values, step0=0, node_ids=None, share=(0, 1)):
         fh.write(str(step).join(pieces) % tuple(row.tolist()))
 
 
-def _write_files(out, files, series_writer):
+def _copy(src, dst, count):
+    """Copy the next count bytes of the binary file src to dst, 64 KiB at a time."""
+    for start in range(0, count, 1 << 16):
+        dst.write(src.read(min(1 << 16, count - start)))
+
+
+def _write_files(out, files, series):
     """Write files, {name: (writer, *arguments after the path)}, into out.
 
-    A table whose writer is series_writer, called as series_writer(path,
-    values, *rest) to write the header and the _series_rows of values, is
-    written in row shares, one per CPU this process may use, in the
-    processes of analysis._fork_map.  This process writes each file in
-    order, of a series table its share 0 only.  Share k > 0 of a table goes
-    into an anonymous temporary file in out, opened before the fork, and
-    once every share is written the shares are appended to the table in
-    order, so the bytes do not depend on the number of shares.  When
-    writing stops at an exception, every file whose writing began and did
-    not finish is removed before the exception is raised again.
+    The tables named in series, each (writer, values, *rest) where
+    writer(path, values, *rest) writes _series_rows(fh, values, *rest) to
+    path, are written in n row shares in the processes of
+    analysis._fork_map.  n is the number of CPUs this process may use,
+    capped at MAX_SHARES and at the rows of the longest series table.  This
+    process writes each file in order, of a series table its share 0 only.
+    Share k > 0 of every series table, one after the other, goes into the
+    k-th anonymous temporary file in out, opened before the fork; once every
+    share is written, each table's part of each share is appended to it in
+    order, so the bytes do not depend on n.  When writing stops at an
+    exception, every file whose writing began and did not finish is removed
+    before the exception is raised again.
     """
-    series = [name for name, (writer, *_) in files.items() if writer is series_writer]
-    n = analysis._usable_cpus() if series else 1
+    n = min(analysis._usable_cpus(), MAX_SHARES,
+            max((len(files[name][1]) for name in series), default=1))
     begun, done = [], set()
 
     def share(k):
+        """Write share k; of a share k > 0, its byte count per series table."""
         if k == 0:
             for name, (writer, *args) in files.items():
                 begun.append(name)
@@ -59,22 +76,28 @@ def _write_files(out, files, series_writer):
                 else:
                     writer(out / name, *args)
                     done.add(name)
-            return
-        for name in series:
-            with open(temps[name, k].fileno(), "w", newline="", encoding="utf-8",
-                      closefd=False) as fh:
+            return None
+        counts = []
+        with open(temps[k - 1].fileno(), "w", newline="", encoding="utf-8",
+                  closefd=False) as fh:
+            for name in series:
+                # tell() of a text file only written to is its byte offset
+                start = fh.tell()
                 _series_rows(fh, *files[name][1:], share=(k, n))
+                counts.append(fh.tell() - start)
+        return counts
 
     with contextlib.ExitStack() as stack:
-        temps = {(name, k): stack.enter_context(tempfile.TemporaryFile(dir=out))
-                 for name in series for k in range(1, n)}
+        temps = [stack.enter_context(tempfile.TemporaryFile(dir=out))
+                 for _ in range(n - 1)]
         try:
-            analysis._fork_map(share, list(range(n)))
-            for name in series:
+            _, *counts = analysis._fork_map(share, list(range(n)))
+            for temp in temps:  # a child's writes moved the shared offset
+                temp.seek(0)
+            for i, name in enumerate(series):
                 with open(out / name, "ab") as fh:
-                    for k in range(1, n):
-                        temps[name, k].seek(0)
-                        shutil.copyfileobj(temps[name, k], fh)
+                    for temp, share_counts in zip(temps, counts):
+                        _copy(temp, fh, share_counts[i])
                 done.add(name)
         except BaseException:
             for name in begun:

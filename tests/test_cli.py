@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from heatctrl import (ProblemData, Stepper, TimeGrid, assemble, build_rect_mesh,
 from heatctrl import cli
 from heatctrl.cli import (ConfigError, load_config, main, parse_config_text,
                           summarize_solve, summarize_sweep, write_csv,
-                          write_csv_series)
+                          write_csv_series, write_json)
 from heatctrl.linalg import SolverError, SpdFactor
 
 import golden
@@ -692,6 +693,39 @@ def test_a_share_that_cannot_be_written_leaves_only_finished_files(
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
+
+
+@pytest.mark.parametrize("rows, shares", [(1, 1), (5, 5), (100, heatctrl.shares.MAX_SHARES)])
+def test_row_shares_are_capped_and_each_holds_one_temporary_file(
+        tmp_path, monkeypatch, rows, shares):
+    # on a host of 1000 CPUs, the shares run one after the other in this
+    # process: the share count stops at the longest table's rows and at
+    # MAX_SHARES, and the two series tables share one temporary file per
+    # share past the first
+    values = np.arange(3.0 * rows).reshape(rows, 3) / 7
+    files = {"report.json": (write_json, "{}"), "a.csv": (write_csv_series, values),
+             "b.csv": (write_csv_series, values[:2] + 1, 1, np.array([4, 5, 9]))}
+    opened = []
+
+    def temporary_file(**kwargs):
+        opened.append(kwargs)
+        return make_temporary_file(**kwargs)
+
+    make_temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1000)
+    monkeypatch.setattr(heatctrl.analysis, "_fork_map",
+                        lambda fn, items: [fn(item) for item in items])
+    (tmp_path / "shares").mkdir()
+    heatctrl.shares._write_files(tmp_path / "shares", files, ["a.csv", "b.csv"])
+    assert opened == [{"dir": tmp_path / "shares"}] * (shares - 1)
+    (tmp_path / "whole").mkdir()
+    for name, (writer, *args) in files.items():
+        writer(tmp_path / "whole" / name, *args)
+    for name in files:
+        assert (tmp_path / "shares" / name).read_bytes() == \
+            (tmp_path / "whole" / name).read_bytes(), name
+    assert sorted(p.name for p in (tmp_path / "shares").iterdir()) == sorted(files)
 
 CRITERION_9_CONFIG = """
 [mesh]
