@@ -9,9 +9,6 @@ sqrt(alpha - 1) * |u_alpha - b|_{L2(L2(gamma1))}.
 
 import functools
 import math
-import os
-import pickle
-import sys
 
 import numpy as np
 
@@ -21,6 +18,7 @@ from .control import (CG_MAX_ITER, _coercivity, _convexity_gap, _cost, _pair,
                       gradient_J, h_inner, hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
 from .linalg import SolverError
+from .shares import _fork_map
 from .state import (VARIANTS, ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
 
@@ -62,7 +60,7 @@ def alpha_sweep(data: ProblemData, alphas, tol, max_iter=CG_MAX_ITER):
     gets one state/adjoint pass at zero controls, which gives its
     fixed-control record and starts its CG solve.  The pinned operator is
     solved first, in this process; the alphas are then spread over the CPUs
-    this process may use (see _fork_map), and the reports do not depend on
+    this process may use (shares._fork_map), and the reports do not depend on
     how many there are.  Returns the fixed-control and the optimal-control
     report, each {"alphas", "records", "reference"}: a record holds alpha,
     state_gap, adjoint_gap and boundary_residual, and the optimal-control
@@ -122,90 +120,6 @@ def _converged(rep, stepper, problem=""):
         raise SolverError(f"inner solve for {problem}{stepper.variant}{at} stopped at "
                           f"grad_norm={rep.grad_norm:.3e} after {rep.iterations} iterations")
     return rep
-
-
-def _usable_cpus():
-    """The CPUs this process may use, or 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_map(fn, items):
-    """[fn(item) for item in items], item i computed in process i % n.
-
-    The package's one way to run work side by side.  n is the number of
-    CPUs this process may use, capped at len(items).  Process 0 is this
-    one; the others are forked children, which inherit everything this
-    process holds, pickle their results back over a pipe and leave through
-    os._exit.  With n = 1 nothing is forked.  Each process stops at its
-    first exception; once every pipe is read and every child reaped, the
-    first failure in item order is raised.  A child that dies without a
-    result is a SolverError naming its items.
-    """
-    n = min(len(items), _usable_cpus())
-    parent = os.getpid()
-    # a child must not write out what this process has buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
-    for rank in range(1, n):
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_end)
-                payload = pickle.dumps(_share(fn, items, rank, n, parent))
-                with os.fdopen(write_end, "wb") as pipe:
-                    pipe.write(payload)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        children.append((pid, read_end))
-    payloads, codes = [], [0]
-    try:
-        outcomes = _share(fn, items, 0, n, parent)
-    finally:
-        for pid, read_end in children:
-            with os.fdopen(read_end, "rb") as pipe:
-                payloads.append(pipe.read())
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for payload in payloads:
-        if payload:
-            outcomes.update(pickle.loads(payload))
-    results = []
-    for i in range(len(items)):
-        # a share ends at its first failure, which precedes its missing items
-        if i not in outcomes:
-            raise SolverError(f"a worker for {items[i::n]} exited with "
-                              f"code {codes[i % n]} without a result")
-        ok, value = outcomes[i]
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _share(fn, items, rank, n, parent):
-    """{i: (True, fn(items[i])) or (False, exception)} for i = rank, rank + n, ...
-
-    Stops after the first exception.  A child (rank > 0) whose parent has
-    gone exits before its next item.
-    """
-    outcomes = {}
-    for i in range(rank, len(items), n):
-        if rank and os.getppid() != parent:
-            os._exit(1)
-        try:
-            outcomes[i] = (True, fn(items[i]))
-        except Exception as exc:
-            outcomes[i] = (False, exc)
-            break
-    return outcomes
 
 
 # relative distance of the last sweep optimum's cost from the pinned one

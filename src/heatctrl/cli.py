@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, shares
+from . import shares
 from .analysis import alpha_sweep, check_alphas, check_suite, sweep_flags
 from .assembly import assemble, compute_constants
 from .control import solve_cg, solve_fixed_point
@@ -396,7 +396,7 @@ def run_solve(config: RunConfig) -> Result:
             stepper, config.tol, max_iter=config.max_iter) for name in item]
 
     # the optimizers run in this process, so no report is pickled
-    reports, constants = analysis._fork_map(job, [optimizers, "constants"])
+    reports, constants = shares._fork_map(job, [optimizers, "constants"])
     runs, tables = {}, {}
     payload = {"command": "solve", "variant": config.variant,
                "constants": constants, "runs": runs}

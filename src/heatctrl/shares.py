@@ -1,17 +1,105 @@
-"""A command's output files, its series tables written in row shares side by side.
+"""Side-by-side work: the one fork helper, the share cap and the series format.
 
-A (step, node, value) table of R rows is cut into n contiguous row shares,
-rows [R k // n, R (k + 1) // n) for k = 0, ..., n - 1, which
-analysis._fork_map writes in n processes.  This module holds the series
-format, header and rows.  It is not part of cli: without a bytecode cache
-every run compiles cli.py, and parsing these lines there raised the peak
-RSS of `heatctrl sweep` at 64² by 0.7 MiB.
+_fork_map is the package's one way to run work in several processes.  A
+(step, node, value) table of R rows is cut into n <= MAX_SHARES row shares,
+rows [R k // n, R (k + 1) // n) for k = 0, ..., n - 1, which _write_files
+writes side by side.  The writer is not in cli: without a bytecode cache
+every run compiles cli.py, and these lines there raised the peak RSS of
+`heatctrl sweep` at 64² by 0.7 MiB.
 """
 
 import contextlib
+import os
+import pickle
+import sys
 import tempfile
 
-from . import analysis
+from .linalg import SolverError
+
+
+def _usable_cpus():
+    """The CPUs this process may use, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_map(fn, items):
+    """[fn(item) for item in items], item i computed in process i % n.
+
+    The package's one way to run work side by side.  n is the number of
+    CPUs this process may use, capped at len(items).  Process 0 is this
+    one; the others are forked children, which inherit everything this
+    process holds, pickle their results back over a pipe and leave through
+    os._exit.  With n = 1 nothing is forked.  Each process stops at its
+    first exception; once every pipe is read and every child reaped, the
+    first failure in item order is raised.  A child that dies without a
+    result is a SolverError naming its items.
+    """
+    n = min(len(items), _usable_cpus())
+    parent = os.getpid()
+    # a child must not write out what this process has buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    for rank in range(1, n):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                payload = pickle.dumps(_share(fn, items, rank, n, parent))
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(payload)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        children.append((pid, read_end))
+    payloads, codes = [], [0]
+    try:
+        outcomes = _share(fn, items, 0, n, parent)
+    finally:
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                payloads.append(pipe.read())
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for payload in payloads:
+        if payload:
+            outcomes.update(pickle.loads(payload))
+    results = []
+    for i in range(len(items)):
+        # a share ends at its first failure, which precedes its missing items
+        if i not in outcomes:
+            raise SolverError(f"a worker for {items[i::n]} exited with "
+                              f"code {codes[i % n]} without a result")
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _share(fn, items, rank, n, parent):
+    """{i: (True, fn(items[i])) or (False, exception)} for i = rank, rank + n, ...
+
+    Stops after the first exception.  A child (rank > 0) whose parent has
+    gone exits before its next item.
+    """
+    outcomes = {}
+    for i in range(rank, len(items), n):
+        if rank and os.getppid() != parent:
+            os._exit(1)
+        try:
+            outcomes[i] = (True, fn(items[i]))
+        except Exception as exc:
+            outcomes[i] = (False, exc)
+            break
+    return outcomes
+
 
 # at most this many shares, whatever the CPU count: each share past the
 # first forks a copy of this process and holds a temporary file and a pipe
@@ -51,7 +139,7 @@ def _write_files(out, files, series):
     The tables named in series, each (writer, values, *rest) where
     writer(path, values, *rest) writes _series_rows(fh, values, *rest) to
     path, are written in n row shares in the processes of
-    analysis._fork_map.  n is the number of CPUs this process may use,
+    _fork_map.  n is the number of CPUs this process may use,
     capped at MAX_SHARES and at the rows of the longest series table.  This
     process writes each file in order, of a series table its share 0 only.
     Share k > 0 of every series table, one after the other, goes into the
@@ -61,7 +149,7 @@ def _write_files(out, files, series):
     exception, every file whose writing began and did not finish is removed
     before the exception is raised again.
     """
-    n = min(analysis._usable_cpus(), MAX_SHARES,
+    n = min(_usable_cpus(), MAX_SHARES,
             max((len(files[name][1]) for name in series), default=1))
     begun, done = [], set()
 
@@ -91,7 +179,7 @@ def _write_files(out, files, series):
         temps = [stack.enter_context(tempfile.TemporaryFile(dir=out))
                  for _ in range(n - 1)]
         try:
-            _, *counts = analysis._fork_map(share, list(range(n)))
+            _, *counts = _fork_map(share, list(range(n)))
             for temp in temps:  # a child's writes moved the shared offset
                 temp.seek(0)
             for i, name in enumerate(series):

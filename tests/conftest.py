@@ -7,8 +7,8 @@ class ForkSafeLog:
     """A list of text lines kept in a file.
 
     Each append is one os.write to a file opened with O_APPEND, so lines
-    appended by forked processes (the sweep's workers) reach the test too,
-    where appends to a Python list in a child are lost.
+    appended by forked processes (the workers of shares._fork_map) reach
+    the test too, where appends to a Python list in a child are lost.
     """
 
     def __init__(self, path):

@@ -18,6 +18,7 @@ import heatctrl.adjoint
 import heatctrl.analysis
 import heatctrl.cli
 import heatctrl.linalg
+import heatctrl.shares
 import heatctrl.state
 from heatctrl.analysis import boundary_residual_norm, check_alphas, l2v_series_norm
 from heatctrl.linalg import SolverError
@@ -348,24 +349,46 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch, count, usable):
     # where os.sched_getaffinity is missing, the CPU count decides
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    assert heatctrl.analysis._usable_cpus() == usable
+    assert heatctrl.shares._usable_cpus() == usable
 
 
 def test_usable_cpus_without_fork(monkeypatch):
     # where os.fork is missing, every job and every row share runs in this process
     monkeypatch.delattr(os, "fork")
-    assert heatctrl.analysis._usable_cpus() == 1
-    assert heatctrl.analysis._fork_map(lambda item: os.getpid(), [1, 2, 3]) == [os.getpid()] * 3
+    assert heatctrl.shares._usable_cpus() == 1
+    assert heatctrl.shares._fork_map(lambda item: os.getpid(), [1, 2, 3]) == [os.getpid()] * 3
+
+
+def test_only_shares_forks_and_pickles():
+    # the process calls of side-by-side work, and the pickling of its
+    # results, belong to the one fork helper, which needs nothing of the
+    # package but its failure type
+    found, package_imports = {}, []
+    for path in sorted(Path(heatctrl.shares.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "shares.py" and isinstance(node, ast.ImportFrom) and node.level:
+                package_imports.append((node.module, [alias.name for alias in node.names]))
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and node.attr in {"fork", "pipe", "_exit", "waitpid"}):
+                found.setdefault(f"os.{node.attr}", set()).add(path.name)
+            elif (isinstance(node, ast.Import)
+                  and "pickle" in {alias.name for alias in node.names}
+                  or isinstance(node, ast.ImportFrom) and node.module == "pickle"):
+                found.setdefault("import pickle", set()).add(path.name)
+    assert found == dict.fromkeys(
+        ["os.fork", "os.pipe", "os._exit", "os.waitpid", "import pickle"], {"shares.py"})
+    assert package_imports == [("linalg", ["SolverError"])]
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 3, 4])
 def test_sweep_records_do_not_depend_on_the_cpu_count(monkeypatch, cpus):
     data = sweep_instance()
-    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: 1)
     serial = alpha_sweep(data, ALPHAS, 1e-10)
     monkeypatch.undo()
     if cpus is not None:
-        monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: cpus)
     parallel = alpha_sweep(data, ALPHAS, 1e-10)
     # repr of a float is exact, so equal reprs are equal bits
     for one, other in zip(serial, parallel):
@@ -391,12 +414,12 @@ def test_first_failing_alpha_in_order_is_raised(monkeypatch, cpus):
     # with three each runs in its own child
     data = sweep_instance()
     capped_at(monkeypatch, {100.0, 1000.0})
-    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: 1)
     message = (rf"^inner solve for Palpha at alpha=100\.0 stopped at grad_norm={NORM} "
                r"after 1 iterations$")
     with pytest.raises(SolverError, match=message) as serial:
         alpha_sweep(data, ALPHAS, 1e-10)
-    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: cpus)
     with pytest.raises(SolverError, match=message) as parallel:
         alpha_sweep(data, ALPHAS, 1e-10)
     assert str(parallel.value) == str(serial.value)
@@ -417,7 +440,7 @@ def test_a_worker_that_dies_is_a_solver_error(monkeypatch):
         return solve(stepper, tol, **kwargs)
 
     monkeypatch.setattr(heatctrl.analysis, "solve_cg", dying)
-    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: 2)
     with pytest.raises(SolverError, match=r"worker for \[100\.0, 10000\.0\] exited with code 3 "):
         alpha_sweep(data, ALPHAS, 1e-10)
     assert_no_child_left()
@@ -427,6 +450,7 @@ ORPHAN_SCRIPT = """
 import os, sys, time
 from pathlib import Path
 import heatctrl.analysis as analysis
+import heatctrl.shares as shares
 from heatctrl import alpha_sweep
 from conftest import ForkSafeLog
 from oracles import make_instance
@@ -447,7 +471,7 @@ def hooked(stepper, tol, **kwargs):
     return solve(stepper, tol, **kwargs)
 
 analysis.solve_cg = hooked
-analysis._usable_cpus = lambda: 2
+shares._usable_cpus = lambda: 2
 ops, data = make_instance(nx=3, ny=3, n_steps=3, seed=52)
 alpha_sweep(data, [10.0, 100.0, 1000.0, 10000.0], 1e-10)
 """

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.optimize import brentq
 
 import heatctrl
 from heatctrl import assemble, build_rect_mesh, compute_constants
@@ -227,3 +229,37 @@ def test_constants_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, check=True)
         results.append(proc.stdout)
     assert results[0] == results[1]
+
+
+def continuum_constants(gamma1):
+    """The constants of the continuous problem on the unit square.
+
+    With gamma1 = left, lambda0 = (π²/4)/(1+π²/4), lambda1 = k²/(1+k²) with
+    k tan k = 1 + k², and trace_norm = σ^-1/2 with σ = √a tanh √a =
+    √b tanh(√b/2), a + b = 1.  With gamma1 = left,right, lambda0 =
+    π²/(1+π²), lambda1 = k²/(1+k²) with k tan(k/2) = 1 + k², and trace_norm
+    = tanh(1/2)^-1/2.
+    """
+    def root(f, lo, hi):
+        return brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+    if gamma1 == "left":
+        k = root(lambda k: k * math.tan(k) - 1 - k * k, 1e-9, math.pi / 2 - 1e-9)
+        a = root(lambda a: math.sqrt(a) * math.tanh(math.sqrt(a))
+                 - math.sqrt(1 - a) * math.tanh(math.sqrt(1 - a) / 2), 0.0, 1.0)
+        return {"lambda0": (math.pi ** 2 / 4) / (1 + math.pi ** 2 / 4),
+                "lambda1": k * k / (1 + k * k),
+                "trace_norm": (math.sqrt(a) * math.tanh(math.sqrt(a))) ** -0.5}
+    k = root(lambda k: k * math.tan(k / 2) - 1 - k * k, 1e-9, math.pi - 1e-9)
+    return {"lambda0": math.pi ** 2 / (1 + math.pi ** 2), "lambda1": k * k / (1 + k * k),
+            "trace_norm": math.tanh(0.5) ** -0.5}
+
+
+@pytest.mark.parametrize("gamma1", ["left", "left,right"])
+def test_constants_converge_to_the_continuum_at_second_order(gamma1):
+    exact = continuum_constants(gamma1)
+    reports = [compute_constants(assemble(build_rect_mesh(n, n, gamma1))) for n in (8, 16, 32)]
+    for name, value in exact.items():
+        errors = [abs(rep[name] - value) for rep in reports]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert min(orders) >= 1.9, (name, errors)

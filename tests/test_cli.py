@@ -582,9 +582,9 @@ def test_module_entry_point_runs_the_command_line(tmp_path):
 
 SWEEP_SCRIPT = """
 import sys
-import heatctrl.analysis
+import heatctrl.shares
 from heatctrl.cli import main
-heatctrl.analysis._usable_cpus = lambda: int(sys.argv[1])
+heatctrl.shares._usable_cpus = lambda: int(sys.argv[1])
 print("before the sweep")
 sys.exit(main(sys.argv[2:]))
 """
@@ -618,9 +618,9 @@ def test_sweep_prints_the_same_bytes_on_any_cpu_count(tmp_path):
 
 SOLVE_SCRIPT = """
 import os, sys
-import heatctrl.analysis
+import heatctrl.shares
 from heatctrl.cli import main
-heatctrl.analysis._usable_cpus = lambda: int(sys.argv[1])
+heatctrl.shares._usable_cpus = lambda: int(sys.argv[1])
 print("before the solve")
 code = main(sys.argv[2:])
 try:
@@ -678,7 +678,7 @@ def test_a_share_that_cannot_be_written_leaves_only_finished_files(
         return rows(*args, **kwargs)
 
     monkeypatch.setattr(heatctrl.shares, "_series_rows", no_space)
-    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: cpus)
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0", optimizer="both")
     path.write_text(path.read_text().replace("M1 = 1.0", "M1 = 60.0")
                     .replace("M2 = 1.0", "M2 = 60.0"))
@@ -713,8 +713,8 @@ def test_row_shares_are_capped_and_each_holds_one_temporary_file(
 
     make_temporary_file = tempfile.TemporaryFile
     monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
-    monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda: 1000)
-    monkeypatch.setattr(heatctrl.analysis, "_fork_map",
+    monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda: 1000)
+    monkeypatch.setattr(heatctrl.shares, "_fork_map",
                         lambda fn, items: [fn(item) for item in items])
     (tmp_path / "shares").mkdir()
     heatctrl.shares._write_files(tmp_path / "shares", files, ["a.csv", "b.csv"])
@@ -796,7 +796,7 @@ def test_failing_alpha_in_a_worker_fails_the_sweep_as_in_process(tmp_path, capsy
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
     errs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(heatctrl.analysis, "_usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(heatctrl.shares, "_usable_cpus", lambda n=cpus: n)
         assert main(["sweep", "--config", str(path), "--quiet"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

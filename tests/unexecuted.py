@@ -3,9 +3,9 @@
 Runs pytest in this process under `sys.settrace`, tracing only frames of
 `src/heatctrl`, and prints each executable line of that package that no test
 ran, as `path:line  source`.  A line is executable when the compiled module
-holds an instruction that starts it.  The sweep's forked workers leave
-through `os._exit`, which skips every exit handler, so each child writes the
-lines it ran to a spool directory just before it exits.  Processes that a
+holds an instruction that starts it.  Every worker that `shares._fork_map`
+forks leaves through `os._exit`, which skips every exit handler, so each
+child writes the lines it ran to a spool directory just before it exits.  Processes that a
 test starts with subprocess are not traced: their lines count as not run.
 
 From the root of a checkout, for tier-1, or for any pytest arguments:
