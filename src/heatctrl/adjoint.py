@@ -17,7 +17,8 @@ residual, run on the time-reversed view of the adjoint's array.
 
 import numpy as np
 
-from .state import ControlPair, Stepper, _check_shape, _forward, _trajectory
+from .linalg import _check_shape
+from .state import ControlPair, Stepper, _forward, _trajectory
 
 
 def _backward(stepper, residual, out):

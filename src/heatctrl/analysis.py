@@ -17,21 +17,21 @@ from .control import (CG_MAX_ITER, _coercivity, _convexity_gap, _cost, _pair,
                       _series_inner, apply_W, contraction_constant, cost_J,
                       gradient_J, h_inner, hq_inner, hq_norm, q_inner, solve_cg,
                       solve_distributed_only, solve_fixed_point)
-from .linalg import SolverError
+from .linalg import SolverError, _count, _real
 from .shares import _fork_map
 from .state import (VARIANTS, ControlPair, ProblemData, Stepper, solve_state,
                     solve_state_homogeneous)
 
 
 def check_alphas(alphas):
-    """The sweep coefficients as floats: nonempty, finite, > 1, strictly increasing."""
-    alphas = [float(a) for a in alphas]
+    """The sweep coefficients as floats: nonempty, each in (1, inf), strictly increasing."""
+    alphas = list(alphas)
     if not alphas:
         raise ValueError("a sweep needs at least one coefficient")
-    if not all(math.isfinite(a) for a in alphas):
-        raise ValueError(f"sweep coefficients must be finite, got {alphas}")
-    if any(a <= 1.0 for a in alphas):
-        raise ValueError(f"sweep coefficients must all exceed 1, got {alphas}")
+    try:
+        alphas = [_real("alpha", a, 1.0) for a in alphas]
+    except ValueError:
+        raise ValueError(f"sweep coefficients must all exceed 1, got {alphas}") from None
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"sweep coefficients must be strictly increasing, got {alphas}")
     return alphas
@@ -139,6 +139,7 @@ def sweep_flags(report: dict) -> dict:
     """
     flags = {}
     records = report["records"]
+    _count("the number of records", len(records))
     column = {name: [r[name] for r in records] for name in records[0]}
 
     def decreasing(values):
@@ -184,8 +185,7 @@ def check_suite(data: ProblemData, alpha, variant, tol, max_iter=CG_MAX_ITER,
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if alpha is None or not 1.0 < alpha < math.inf:
-        raise ValueError(f"the checks need a finite alpha > 1, got {alpha}")
+    _real("alpha", alpha, 1.0)
     ops, grid = data.ops, data.grid
     steppers = {"P": Stepper(data, "P"), "Palpha": Stepper(data, "Palpha", alpha)}
     stepper = steppers[variant]

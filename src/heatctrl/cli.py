@@ -210,7 +210,7 @@ class RunConfig:
     nx: int = _key("mesh", _positive_int)
     ny: int = _key("mesh", _positive_int)
     gamma1: tuple = _key("mesh", _comma_list(_choice(*SIDES)), "left")
-    T: float = _key("time", _finite)
+    T: float = _key("time", _positive)
     n_steps: int = _key("time", _positive_int)
     M1: float = _key("problem", _positive)
     M2: float = _key("problem", _positive)
@@ -269,24 +269,21 @@ def build_problem(config: RunConfig):
     try:
         mesh = build_rect_mesh(config.nx, config.ny, config.gamma1)
         grid = TimeGrid(config.T, config.n_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    ops = assemble(mesh)
-    if len(ops.free_nodes) == 0:
-        raise ConfigError(
-            f"[mesh] gamma1 = {','.join(config.gamma1)} leaves no free node "
-            f"on the {config.nx}x{config.ny} mesh"
-        )
-    b = _field_values(config.b_spec, mesh.nodes[ops.dirichlet_nodes], "[problem] b")
-    v_b = _field_values(config.v_b_spec, mesh.nodes, "[problem] v_b")
-    z_node = _field_values(config.z_d_spec, mesh.nodes, "[problem] z_d")
-    # the target is constant in time: one field seen by every step, read-only
-    z_d = np.broadcast_to(z_node, (grid.n_steps, len(z_node)))
-    try:
+        ops = assemble(mesh)
+        if len(ops.free_nodes) == 0:
+            raise ConfigError(f"[mesh] gamma1 = {','.join(config.gamma1)} leaves no free "
+                              f"node on the {config.nx}x{config.ny} mesh")
+        b = _field_values(config.b_spec, mesh.nodes[ops.dirichlet_nodes], "[problem] b")
+        v_b = _field_values(config.v_b_spec, mesh.nodes, "[problem] v_b")
+        z_node = _field_values(config.z_d_spec, mesh.nodes, "[problem] z_d")
+        # the target is constant in time: one field seen by every step, read-only
+        z_d = np.broadcast_to(z_node, (grid.n_steps, len(z_node)))
         return ProblemData(ops=ops, b=b, v_b=v_b, z_d=z_d, M1=config.M1,
                            M2=config.M2, grid=grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError:
+        raise ConfigError(f"[mesh] nx = {config.nx}, ny = {config.ny}: out of memory")
 
 
 # -- report writers --------------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 
 from .adjoint import solve_adjoint, solve_adjoint_homogeneous
 from .assembly import DiscreteOperators
-from .linalg import SolverError, _quad
-from .state import ControlPair, Stepper, _check_shape, solve_state, solve_state_homogeneous
+from .linalg import SolverError, _check_real, _count, _quad, _real
+from .state import ControlPair, Stepper, solve_state, solve_state_homogeneous
 
 CG_MAX_ITER = 500
 
@@ -148,8 +148,7 @@ def convexity_gap(c1: ControlPair, c2: ControlPair, t, stepper: Stepper) -> floa
     Equals (t(1-t)/2) [ |u2-u1|^2_H + M1 |g2-g1|^2_H + M2 |q2-q1|^2_Q ]
     up to roundoff; the combination is taken as (1-t) c2 + t c1.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
+    _real("t", t, 0.0, 1.0, closed=True)
     return _convexity_gap(c1, c2, t, stepper, cost_J(c1, stepper), cost_J(c2, stepper))
 
 
@@ -168,9 +167,7 @@ def _coercivity(constants: dict, variant, alpha) -> float:
     if variant == "P":
         return constants["lambda0"]
     if variant == "Palpha":
-        if alpha is None or not 0 < alpha < math.inf:
-            raise ValueError(f"the Robin variant needs alpha > 0, got {alpha}")
-        return constants["lambda1"] * min(1.0, alpha)
+        return constants["lambda1"] * min(1.0, _real("alpha", alpha))
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -180,8 +177,8 @@ def contraction_constant(constants: dict, M1, M2, variant="P", alpha=None) -> fl
     inf when the bound is beyond the float range (tiny M1 or M2); weights
     whose squares are beyond it take the same bound in its hypot form.
     """
-    if not (M1 > 0 and M2 > 0):
-        raise ValueError(f"cost weights must be positive, got {M1}, {M2}")
+    _real("M1", M1)
+    _real("M2", M2)
     gamma = constants["trace_norm"]
     lam = _coercivity(constants, variant, alpha)
     try:
@@ -246,8 +243,8 @@ def _reduced_cg(stepper, tol, max_iter, q_fixed=None, start_adjoint=None):
     each Hessian product z is built in the buffer, and x, r and d are
     updated in place, so no iteration allocates a trajectory-sized array.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _real("tol", tol)
+    _count("max_iter", max_iter)
     data, ops, grid = stepper.data, stepper.ops, stepper.grid
     hold_q = q_fixed is not None
 
@@ -317,8 +314,8 @@ def solve_fixed_point(stepper: Stepper, tol, max_iter=200) -> OptimalityReport:
     divergence is the documented behavior whenever the contraction constant
     is not below one.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _real("tol", tol)
+    _count("max_iter", max_iter)
     data, ops, grid = stepper.data, stepper.ops, stepper.grid
     x = ControlPair.zeros_like(ops, grid)
     pair = _pair(x, stepper)  # (u, p) at x, solved once per iterate
@@ -349,10 +346,9 @@ def measured_step_ratio(history, floor=0.0) -> float:
     Steps at or below `floor` are skipped so roundoff-sized final steps do
     not pollute the estimate; returns nan when fewer than two usable steps.
     """
+    _real("floor", floor, -math.inf)
     norms = [h[1] for h in history]
-    ratios = [
-        b / a for a, b in zip(norms, norms[1:]) if a > floor and b > floor
-    ]
+    ratios = [b / a for a, b in zip(norms, norms[1:]) if a > floor and b > floor]
     return max(ratios) if ratios else float("nan")
 
 
@@ -364,8 +360,6 @@ def solve_distributed_only(q_fixed: np.ndarray, stepper: Stepper, tol,
     directly comparable with the simultaneous problem's optimum; the
     gradient norms cover the g part only.
     """
+    _check_real("q_fixed", q_fixed, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
     q_fixed = np.array(q_fixed, dtype=float)  # a copy: the report never aliases it
-    _check_shape("q_fixed", q_fixed, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
-    if not np.all(np.isfinite(q_fixed)):
-        raise ValueError("q_fixed must be finite")
     return _reduced_cg(stepper, tol, max_iter, q_fixed)

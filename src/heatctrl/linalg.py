@@ -5,6 +5,9 @@ object is immutable after construction and may be shared across time steps
 (the implicit-Euler system matrix never changes within a solve).
 """
 
+import math
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -15,6 +18,36 @@ class SolverError(RuntimeError):
 
     Every solver failure the command line reports with exit code 2 is one.
     """
+
+
+def _real(name, value, low=0.0, high=math.inf, closed=False):
+    """float(value) for a real number, not a bool, in (low, high), or [low, high] if closed."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (low <= value <= high if closed else low < value < high)):
+        interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)
+
+
+def _count(name, value):
+    """Refuse, by name, a value that is not an integer >= 1, or that is a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_shape(name, array, shape):
+    """Refuse an array, by name, whose shape is not shape."""
+    if np.shape(array) != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {np.shape(array)}")
+
+
+def _check_real(name, array, shape):
+    """Refuse an array, by name, of another shape or with a non-finite or non-real entry."""
+    _check_shape(name, array, shape)
+    # a nan or inf reaches the min or the max: no array of the input's size is made
+    if np.asarray(array).dtype.kind not in "iuf" or not np.isfinite(
+            [np.min(array, initial=0), np.max(array, initial=0)]).all():
+        raise ValueError(f"{name} must be finite and real, got a nan, inf or non-real entry")
 
 
 class SpdFactor:
@@ -35,12 +68,8 @@ class SpdFactor:
 
     def __init__(self, A):
         A = sp.csr_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"matrix must be square, got {A.shape}")
-        non_finite = np.count_nonzero(~np.isfinite(A.data))
-        if non_finite:
-            raise ValueError(
-                f"matrix must be finite, got {non_finite} non-finite entries")
+        _check_shape("matrix", A, (A.shape[0], A.shape[0]))
+        _check_real("matrix", A.data, A.data.shape)
         asymmetric = (A != A.T).nnz
         if asymmetric:
             raise ValueError(
@@ -84,6 +113,8 @@ def gen_eig_extreme(A, B, which, tol=1e-10, max_iter=100_000):
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+    _real("tol", tol)
+    _count("max_iter", max_iter)
     A = sp.csr_matrix(A)
     B = sp.csr_matrix(B)
     n = A.shape[0]

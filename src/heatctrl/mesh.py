@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _count, _real
+
 SIDES = ("left", "right", "bottom", "top")
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -24,19 +26,14 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"final time must be positive, got {self.T}")
-        if not math.isfinite(self.T):
-            raise ValueError(f"final time must be finite, got {self.T}")
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one time step, got {self.n_steps}")
+        _real("T", self.T)
+        _count("n_steps", self.n_steps)
         # the step matrix M / tau + K needs a finite 1 / tau; a step can
         # also underflow to zero
         tau = float(self.tau)
         if tau == 0.0 or not math.isfinite(1.0 / tau):
-            raise ValueError(
-                f"time step T / n_steps = {self.T} / {self.n_steps} is too small: "
-                f"its reciprocal is not finite")
+            raise ValueError(f"time step T / n_steps = {self.T} / {self.n_steps} is too "
+                             "small: its reciprocal is not finite")
 
     @property
     def tau(self) -> float:
@@ -115,8 +112,8 @@ def build_rect_mesh(nx: int, ny: int, gamma1_spec="left") -> Mesh:
         Sides tagged "gamma1"; a nonempty, proper subset of
         {"left", "right", "bottom", "top"}.  Remaining sides get "gamma2".
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
+    _count("nx", nx)
+    _count("ny", ny)
     g1_sides = _normalize_sides(gamma1_spec)
     if len(g1_sides) == 0:
         raise ValueError("gamma1 must own at least one side")

@@ -18,16 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteOperators
-from .linalg import SpdFactor
+from .linalg import SpdFactor, _check_real, _check_shape, _real
 from .mesh import TimeGrid
 
 VARIANTS = ("P", "Palpha")
-
-
-def _check_shape(name, array, shape):
-    """Refuse an array, by name, whose shape is not shape."""
-    if np.shape(array) != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {np.shape(array)}")
 
 
 def _trajectory(stepper):
@@ -64,14 +58,11 @@ class ProblemData:
 
     def validate(self):
         ops, n = self.ops, self.ops.n_nodes
-        for name in ("b", "v_b", "z_d", "M1", "M2"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        if self.M1 <= 0 or self.M2 <= 0:
-            raise ValueError(f"cost weights must be positive, got {self.M1}, {self.M2}")
-        _check_shape("v_b", self.v_b, (n,))
-        _check_shape("b", self.b, ops.dirichlet_nodes.shape)
-        _check_shape("z_d", self.z_d, (self.grid.n_steps, n))
+        _check_real("v_b", self.v_b, (n,))
+        _check_real("b", self.b, ops.dirichlet_nodes.shape)
+        _check_real("z_d", self.z_d, (self.grid.n_steps, n))
+        _real("M1", self.M1)
+        _real("M2", self.M2)
         if not np.array_equal(self.v_b[ops.dirichlet_nodes], self.b):
             raise ValueError("v_b restricted to the Dirichlet nodes must equal b exactly")
 
@@ -127,9 +118,7 @@ class Stepper:
             self.A_fd = A[:, ops.dirichlet_nodes]
             A = A[:, S]
         else:
-            if alpha is None or not 0 < alpha < np.inf:
-                raise ValueError(
-                    f"the Robin variant needs a finite alpha > 0, got {alpha}")
+            _real("alpha", alpha)
             S = self.nodes = slice(None)
             A = ops.M / grid.tau + ops.K + alpha * ops.B1
         self.mass = ops.M[S]
@@ -166,10 +155,10 @@ class Stepper:
         return out
 
 
-def _check_ctrl(ctrl, stepper):
+def _check_ctrl(ctrl, stepper, check=_check_shape):
     n_steps, ops = stepper.grid.n_steps, stepper.ops
-    _check_shape("g series", ctrl.g, (n_steps, ops.n_nodes))
-    _check_shape("q series", ctrl.q, (n_steps, len(ops.gamma2_nodes)))
+    check("g series", ctrl.g, (n_steps, ops.n_nodes))
+    check("q series", ctrl.q, (n_steps, len(ops.gamma2_nodes)))
 
 
 def _forward(stepper, ctrl, start, source, pinned, out=None):
@@ -207,9 +196,9 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
 
 
 def solve_state(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
-    """Forward solve of the stepper's system, pinned or Robin at its alpha, on its data."""
+    """Forward solve of the stepper's system, pinned or Robin, of a finite real control."""
     data = stepper.data
-    _check_ctrl(ctrl, stepper)
+    _check_ctrl(ctrl, stepper, _check_real)
     return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(), data.b)
 
 

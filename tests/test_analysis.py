@@ -84,7 +84,8 @@ def test_sweep_alphas_validated():
     with pytest.raises(ValueError, match="increasing"):
         alpha_sweep(data, [10.0, 10.0], 1e-10)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="sweep coefficients must be finite"):
+        with pytest.raises(ValueError, match=rf"^sweep coefficients must all exceed 1, "
+                                             rf"got \[10\.0, {bad}\]$"):
             alpha_sweep(data, [10.0, bad], 1e-10)
 
 

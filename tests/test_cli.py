@@ -481,6 +481,22 @@ def test_sweep_rejects_an_empty_ladder(tmp_path, capsys, no_mesh, alphas):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_mesh_beyond_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # nx = 1e12 is a positive integer, and numpy's allocation then fails; the
+    # failure is faked, because whether a 7 TiB request fails at once depends
+    # on the host's overcommit mode
+    def build(nx, ny, gamma1):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for the {nx}x{ny} mesh")
+
+    monkeypatch.setattr(cli, "build_rect_mesh", build)
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("nx = 2", "nx = 1e12"))
+    assert main(["constants", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: [mesh] nx = 1000000000000, ny = 2: out of memory\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_quiet_failed_sweep_reports_on_stderr(tmp_path, capsys):
     path = write_config(tmp_path, z_d="bump:0.6,0.5,0.2,1.0")
     text = path.read_text().replace("nx = 2", "nx = 3").replace("ny = 2", "ny = 3") \
@@ -957,7 +973,7 @@ def test_solve_writes_reports_without_resolving(tmp_path):
     ("M1 = 1.0", "M1 = nan", "[problem] M1"),
     ("M2 = 1.0", "M2 = inf", "[problem] M2"),
     ("T = 1.0", "T = inf", "[time] T"),
-    ("T = 1.0", "T = 0", "final time"),
+    ("T = 1.0", "T = 0", "[time] T must be positive"),
     ("T = 1.0", "T = 1e-310", "T / n_steps = 1e-310 / 2"),
     ("T = 1.0", "T = 5e-324", "T / n_steps = 5e-324 / 2"),
     ("tol = 1e-10", "tol = nan", "[solver] tol"),

@@ -455,7 +455,8 @@ def test_contraction_constant_formula():
     assert contraction_constant(consts, 1e-170, 1.0, "P") == math.inf
     assert contraction_constant(consts, 1.0, 1e-170, "P") == math.inf
     # the Robin bound needs an alpha, and no other variant has one
-    with pytest.raises(ValueError, match="needs alpha > 0, got None"):
+    with pytest.raises(ValueError,
+                       match=r"^alpha must be a real number in \(0, inf\), got None$"):
         contraction_constant(consts, 1.0, 1.0, "Palpha")
     with pytest.raises(ValueError, match="unknown variant 'Q'"):
         contraction_constant(consts, 1.0, 1.0, "Q")
@@ -465,9 +466,10 @@ def test_contraction_constant_formula():
 def test_robin_bound_refuses_an_alpha_that_is_not_finite_and_positive(alpha):
     # nan fails no comparison in alpha <= 0, and min(1, nan) is 1
     consts = {"lambda0": 0.5, "lambda1": 0.6, "trace_norm": 1.2}
-    with pytest.raises(ValueError, match=f"needs alpha > 0, got {alpha}$"):
+    message = rf"^alpha must be a real number in \(0, inf\), got {alpha}$"
+    with pytest.raises(ValueError, match=message):
         contraction_constant(consts, 1.0, 1.0, "Palpha", alpha=alpha)
-    with pytest.raises(ValueError, match=f"needs alpha > 0, got {alpha}$"):
+    with pytest.raises(ValueError, match=message):
         _coercivity(consts, "Palpha", alpha)
 
 
@@ -483,9 +485,9 @@ def test_contraction_constant_of_weights_whose_squares_overflow(M1, M2):
 def test_contraction_constant_refuses_a_weight_that_is_not_positive(weight):
     # -1 read as +1 and nan gave nan
     consts = {"lambda0": 0.5, "lambda1": 0.6, "trace_norm": 1.2}
-    for M1, M2 in ((weight, 1.0), (1.0, weight)):
+    for M1, M2, name in ((weight, 1.0, "M1"), (1.0, weight, "M2")):
         with pytest.raises(ValueError, match=re.escape(
-                f"cost weights must be positive, got {M1}, {M2}")):
+                f"{name} must be a real number in (0, inf), got {weight}")):
             contraction_constant(consts, M1, M2, "P")
 
 
@@ -635,5 +637,5 @@ def test_nonpositive_tolerances_rejected():
                       lambda: solve_fixed_point(stepper, tol),
                       lambda: solve_distributed_only(q_fixed, stepper, tol)):
             with pytest.raises(ValueError, match=re.escape(
-                    f"tolerance must be finite and positive, got {tol}")):
+                    f"tol must be a real number in (0, inf), got {tol}")):
                 solve()

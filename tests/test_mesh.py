@@ -153,5 +153,5 @@ def test_time_grid():
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
     # an infinite T would make tau inf and the step matrix just K
-    with pytest.raises(ValueError, match="final time must be finite, got inf"):
+    with pytest.raises(ValueError, match=r"^T must be a real number in \(0, inf\), got inf$"):
         TimeGrid(math.inf, 4)

@@ -195,7 +195,8 @@ def test_mismatched_data_rejected():
     stepper = Stepper(data, "P")
     with pytest.raises(ValueError, match="Dirichlet"):
         solve_state(ctrl, Stepper(replace(data, v_b=data.v_b + 1.0), "P"))
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError,
+                       match=r"^M1 must be a real number in \(0, inf\), got -1\.0$"):
         solve_state(ctrl, Stepper(replace(data, M1=-1.0), "P"))
     k = len(ops.dirichlet_nodes)
     for name, message in (("v_b", "v_b must have shape"),
@@ -210,11 +211,13 @@ def test_mismatched_data_rejected():
             solve_state(short, stepper)
     z_d = data.z_d.copy()
     z_d[1, 2] = np.nan
-    for name, value in (("z_d", z_d), ("b", np.full_like(data.b, np.inf)),
-                        ("M2", np.nan)):
+    for name, value, message in (
+            ("z_d", z_d, "z_d must be finite"),
+            ("b", np.full_like(data.b, np.inf), "b must be finite"),
+            ("M2", np.nan, r"M2 must be a real number in \(0, inf\), got nan")):
         # the data refuses itself when it is made, before either solve runs
         for solve in (solve_state, cost_J):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=message):
                 solve(ctrl, Stepper(replace(data, **{name: value}), "P"))
 
 
@@ -233,5 +236,6 @@ def test_stepper_refuses_an_unknown_variant():
 @pytest.mark.parametrize("alpha", [np.inf, np.nan, 0.0, -1.0])
 def test_robin_stepper_refuses_a_bad_alpha_by_name(alpha):
     ops, data = make_instance()
-    with pytest.raises(ValueError, match=r"needs a finite alpha > 0, got"):
+    with pytest.raises(ValueError,
+                       match=rf"^alpha must be a real number in \(0, inf\), got {alpha}$"):
         Stepper(data, "Palpha", alpha)

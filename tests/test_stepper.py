@@ -159,10 +159,10 @@ def test_the_data_is_refused_when_it_is_made():
     z_d = data.z_d.copy()
     z_d[0, 0] = np.nan
     for changes, message in (
-            ({"z_d": z_d}, "z_d must be finite"),
+            ({"z_d": z_d}, "z_d must be finite and real, got a nan, inf or non-real entry"),
             ({"v_b": data.v_b + 1.0},
              "v_b restricted to the Dirichlet nodes must equal b exactly"),
-            ({"M1": -1.0}, "cost weights must be positive, got -1.0, 1.0")):
+            ({"M1": -1.0}, "M1 must be a real number in (0, inf), got -1.0")):
         with pytest.raises(ValueError) as err:
             replace(data, **changes)
         assert str(err.value) == message
