@@ -30,8 +30,8 @@ def _backward(stepper, residual, out):
     slice zero), and out[:-1] may be residual: each step reads its slice first.
     """
     no_flux = np.broadcast_to(0.0, (stepper.grid.n_steps, len(stepper.ops.gamma2_nodes)))
-    return _forward(stepper, ControlPair(residual[::-1], no_flux), None, None, 0.0,
-                    out[::-1])[::-1]
+    ctrl = ControlPair(residual[::-1], no_flux)
+    return _forward(stepper, ctrl, homogeneous=True, out=out[::-1])[::-1]
 
 
 def solve_adjoint(u: np.ndarray, stepper: Stepper) -> np.ndarray:

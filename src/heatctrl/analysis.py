@@ -48,7 +48,7 @@ def boundary_residual_norm(ua, b, alpha, ops, grid) -> float:
     b_ext[ops.dirichlet_nodes] = b
     diff = ua[1:] - b_ext
     sq = _series_inner(diff, diff, ops.B1, grid.tau)
-    return math.sqrt(max((alpha - 1.0) * sq, 0.0))
+    return math.sqrt(max((_real("alpha", alpha, 1.0) - 1.0) * sq, 0.0))
 
 
 def alpha_sweep(data: ProblemData, alphas, tol, max_iter=CG_MAX_ITER):

@@ -99,10 +99,14 @@ class Stepper:
     alone and reads the problem, variant and alpha from it.  Holds the
     solved nodes S (the free nodes for "P", all nodes for "Palpha"), the
     factorized step matrix A_SS, the rows S of the mass matrix and of the
-    gamma2 columns of B2 (the flux load), and for the pinned variant the
-    Dirichlet block A_FD of the step matrix.  Every matrix involved is
-    symmetric, so the same factorization, and the same time loop, serve the
-    forward and the backward sweeps.
+    gamma2 columns of B2 (the flux load), and boundary_load, the constant
+    load of the data's boundary values b on the solved rows.  That load is
+    alpha B1 b for the Robin variant and -A_FD b for the pinned one: with
+    the Dirichlet rows of every slice held at b, the mass product of a step
+    counts their part M_FD b / tau, and -A_FD b = -M_FD b / tau - K_FD b
+    takes it back out and adds the stiffness lifting.  Every matrix involved
+    is symmetric, so the same factorization, and the same time loop, serve
+    the forward and the backward sweeps.
     """
 
     def __init__(self, data: ProblemData, variant="P", alpha=None):
@@ -115,30 +119,18 @@ class Stepper:
         if variant == "P":
             S = self.nodes = ops.free_nodes
             A = (ops.M / grid.tau + ops.K)[S]
-            self.A_fd = A[:, ops.dirichlet_nodes]
+            self.boundary_load = -(A[:, ops.dirichlet_nodes] @ data.b)
             A = A[:, S]
         else:
             _real("alpha", alpha)
             S = self.nodes = slice(None)
             A = ops.M / grid.tau + ops.K + alpha * ops.B1
+            b_ext = np.zeros(ops.n_nodes)
+            b_ext[ops.dirichlet_nodes] = data.b
+            self.boundary_load = alpha * (ops.B1 @ b_ext)
         self.mass = ops.M[S]
         self.flux = ops.B2[S][:, ops.gamma2_nodes]
         self.factor = SpdFactor(A)
-
-    def boundary_load(self):
-        """Constant load of the data's boundary values b on the solved rows.
-
-        -A_FD b for the pinned variant: with the Dirichlet rows of every
-        slice held at b, the mass product of a step counts their part
-        M_FD b / tau, and -A_FD b = -M_FD b / tau - K_FD b takes it back out
-        and adds the stiffness lifting.  alpha B1 b for the Robin variant.
-        """
-        b = self.data.b
-        if self.variant == "P":
-            return -(self.A_fd @ b)
-        b_ext = np.zeros(self.ops.n_nodes)
-        b_ext[self.ops.dirichlet_nodes] = b
-        return self.alpha * (self.ops.B1 @ b_ext)
 
     def load(self, field, q_slice):
         """M field - B2 q on the solved rows, for a nodal field and a gamma2 sample.
@@ -161,18 +153,18 @@ def _check_ctrl(ctrl, stepper, check=_check_shape):
     check("q series", ctrl.q, (n_steps, len(ops.gamma2_nodes)))
 
 
-def _forward(stepper, ctrl, start, source, pinned, out=None):
+def _forward(stepper, ctrl, homogeneous, out=None):
     """The implicit-Euler time loop on the stepper's solved nodes.
 
-    start is the nodal field at t_0 or None for a zero one, source an
-    optional constant load on the solved nodes, and pinned the value of the
-    Dirichlet rows of every later slice (the Robin variant solves those rows
-    too).  Step k solves A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + source.
-    The trajectory is written into out, an (n_steps + 1, n_nodes) buffer
-    whose every entry it sets, or into a fresh array.  Step k reads g_k
-    before it writes u_{k+1}, so out[k + 1] may be the memory of g_k.
+    Step k solves A_SS x = M_S (u_k / tau + g_k) - B2_S q_k + boundary_load
+    from u_0 = v_b, with the Dirichlet rows of every later slice at b (the
+    Robin variant solves those rows too).  homogeneous drops the data: a
+    zero start, no boundary load and zero Dirichlet rows.  The trajectory is
+    written into out, an (n_steps + 1, n_nodes) buffer whose every entry it
+    sets, or into a fresh array.  Step k reads g_k before it writes u_{k+1},
+    so out[k + 1] may be the memory of g_k.
     """
-    ops, grid = stepper.ops, stepper.grid
+    ops, grid, data = stepper.ops, stepper.grid, stepper.data
     S = stepper.nodes
     tau = grid.tau
     if out is None:
@@ -181,15 +173,16 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
     else:
         u = out
         u[0] = 0.0
-    if start is not None:
-        u[0] = start
+    if not homogeneous:
+        u[0] = data.v_b
+    pinned = 0.0 if homogeneous else data.b
     field = np.empty(ops.n_nodes)
     for k in range(grid.n_steps):
         np.divide(u[k], tau, out=field)
         field += ctrl.g[k]
         rhs = stepper.load(field, ctrl.q[k])
-        if source is not None:
-            rhs += source
+        if not homogeneous:
+            rhs += stepper.boundary_load
         u[k + 1][ops.dirichlet_nodes] = pinned
         u[k + 1][S] = stepper.factor.solve(rhs)  # a row view: half the cost of u[k + 1, S]
     return u
@@ -197,9 +190,8 @@ def _forward(stepper, ctrl, start, source, pinned, out=None):
 
 def solve_state(ctrl: ControlPair, stepper: Stepper) -> np.ndarray:
     """Forward solve of the stepper's system, pinned or Robin, of a finite real control."""
-    data = stepper.data
     _check_ctrl(ctrl, stepper, _check_real)
-    return _forward(stepper, ctrl, data.v_b, stepper.boundary_load(), data.b)
+    return _forward(stepper, ctrl, homogeneous=False)
 
 
 def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper, out=None) -> np.ndarray:
@@ -213,4 +205,4 @@ def solve_state_homogeneous(ctrl: ControlPair, stepper: Stepper, out=None) -> np
     _check_ctrl(ctrl, stepper)
     if out is not None:
         _check_shape("out", out, _trajectory(stepper))
-    return _forward(stepper, ctrl, None, None, 0.0, out)
+    return _forward(stepper, ctrl, homogeneous=True, out=out)

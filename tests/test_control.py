@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial import Polynomial
 
-from heatctrl import (ControlPair, Stepper, apply_W, assemble,
+from heatctrl import (ControlPair, ProblemData, Stepper, TimeGrid, apply_W, assemble,
                       build_rect_mesh, compute_constants, contraction_constant,
                       convexity_gap, cost_J, gradient_J, h_inner, hq_inner,
                       hq_norm, measured_step_ratio, q_inner, solve_cg,
@@ -397,6 +398,62 @@ def test_cg_matches_oracle_on_two_sided_gamma1():
         assert rep.converged
         oracle = SpaceTimeSystem(ops, data.grid, variant, ALPHA).kkt_optimum(data)
         assert hq_norm(rep.control - oracle, ops, data.grid) <= 1e-8
+
+
+def psi_derivative(i, j, x, y):
+    """d^i/dx^i d^j/dy^j of psi = w(x) w(y) sin(pi (x + 2 y) / 3 + 0.3), w(s) = (4 s (1 - s))^4.
+
+    The Leibniz rule in each variable: the k-th derivative of sin(a x + b y + c)
+    in x is a^k sin(a x + b y + c + k pi / 2), and numpy.polynomial gives the
+    weight's.
+    """
+    a, b, c = math.pi / 3, 2 * math.pi / 3, 0.3
+    w = Polynomial([0.0, 4.0, -4.0]) ** 4
+    return sum(math.comb(i, k) * math.comb(j, m) * a ** k * b ** m
+               * w.deriv(i - k)(x) * w.deriv(j - m)(y)
+               * np.sin(a * x + b * y + c + (k + m) * math.pi / 2)
+               for k in range(i + 1) for m in range(j + 1))
+
+
+def manufactured_optimum(n, n_steps=32, T=1.0, M1=1.0):
+    """Data of P on an n x n mesh whose continuous optimum is known, and its g*.
+
+    u* = (T - t)^2 psi, b = 0, v_b = T^2 psi.  psi vanishes with its
+    derivatives up to order 3 on every side, so p* = -M1 (u*_t - Lap u*)
+    vanishes on the boundary with zero normal derivative: g* = -p* / M1 and
+    q* = 0 satisfy the optimality system with the target z_d = u* + p*_t +
+    Lap p* = (T - t)^2 (psi + M1 Lap^2 psi) - 2 M1 psi.  z_d and g* are
+    sampled at the nodes at each step's right end.
+    """
+    mesh = build_rect_mesh(n, n, "left")
+    ops = assemble(mesh)
+    grid = TimeGrid(T, n_steps)
+    x, y = mesh.nodes.T
+    psi = psi_derivative(0, 0, x, y)
+    lap = psi_derivative(2, 0, x, y) + psi_derivative(0, 2, x, y)
+    bilap = (psi_derivative(4, 0, x, y) + 2 * psi_derivative(2, 2, x, y)
+             + psi_derivative(0, 4, x, y))
+    s = T - grid.tau * np.arange(1, n_steps + 1)[:, None]
+    data = ProblemData(ops=ops, b=np.zeros(len(ops.dirichlet_nodes)), v_b=T ** 2 * psi,
+                       z_d=s ** 2 * (psi + M1 * bilap) - 2 * M1 * psi, M1=M1, M2=1.0,
+                       grid=grid)
+    return data, -2 * s * psi - s ** 2 * lap
+
+
+def test_cg_converges_to_a_manufactured_continuous_optimum():
+    g_errors, q_sizes = [], []
+    for n in (8, 16, 32):
+        data, g_star = manufactured_optimum(n)
+        rep = solve_cg(Stepper(data, "P"), 1e-12)
+        assert rep.converged
+        ops, grid = data.ops, data.grid
+        scale = math.sqrt(h_inner(g_star, g_star, ops, grid))
+        diff = rep.control.g - g_star
+        g_errors.append(math.sqrt(h_inner(diff, diff, ops, grid)) / scale)
+        q_sizes.append(math.sqrt(q_inner(rep.control.q, rep.control.q, ops, grid)) / scale)
+    for errors in (g_errors, q_sizes):
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert min(orders) >= 1.8, (g_errors, q_sizes)
 
 
 def test_large_penalties_force_zero_control():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,15 @@ def test_penalized_boundary_mismatch_stays_bounded():
         ua = solve_state(ctrl, Stepper(data, "Palpha", alpha))
         residuals.append(boundary_residual_norm(ua, data.b, alpha, ops, data.grid))
     assert max(residuals) <= 10.0 * residuals[0]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, math.nan, math.inf, True])
+def test_boundary_mismatch_refuses_an_alpha_outside_the_sweep_range(alpha):
+    # the penalty sqrt(alpha - 1) is real and positive only for a finite alpha above 1
+    ops, data = make_instance(nx=2, ny=2, n_steps=2, seed=35)
+    ua = solve_state(ControlPair.zeros_like(ops, data.grid), Stepper(data, "Palpha", 10.0))
+    with pytest.raises(ValueError, match=r"^alpha must be a real number in \(1, inf\)"):
+        boundary_residual_norm(ua, data.b, alpha, ops, data.grid)
 
 
 def manufactured_problem(nx, n_steps, with_flux):

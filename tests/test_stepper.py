@@ -19,9 +19,11 @@ import heatctrl.analysis
 import heatctrl.control
 import heatctrl.state
 from heatctrl import ControlPair, ProblemData, Stepper, solve_adjoint, solve_cg, solve_state
+from heatctrl.adjoint import solve_adjoint_homogeneous
+from heatctrl.state import solve_state_homogeneous
 
 import golden
-from oracles import ALPHA, make_instance
+from oracles import ALPHA, make_instance, random_control
 
 # the entry points that read the data, ops, grid, variant and alpha from the stepper
 SOLVERS = ("state.solve_state", "adjoint.solve_adjoint", "control.cost_J",
@@ -166,3 +168,18 @@ def test_the_data_is_refused_when_it_is_made():
         with pytest.raises(ValueError) as err:
             replace(data, **changes)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("variant", ["P", "Palpha"])
+def test_the_homogeneous_sweeps_read_no_problem_data(variant):
+    ops, data = make_instance(nx=4, ny=3, n_steps=5, seed=7, gamma1="left,bottom")
+    assert np.any(data.b) and np.any(data.v_b) and np.any(data.z_d)
+    zero = replace(data, b=np.zeros_like(data.b), v_b=np.zeros_like(data.v_b),
+                   z_d=np.zeros_like(data.z_d))
+    ctrl = random_control(ops, data.grid, np.random.default_rng(8))
+    sweeps = []
+    for d in (data, zero):
+        stepper = Stepper(d, variant, ALPHA)
+        du = solve_state_homogeneous(ctrl, stepper)
+        sweeps.append((du.tobytes(), solve_adjoint_homogeneous(du, stepper).tobytes()))
+    assert sweeps[0] == sweeps[1]
